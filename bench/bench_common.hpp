@@ -89,9 +89,10 @@ inline unsigned sweep_jobs() { return util::parallel_jobs(); }
 /// shared mutable state (run_policy qualifies — each call builds a
 /// fresh policy and Rng, and sim::run keeps all run state local).
 /// Nested parallelism is safe and budget-shared: a parallel_for issued
-/// inside fn (a planner step, the simulator apply phase) runs inline on
-/// the sweep worker instead of fanning out again.  The lowest-config
-/// exception is rethrown on the caller's thread after the pool drains.
+/// inside fn (an in-process sharded run stepping its shards) runs
+/// inline on the sweep worker instead of fanning out again; a plain
+/// sim::run never fans out at all.  The lowest-config exception is
+/// rethrown on the caller's thread after the pool drains.
 template <typename Config, typename Fn>
 auto run_grid(const std::vector<Config>& configs, Fn fn,
               unsigned jobs = sweep_jobs())

@@ -283,18 +283,15 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
 
 // Per-policy planning throughput (steps/sec) on a fixed workload.  A
 // bounded window of steps per iteration isolates plan_step cost; the
-// 1000v x 512t point is the ISSUE-2 acceptance workload (>= 5x for
-// `global` vs the pre-kernel planner).  The third argument is the
-// intra-run worker budget (ISSUE 5: /threads:1 is the serial baseline,
-// /threads:2 and /threads:8 exercise the sharded planner + apply
-// paths — outputs are bit-identical, only the wall clock may move).
-// reproduce_all.sh snapshots these series to BENCH_planner.json so
-// scripts/compare_bench.py can flag regressions across PRs; per-step
-// plan time is 1 / items_per_sec.
+// 1000v x 512t point is the planner acceptance workload (>= 5x for
+// `global` vs the pre-kernel planner).  A run is single-threaded, so
+// the numbers do not depend on OCD_JOBS.  reproduce_all.sh snapshots
+// these series to BENCH_planner.json so scripts/compare_bench.py can
+// flag regressions across changes; per-step plan time is
+// 1 / items_per_sec.
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
-  util::set_parallel_jobs(static_cast<unsigned>(state.range(2)));
   Rng rng(29);
   Digraph g = topology::random_overlay(n, rng);
   const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
@@ -310,43 +307,27 @@ void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
     steps += result.steps;
     benchmark::DoNotOptimize(result.bandwidth);
   }
-  util::set_parallel_jobs(0);
   state.SetItemsProcessed(steps);  // items/sec == planned steps/sec
 }
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 
 // Fault path: the same bounded-window workload with 20% uniform loss
@@ -529,16 +510,16 @@ int main(int argc, char** argv) {
 #endif
   // The stock "num_cpus" context reports what the benchmark *library*
   // saw at its build/run; record what this process observes so
-  // scripts/compare_bench.py can refuse /threads:N gates against
+  // scripts/compare_bench.py can refuse /shards:N gates against
   // snapshots captured on hosts with fewer than N cores ("parity" on a
   // single-core box says nothing about contention).
   benchmark::AddCustomContext(
       "hardware_concurrency",
       std::to_string(std::thread::hardware_concurrency()));
-  // The intra-run worker budget these benchmarks actually ran under
-  // (OCD_JOBS when set, hardware concurrency otherwise) — /shards:N
-  // rows step all N shards on this pool, so a snapshot captured under
-  // a clamped budget must say so.
+  // The worker budget these benchmarks actually ran under (OCD_JOBS
+  // when set, hardware concurrency otherwise) — /shards:N rows step
+  // all N shards on this pool, so a snapshot captured under a clamped
+  // budget must say so.
   benchmark::AddCustomContext("ocd_jobs",
                               std::to_string(util::parallel_jobs()));
   benchmark::AddCustomContext(

@@ -47,13 +47,14 @@ done
 # ThreadSanitizer pass: all intentionally concurrent code sits on the
 # ocd::util parallel runtime — the Parallel suite drives the pool
 # primitives directly, Determinism replays whole planner/fault runs
-# under OCD_JOBS in {1,2,8} (sharded wave scan + sharded apply phase),
-# and SweepGrid drives run_grid, including a full (policy x seed) grid
-# of run_policy calls, so any shared mutable state in the planners
-# shows up here.  FaultSweep runs the lossy fig_loss workload shape
-# (fault models + reliable adapters) on the same pool.  The vertex-
-# shard runtime rides the same pool: ShardDeterminism steps every
-# shard of the in-process transport as pool chunks (the two-mailbox
+# under OCD_JOBS in {1,2,8} (a run never fans out, so any budget must
+# give the same schedule), and SweepGrid drives run_grid, including a
+# full (policy x seed) grid of run_policy calls, so any shared mutable
+# state in the planners shows up here.  FaultSweep runs the lossy
+# fig_loss workload shape (fault models + reliable adapters) on the
+# same pool.  The vertex-shard runtime rides the same pool:
+# ShardDeterminism steps every shard of the in-process transport as
+# pool chunks (the two-mailbox
 # grids between phases are exactly the handoffs TSan must vet),
 # ShardRecovery adds the crash-recovery driver on top (worker
 # teardown/respawn and checkpoint/replay interleaved with the pool

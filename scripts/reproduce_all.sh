@@ -64,16 +64,13 @@ build-bench/bench/micro_benchmarks \
 
 # The regression gate refuses debug-build snapshots and insists the
 # full planner grid is present — every family at the large 1000v/512t
-# point, the serial (/threads:1) baseline AND the sharded /threads:2
-# and /threads:8 variants (ISSUE 5) — so a silently dropped benchmark
-# cannot pass unnoticed.  The /threads:N requires are matched before
-# the undersized-host skip, so --allow-undersized-host keeps this gate
-# usable on small CI boxes: presence is still enforced everywhere,
-# only the vacuous contention comparison is skipped there.  The
-# scalar token-kernel families (ISSUE 6) are likewise required
-# unconditionally; the avx2/avx512 families only where this host can
-# run them (elsewhere they are SkipWithError rows, which
-# compare_bench.py excludes).
+# point — so a silently dropped benchmark cannot pass unnoticed.  The
+# /shards:N gates are --require-any: --allow-undersized-host keeps
+# this gate usable on small CI boxes, where presence is still enforced
+# but the vacuous contention comparison is skipped.  The scalar
+# token-kernel families are likewise required unconditionally; the
+# avx2/avx512 families only where this host can run them (elsewhere
+# they are SkipWithError rows, which compare_bench.py excludes).
 simd_requires=(--require 'TokenKernel/count_intersection_scalar/4096'
                --require 'TokenKernel/fresh_union_apply_scalar/4096')
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -88,14 +85,11 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
   python3 scripts/compare_bench.py "${OCD_BENCH_BASELINE}" \
     results/BENCH_planner.json \
     --allow-undersized-host \
-    --require 'PlannerStepsPerSec/global/1000/512/threads:1' \
-    --require 'PlannerStepsPerSec/global/1000/512/threads:2' \
-    --require 'PlannerStepsPerSec/global/1000/512/threads:8' \
-    --require 'PlannerStepsPerSec/local/1000/512/threads:1' \
-    --require 'PlannerStepsPerSec/local/1000/512/threads:8' \
-    --require 'PlannerStepsPerSec/random/1000/512/threads:1' \
-    --require 'PlannerStepsPerSec/round_robin/1000/512/threads:1' \
-    --require 'PlannerStepsPerSec/bandwidth/1000/512/threads:1' \
+    --require 'PlannerStepsPerSec/global/1000/512' \
+    --require 'PlannerStepsPerSec/local/1000/512' \
+    --require 'PlannerStepsPerSec/random/1000/512' \
+    --require 'PlannerStepsPerSec/round_robin/1000/512' \
+    --require 'PlannerStepsPerSec/bandwidth/1000/512' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

@@ -4,20 +4,10 @@
 #include <array>
 
 #include "ocd/util/binstream.hpp"
-#include "ocd/util/parallel.hpp"
 
 namespace ocd::heuristics {
 
 namespace {
-
-/// Engage the sharded wave scan only when a pass visits at least this
-/// many awake arcs; below it the pool wake-up costs more than the scan.
-/// A pure perf knob: the schedule is bit-identical either way.
-constexpr std::size_t kParallelWaveMinArcs = 256;
-
-/// Items per chunk for the step-start row rebuilds.
-constexpr std::size_t kVertexGrain = 16;
-constexpr std::size_t kArcGrain = 64;
 
 /// One arc's fused candidate scan against (cand, out, wave_ok):
 /// `wanted` is the first wanted in-cap candidate (rank), `flood` the
@@ -70,8 +60,6 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
   active_.clear();
   active_.reserve(num_arcs);
   asleep_.assign(num_arcs, 0);
-  scan_wanted_.assign(num_arcs, -1);
-  scan_flood_.assign(num_arcs, -1);
 }
 
 // Coordinated greedy over (arc, token) pairs.  Assignment proceeds in
@@ -90,22 +78,9 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
 // in-arc of that vertex, and arcs whose candidates or capacity are
 // exhausted leave the active list for good (both only shrink).
 //
-// Parallel execution (ISSUE 5): the step-start row rebuilds shard over
-// disjoint matrix rows, and each big pass runs a two-phase scan-then-
-// merge.  Phase A shards the awake arcs into fixed chunks and scores
-// each against the PASS-START state (reads only) into per-arc slots of
-// the scan_wanted_/scan_flood_ scratch.  Phase B walks the arcs in the
-// serial order and applies picks: because candidate and wave_ok masks
-// only SHRINK within a pass, a pre-scored pick that is still present in
-// both masks is provably the pick the serial scan would make (earlier
-// bits cannot reappear, wanted candidates cannot appear), so it is used
-// as-is; a pick invalidated by an earlier merge step falls back to the
-// exact serial rescan.  Every pick, tie-break and sleep/drop decision
-// is therefore bit-identical to the serial path for any OCD_JOBS.
-//
 // Every working set lives in the policy's scratch members (sized in
 // reset(), overwritten in place here), so a steady-state step is
-// allocation-free on both the serial and the sharded path.
+// allocation-free.
 void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
                                    sim::StepPlan& plan) {
   const auto universe = static_cast<std::size_t>(view.num_tokens());
@@ -124,38 +99,28 @@ void GlobalGreedyPolicy::plan_waves(const sim::StepView& view, Grant&& grant) {
   const auto num_arcs = static_cast<std::size_t>(graph.num_arcs());
 
   // Possession permuted once per step; every other rank-space set is a
-  // word-parallel combination of these.  Disjoint rows per chunk.
-  util::parallel_for(n, kVertexGrain, [&](util::ChunkRange c) {
-    for (std::size_t vi = c.begin; vi < c.end; ++vi)
-      ranker_.to_ranks_into(possession.row(vi), ranked_poss_.row(vi));
-  });
+  // word-parallel combination of these.
+  for (std::size_t vi = 0; vi < n; ++vi)
+    ranker_.to_ranks_into(possession.row(vi), ranked_poss_.row(vi));
 
   // Per-arc candidates (tail has, head lacks) and remaining capacity.
-  const bool anything = util::parallel_reduce(
-      num_arcs, kArcGrain, false,
-      [&](util::ChunkRange c) {
-        bool any = false;
-        for (std::size_t ai = c.begin; ai < c.end; ++ai) {
-          const Arc& arc = graph.arc(static_cast<ArcId>(ai));
-          MutableTokenSetView cand = candidates_.row(ai);
-          cand.assign(ranked_poss_.row(static_cast<std::size_t>(arc.from)));
-          cand -= ranked_poss_.row(static_cast<std::size_t>(arc.to));
-          any = any || !cand.empty();
-          remaining_[ai] = view.capacity(static_cast<ArcId>(ai));
-        }
-        return any;
-      },
-      [](bool acc, bool chunk) { return acc || chunk; });
+  bool anything = false;
+  for (std::size_t ai = 0; ai < num_arcs; ++ai) {
+    const Arc& arc = graph.arc(static_cast<ArcId>(ai));
+    MutableTokenSetView cand = candidates_.row(ai);
+    cand.assign(ranked_poss_.row(static_cast<std::size_t>(arc.from)));
+    cand -= ranked_poss_.row(static_cast<std::size_t>(arc.to));
+    anything = anything || !cand.empty();
+    remaining_[ai] = view.capacity(static_cast<ArcId>(ai));
+  }
   if (!anything) return;
 
   // Outstanding wants per vertex, fixed at step start.
-  util::parallel_for(n, kVertexGrain, [&](util::ChunkRange c) {
-    for (std::size_t vi = c.begin; vi < c.end; ++vi) {
-      MutableTokenSetView out = outstanding_.row(vi);
-      ranker_.to_ranks_into(inst.want(static_cast<VertexId>(vi)), out);
-      out -= ranked_poss_.row(vi);
-    }
-  });
+  for (std::size_t vi = 0; vi < n; ++vi) {
+    MutableTokenSetView out = outstanding_.row(vi);
+    ranker_.to_ranks_into(inst.want(static_cast<VertexId>(vi)), out);
+    out -= ranked_poss_.row(vi);
+  }
 
   // wave_ok holds the ranks whose grant count is still <= wave; ranks
   // pushed over the cap park in `capped` until the next wave relaxes it.
@@ -180,7 +145,6 @@ void GlobalGreedyPolicy::plan_waves(const sim::StepView& view, Grant&& grant) {
   // slot in the list so the scan order never changes.
   const std::size_t num_words = wave_ok_.words().size();
   const std::uint64_t* ok_w = wave_ok_.words().data();
-  const bool sharded = util::parallel_active();
   std::int32_t wave = 0;
   std::size_t awake = active_.size();
   while (!active_.empty()) {
@@ -194,28 +158,6 @@ void GlobalGreedyPolicy::plan_waves(const sim::StepView& view, Grant&& grant) {
       awake = active_.size();
     }
 
-    // Phase A: pre-score every awake arc against the pass-start state.
-    // Reads candidates_/outstanding_/wave_ok_ only; writes disjoint
-    // per-arc slots, so the result is independent of scheduling.
-    const bool prescored = sharded && awake >= kParallelWaveMinArcs;
-    if (prescored) {
-      util::parallel_for(active_.size(), kArcGrain, [&](util::ChunkRange c) {
-        for (std::size_t p = c.begin; p < c.end; ++p) {
-          const auto ai = static_cast<std::size_t>(active_[p]);
-          if (asleep_[ai]) continue;
-          const Arc& arc = graph.arc(active_[p]);
-          const ArcScan scan = scan_arc(
-              candidates_.row(ai).words_data(),
-              outstanding_.row(static_cast<std::size_t>(arc.to)).words_data(),
-              ok_w, num_words);
-          scan_wanted_[ai] = scan.wanted;
-          scan_flood_[ai] = scan.flood;
-        }
-      });
-    }
-
-    // Phase B (and the whole pass when not sharded): serial merge in
-    // the fixed arc order, with the serial rescan as the slow path.
     std::size_t kept = 0;
     for (std::size_t p = 0; p < active_.size(); ++p) {
       const ArcId a = active_[p];
@@ -225,50 +167,17 @@ void GlobalGreedyPolicy::plan_waves(const sim::StepView& view, Grant&& grant) {
         continue;
       }
       const Arc& arc = graph.arc(a);
-      const TokenSetView cand = candidates_.row(ai);
-
-      TokenId pick = -1;
-      bool resolved = false;
-      bool cand_nonempty = false;
-      if (prescored) {
-        // A pre-scored pick still present in the (only-shrinking) masks
-        // is exactly what the serial rescan would return.
-        const TokenId wanted = scan_wanted_[ai];
-        const TokenId flood = scan_flood_[ai];
-        if (wanted >= 0) {
-          if (cand.test(wanted) && wave_ok_.test(wanted)) {
-            pick = wanted;
-            resolved = true;
-          }
-        } else if (flood >= 0) {
-          if (cand.test(flood) && wave_ok_.test(flood)) {
-            pick = flood;
-            resolved = true;
-          }
-        } else {
-          // Nothing in cap at pass start and masks only shrank: the
-          // rescan could not find a pick either.  Candidates may have
-          // been granted away since the pre-score, so consult the
-          // current set for the sleep-vs-drop call.
-          pick = -1;
-          resolved = true;
-          cand_nonempty = !cand.empty();
-        }
-      }
-      if (!resolved) {
-        const ArcScan scan = scan_arc(
-            cand.words_data(),
-            outstanding_.row(static_cast<std::size_t>(arc.to)).words_data(),
-            ok_w, num_words);
-        pick = scan.wanted >= 0 ? scan.wanted : scan.flood;
-        cand_nonempty = scan.cand_left != 0;
-      }
+      const ArcScan scan = scan_arc(
+          candidates_.row(ai).words_data(),
+          outstanding_.row(static_cast<std::size_t>(arc.to)).words_data(),
+          ok_w, num_words);
+      const TokenId pick = scan.wanted >= 0 ? scan.wanted : scan.flood;
 
       if (pick < 0) {
         // Candidates left means they are all capped: sleep until the
         // next relaxation.  None left means the arc is done for good.
         --awake;
-        if (cand_nonempty) {
+        if (scan.cand_left != 0) {
           asleep_[ai] = 1;
           active_[kept++] = a;
         }

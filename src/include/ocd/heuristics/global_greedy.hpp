@@ -72,11 +72,6 @@ class GlobalGreedyPolicy final : public sim::Policy, public ShardCoordinator {
   TokenSet capped_;
   std::vector<ArcId> active_;
   std::vector<char> asleep_;  ///< capped arcs sleep until a wave relax
-  // Per-arc pre-scored picks from the sharded phase-A wave scan (rank
-  // ids, -1 = none); validated against the only-shrinking masks during
-  // the serial phase-B merge.
-  std::vector<TokenId> scan_wanted_;
-  std::vector<TokenId> scan_flood_;
 
   // ---- sharded coordination state (idle in single-process runs) ----
   /// One summarized candidate arc: the k smallest wanted/flood ranks of

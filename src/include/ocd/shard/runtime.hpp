@@ -41,10 +41,9 @@
 //     coordinated planning".
 //
 // Envelope: staleness, stale aggregates, dynamics models, completion
-// overrides, precomputed distances, and adapter-wrapped policies
-// ("+reliable") are refused with ocd::Error — each would need state the
-// barrier protocol does not replicate.  Fault models are supported
-// verbatim.
+// overrides and adapter-wrapped policies ("+reliable") are refused with
+// ocd::Error — each would need state the barrier protocol does not
+// replicate.  Fault models are supported verbatim.
 #pragma once
 
 #include <cstdint>

@@ -28,16 +28,10 @@
 // delivery scratch) is a SimScratch arena owned by the Simulator and
 // cleared — never reallocated — each step.  With schedule recording
 // off, a steady-state step performs zero heap allocations (asserted by
-// tests/sim/alloc_count_test.cpp).
-//
-// Parallel apply (ISSUE 5): with OCD_JOBS > 1, steps with enough sends
-// shard the apply phase over destination vertices on the shared
-// ocd::util worker pool — fault trimming and counters stay serial in
-// plan order, each destination's sends are applied to its own
-// possession row (disjoint rows per chunk), and aggregates/touched
-// bookkeeping merges serially in destination order.  The result is
-// bit-identical to the serial apply for any OCD_JOBS (asserted by
-// tests/faults/determinism_test.cpp).
+// tests/sim/alloc_count_test.cpp).  Nothing a run allocates grows
+// quadratically in n (no policy reads hop distances, so none are
+// precomputed).  A run executes on the calling thread; concurrency
+// lives one level up, in bench sweeps and the shard runtime.
 //
 // With a FaultModel installed the apply phase becomes lossy: validated
 // sends consume capacity, but tokens the model eats never mutate
@@ -83,9 +77,6 @@ struct SimOptions {
   bool record_schedule = true;
   /// Seed for the policy's internal randomness.
   std::uint64_t seed = 1;
-  /// Precompute all-pairs distances for kGlobal policies.  Enabled
-  /// automatically when the policy requires them.
-  bool precompute_distances = false;
   /// Optional §6 changing-network-conditions model (caller-owned; must
   /// outlive the run — the simulator stores only this raw pointer and
   /// calls it every step).  Rewrites per-arc effective capacities each
@@ -153,17 +144,6 @@ struct SimScratch {
   std::vector<VertexId> touched;
   std::vector<char> touched_flag;
   std::vector<char> satisfied;
-  std::vector<std::vector<std::int32_t>> distances;
-  // Sharded apply-phase arenas, sized only when the run may shard
-  // deliveries over destination vertices (OCD_JOBS > 1; see the apply
-  // phase in simulator.cpp).  Sends are grouped into per-destination
-  // chains so each chunk of destinations owns disjoint possession rows.
-  util::TokenMatrix apply_fresh;  ///< per-chunk fresh scratch, one row each
-  util::TokenMatrix apply_union;  ///< per-vertex union of fresh deliveries
-  std::vector<VertexId> dest_list;
-  std::vector<std::int32_t> dest_head;  ///< per-vertex first send index, -1
-  std::vector<std::int32_t> dest_tail;
-  std::vector<std::int32_t> send_next;  ///< per-send chain links
 };
 
 /// Runs policies on instances, reusing one SimScratch arena across runs

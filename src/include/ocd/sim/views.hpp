@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "ocd/core/instance.hpp"
 #include "ocd/sim/knowledge.hpp"
@@ -43,9 +42,8 @@ class StepView {
   StepView(const core::Instance& instance,
            const util::TokenMatrix& possession,
            const util::TokenMatrix& stale_possession,
-           const Aggregates* aggregates,
-           const std::vector<std::vector<std::int32_t>>* distances,
-           KnowledgeClass granted, std::int64_t step,
+           const Aggregates* aggregates, KnowledgeClass granted,
+           std::int64_t step,
            std::span<const std::int32_t> effective_capacity = {});
 
   [[nodiscard]] std::int64_t step() const noexcept { return step_; }
@@ -91,9 +89,6 @@ class StepView {
   // ---- kGlobal ---------------------------------------------------------
   [[nodiscard]] const util::TokenMatrix& global_possession() const;
   [[nodiscard]] const core::Instance& instance() const;
-  /// All-pairs hop distances (precomputed once per run).
-  [[nodiscard]] const std::vector<std::vector<std::int32_t>>& distances()
-      const;
 
  private:
   void require(KnowledgeClass needed) const;
@@ -103,7 +98,6 @@ class StepView {
   const util::TokenMatrix& possession_;
   const util::TokenMatrix& stale_possession_;
   const Aggregates* aggregates_;
-  const std::vector<std::vector<std::int32_t>>* distances_;
   KnowledgeClass granted_;
   std::int64_t step_;
   std::span<const std::int32_t> effective_capacity_;

@@ -70,8 +70,8 @@ struct Kernels {
                                    const std::uint64_t* src,
                                    std::uint64_t* fresh, std::size_t n);
   /// fresh_union_apply that additionally folds fresh into a second
-  /// accumulator: uni |= fresh (the sharded apply phase keeps the union
-  /// of a destination's fresh sets for the serial merge).
+  /// accumulator: uni |= fresh (the shard runtime's apply phase keeps
+  /// the union of an owned vertex's fresh sets for its delta).
   std::size_t (*fresh_union_apply_merge)(std::uint64_t* dst,
                                          std::uint64_t* uni,
                                          const std::uint64_t* src,

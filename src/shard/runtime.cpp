@@ -63,10 +63,6 @@ void validate_envelope(std::string_view policy_name,
     throw Error(
         "sharded runtime does not support completion overrides (the "
         "predicate cannot be shipped to shard processes)");
-  if (options.precompute_distances)
-    throw Error(
-        "sharded runtime does not support precompute_distances (no "
-        "supported policy may observe them)");
 }
 
 }  // namespace
@@ -231,7 +227,7 @@ void ShardWorker::phase_wave(std::vector<std::string>& out) {
   OCD_ASSERT(coord_ != nullptr);
   const std::span<const std::int32_t> capacity(ctx_.static_capacity);
   sim::StepView view(*ctx_.instance, possession_, possession_, &aggregates_,
-                     nullptr, ctx_.knowledge, step_, capacity);
+                     ctx_.knowledge, step_, capacity);
   summary_entries_ += coord_->coord_prescore(view, wave_frame_);
   out.assign(static_cast<std::size_t>(num_shards_), {});
   for (std::int32_t p = 0; p < num_shards_; ++p) {
@@ -249,7 +245,7 @@ void ShardWorker::absorb_wave(const std::vector<std::string>& in) {
   }
   const std::span<const std::int32_t> capacity(ctx_.static_capacity);
   sim::StepView view(*ctx_.instance, possession_, possession_, &aggregates_,
-                     nullptr, ctx_.knowledge, step_, capacity);
+                     ctx_.knowledge, step_, capacity);
   if (coord_->coord_absorb(view, in)) ++wave_fallbacks_;
 }
 
@@ -301,7 +297,7 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
   const std::span<const std::int32_t> capacity(ctx_.static_capacity);
   plan_.rebind(inst.graph(), capacity);
   sim::StepView view(inst, possession_, possession_,
-                     needs_aggregates_ ? &aggregates_ : nullptr, nullptr,
+                     needs_aggregates_ ? &aggregates_ : nullptr,
                      ctx_.knowledge, step_, capacity);
   if (!ctx_.coordinated) {
     // Local planners: shard-local rows behind the row map, independent

@@ -5,8 +5,6 @@
 
 #include "ocd/dynamics/model.hpp"
 #include "ocd/faults/model.hpp"
-#include "ocd/graph/algorithms.hpp"
-#include "ocd/util/parallel.hpp"
 #include "ocd/util/stopwatch.hpp"
 
 namespace ocd::sim {
@@ -36,21 +34,6 @@ constexpr std::int64_t kDefaultNoProgressWindow = 256;
 /// steady-state steps stay allocation-free), bounded so the default
 /// max_steps of a million does not pin megabytes per run.
 constexpr std::int64_t kStatsReserveCap = 65536;
-
-/// Shard the apply phase only for steps with at least this many sends;
-/// below it the pool wake-up costs more than the deliveries.  A pure
-/// perf knob — the sharded and serial apply produce identical state.
-constexpr std::size_t kParallelApplyMinSends = 64;
-
-/// Items per chunk when sharding destinations across workers.
-constexpr std::size_t kDestGrain = 8;
-
-/// Per-chunk totals of the sharded apply phase.  Merged in ascending
-/// chunk order; integer sums, so the totals equal the serial ones.
-struct ApplyTotals {
-  std::int64_t useful = 0;
-  std::int64_t delivered = 0;
-};
 
 void validate_options(const SimOptions& options) {
   if (options.max_steps < 0) {
@@ -145,11 +128,6 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     }
   }
 
-  const bool needs_distances =
-      options.precompute_distances ||
-      policy.knowledge_class() == KnowledgeClass::kGlobal;
-  if (needs_distances) scratch_.distances = all_pairs_distances(inst.graph());
-
   policy.reset(inst, options.seed);
   if (options.dynamics != nullptr) options.dynamics->reset(inst, options.seed);
   const bool faulted = options.faults != nullptr;
@@ -193,21 +171,6 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
   TokenSet& fresh = scratch_.fresh;
   TokenSet& lost = scratch_.lost;
 
-  // Sharded apply (ISSUE 5): when the worker budget allows it, big
-  // steps group their sends into per-destination chains and apply them
-  // to disjoint possession rows in parallel.  Arenas are sized up front
-  // so steady-state steps stay allocation-free.
-  const bool sharded_apply = util::parallel_active();
-  if (sharded_apply) {
-    scratch_.apply_fresh.reset(util::kMaxParallelChunks, m);
-    scratch_.apply_union.reset(n, m);
-    scratch_.dest_head.assign(n, -1);
-    scratch_.dest_tail.assign(n, -1);
-    scratch_.send_next.assign(num_arcs, -1);
-    scratch_.dest_list.clear();
-    scratch_.dest_list.reserve(n);
-  }
-
   std::int64_t step = 0;
   std::int64_t no_progress = 0;
   Termination termination = Termination::kMaxSteps;
@@ -227,7 +190,6 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
       compute_aggregates_into(inst, snapshots.stale_view(), aggregates);
     const StepView view(inst, possession, snapshots.stale_view(),
                         needs_aggregates ? &aggregates : nullptr,
-                        needs_distances ? &scratch_.distances : nullptr,
                         policy.knowledge_class(), step, effective_capacity);
     StepPlan& plan = scratch_.plan;
     plan.rebind(inst.graph(), effective_capacity);
@@ -253,136 +215,39 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     std::int64_t step_moves = 0;
     std::int64_t step_lost = 0;
     std::int64_t step_useful = 0;
-    const std::span<core::ArcSend> sends = plan.sends();
-    if (!sharded_apply || sends.size() < kParallelApplyMinSends) {
-      for (core::ArcSend& send : sends) {
-        const Arc& arc = inst.graph().arc(send.arc);
-        const auto count = static_cast<std::int64_t>(send.tokens.count());
-        step_moves += count;
-        result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] +=
-            count;
-        if (faulted) {
-          lost.clear();
-          options.faults->lost(step, send.arc, send.tokens, lost);
-          lost &= send.tokens;  // a model may only lose what was sent
-          const auto lost_count = static_cast<std::int64_t>(lost.count());
-          if (lost_count > 0) {
-            step_lost += lost_count;
-            // The recorded schedule keeps deliveries only, so it stays a
-            // valid loss-free schedule reaching the same final state.
-            send.tokens -= lost;
-          }
-        }
-        const auto delivered = static_cast<std::int64_t>(send.tokens.count());
-        const auto to = static_cast<std::size_t>(arc.to);
-        // Fused kernel: fresh = send - possession, possession |= send,
-        // in one pass (a no-op on possession when nothing is fresh).
-        const auto fresh_count =
-            static_cast<std::int64_t>(MutableTokenSetView::apply_fresh_union(
-                possession.row(to), send.tokens, fresh));
-        result.stats.useful_moves += fresh_count;
-        result.stats.redundant_moves += delivered - fresh_count;
-        step_useful += fresh_count;
-        if (fresh_count == 0) continue;
-        if (needs_aggregates && !options.stale_aggregates)
-          aggregates.apply_delivery(fresh, inst.want(arc.to));
-        if (!scratch_.touched_flag[to]) {
-          scratch_.touched_flag[to] = 1;
-          scratch_.touched.push_back(arc.to);
+    for (core::ArcSend& send : plan.sends()) {
+      const Arc& arc = inst.graph().arc(send.arc);
+      const auto count = static_cast<std::int64_t>(send.tokens.count());
+      step_moves += count;
+      result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] += count;
+      if (faulted) {
+        lost.clear();
+        options.faults->lost(step, send.arc, send.tokens, lost);
+        lost &= send.tokens;  // a model may only lose what was sent
+        const auto lost_count = static_cast<std::int64_t>(lost.count());
+        if (lost_count > 0) {
+          step_lost += lost_count;
+          // The recorded schedule keeps deliveries only, so it stays a
+          // valid loss-free schedule reaching the same final state.
+          send.tokens -= lost;
         }
       }
-    } else {
-      // Sharded apply, three phases, bit-identical to the loop above.
-      //
-      // 1. Serial pre-phase in plan order: wire counters and channel
-      // loss (the fault model is stateful — querying it in plan order
-      // keeps the loss trace a function of (seed, step) alone), plus
-      // per-destination send chains.
-      scratch_.dest_list.clear();
-      for (std::size_t s = 0; s < sends.size(); ++s) {
-        core::ArcSend& send = sends[s];
-        const Arc& arc = inst.graph().arc(send.arc);
-        const auto count = static_cast<std::int64_t>(send.tokens.count());
-        step_moves += count;
-        result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] +=
-            count;
-        if (faulted) {
-          lost.clear();
-          options.faults->lost(step, send.arc, send.tokens, lost);
-          lost &= send.tokens;
-          const auto lost_count = static_cast<std::int64_t>(lost.count());
-          if (lost_count > 0) {
-            step_lost += lost_count;
-            send.tokens -= lost;
-          }
-        }
-        const auto to = static_cast<std::size_t>(arc.to);
-        scratch_.send_next[s] = -1;
-        if (scratch_.dest_head[to] < 0) {
-          scratch_.dest_head[to] = static_cast<std::int32_t>(s);
-          scratch_.dest_list.push_back(arc.to);
-        } else {
-          scratch_.send_next[static_cast<std::size_t>(scratch_.dest_tail[to])] =
-              static_cast<std::int32_t>(s);
-        }
-        scratch_.dest_tail[to] = static_cast<std::int32_t>(s);
-      }
-
-      // 2. Parallel per-destination phase: each destination's sends are
-      // applied in plan order against its own possession row, exactly
-      // like the serial loop (a send's fresh set depends only on the
-      // row of its destination, which this chunk owns exclusively).
-      // The union of a destination's fresh sets is kept for phase 3.
-      // Counter totals are integer sums merged in chunk order.
-      const ApplyTotals totals = util::parallel_reduce(
-          scratch_.dest_list.size(), kDestGrain, ApplyTotals{},
-          [&](util::ChunkRange c) {
-            ApplyTotals t;
-            const MutableTokenSetView chunk_fresh =
-                scratch_.apply_fresh.row(c.index);
-            for (std::size_t p = c.begin; p < c.end; ++p) {
-              const auto to =
-                  static_cast<std::size_t>(scratch_.dest_list[p]);
-              const MutableTokenSetView poss = possession.row(to);
-              const MutableTokenSetView uni = scratch_.apply_union.row(to);
-              uni.clear();
-              for (std::int32_t s = scratch_.dest_head[to]; s >= 0;
-                   s = scratch_.send_next[static_cast<std::size_t>(s)]) {
-                const core::ArcSend& send = sends[static_cast<std::size_t>(s)];
-                t.delivered += static_cast<std::int64_t>(send.tokens.count());
-                // Fused kernel: fresh = send - poss, poss |= send,
-                // uni |= fresh, one pass (no-ops when nothing is fresh).
-                t.useful += static_cast<std::int64_t>(
-                    MutableTokenSetView::apply_fresh_union_merge(
-                        poss, uni, send.tokens, chunk_fresh));
-              }
-            }
-            return t;
-          },
-          [](ApplyTotals acc, ApplyTotals t) {
-            acc.useful += t.useful;
-            acc.delivered += t.delivered;
-            return acc;
-          });
-      result.stats.useful_moves += totals.useful;
-      result.stats.redundant_moves += totals.delivered - totals.useful;
-      step_useful = totals.useful;
-
-      // 3. Serial merge in destination order: aggregates (applying the
-      // union once equals applying each disjoint fresh set — both are
-      // per-token counter sums), touched bookkeeping, chain reset.
-      for (const VertexId v : scratch_.dest_list) {
-        const auto to = static_cast<std::size_t>(v);
-        scratch_.dest_head[to] = -1;
-        scratch_.dest_tail[to] = -1;
-        const TokenSetView uni = scratch_.apply_union.row(to);
-        if (uni.empty()) continue;
-        if (needs_aggregates && !options.stale_aggregates)
-          aggregates.apply_delivery(uni, inst.want(v));
-        if (!scratch_.touched_flag[to]) {
-          scratch_.touched_flag[to] = 1;
-          scratch_.touched.push_back(v);
-        }
+      const auto delivered = static_cast<std::int64_t>(send.tokens.count());
+      const auto to = static_cast<std::size_t>(arc.to);
+      // Fused kernel: fresh = send - possession, possession |= send,
+      // in one pass (a no-op on possession when nothing is fresh).
+      const auto fresh_count =
+          static_cast<std::int64_t>(MutableTokenSetView::apply_fresh_union(
+              possession.row(to), send.tokens, fresh));
+      result.stats.useful_moves += fresh_count;
+      result.stats.redundant_moves += delivered - fresh_count;
+      step_useful += fresh_count;
+      if (fresh_count == 0) continue;
+      if (needs_aggregates && !options.stale_aggregates)
+        aggregates.apply_delivery(fresh, inst.want(arc.to));
+      if (!scratch_.touched_flag[to]) {
+        scratch_.touched_flag[to] = 1;
+        scratch_.touched.push_back(arc.to);
       }
     }
     result.stats.moves_per_step.push_back(step_moves);

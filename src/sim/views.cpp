@@ -19,15 +19,13 @@ const char* to_string(KnowledgeClass k) {
 StepView::StepView(const core::Instance& instance,
                    const util::TokenMatrix& possession,
                    const util::TokenMatrix& stale_possession,
-                   const Aggregates* aggregates,
-                   const std::vector<std::vector<std::int32_t>>* distances,
-                   KnowledgeClass granted, std::int64_t step,
+                   const Aggregates* aggregates, KnowledgeClass granted,
+                   std::int64_t step,
                    std::span<const std::int32_t> effective_capacity)
     : instance_(instance),
       possession_(possession),
       stale_possession_(stale_possession),
       aggregates_(aggregates),
-      distances_(distances),
       granted_(granted),
       step_(step),
       effective_capacity_(effective_capacity) {}
@@ -97,12 +95,6 @@ const util::TokenMatrix& StepView::global_possession() const {
 const core::Instance& StepView::instance() const {
   require(KnowledgeClass::kGlobal);
   return instance_;
-}
-
-const std::vector<std::vector<std::int32_t>>& StepView::distances() const {
-  require(KnowledgeClass::kGlobal);
-  OCD_ASSERT(distances_ != nullptr);
-  return *distances_;
 }
 
 }  // namespace ocd::sim

@@ -2,9 +2,9 @@
 // must produce bit-identical traces when run twice from the same seed,
 // and genuinely different traces from different seeds.  Catches both
 // hidden global state and accidentally shared RNG streams.  The final
-// section replays whole runs under OCD_JOBS ∈ {1, 2, 8}: the parallel
-// runtime guarantees bit-identical output for any worker budget, so
-// schedules, step counts, bandwidth and loss accounting must agree.
+// section replays whole runs under OCD_JOBS ∈ {1, 2, 8}: a run never
+// fans out across workers, so schedules, step counts, bandwidth and
+// loss accounting must agree for any worker budget.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -198,8 +198,9 @@ void expect_schedules_identical(const core::Schedule& a,
   }
 }
 
-/// Large enough that the sharded planner wave scan (>= 256 awake arcs)
-/// and the sharded apply phase (>= 64 sends) actually engage at 8 jobs.
+/// Hundreds of arcs and dozens of sends per step.  The replays below pin
+/// that a run's result does not depend on the worker budget: OCD_JOBS
+/// governs only sweeps and in-process shards, never one sim::run.
 core::Instance parallel_scale_instance(std::uint64_t seed) {
   Rng rng(seed);
   Digraph g = topology::random_overlay(80, rng);

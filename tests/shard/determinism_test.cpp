@@ -275,10 +275,6 @@ TEST(ShardDeterminism, RefusesOptionsOutsideTheEnvelope) {
   completion.sim.completion = [](VertexId, TokenSetView) { return true; };
   expect_refused(completion, "round-robin", "completion override");
 
-  ShardOptions distances = base;
-  distances.sim.precompute_distances = true;
-  expect_refused(distances, "round-robin", "precompute_distances");
-
   expect_refused(base, "random+reliable", "adapter wrapper");
 
   ShardOptions negative = base;

@@ -142,7 +142,7 @@ TEST(StepView, AccessorsGatedByKnowledgeClass) {
   const util::TokenMatrix possession = have_matrix(inst);
   const Aggregates agg = compute_aggregates(inst, possession);
 
-  const StepView local(inst, possession, possession, &agg, nullptr,
+  const StepView local(inst, possession, possession, &agg,
                        KnowledgeClass::kLocalOnly, 0);
   EXPECT_NO_THROW((void)local.own_possession(0));
   EXPECT_NO_THROW((void)local.own_want(1));
@@ -150,17 +150,17 @@ TEST(StepView, AccessorsGatedByKnowledgeClass) {
   EXPECT_THROW((void)local.aggregate_need(), ContractViolation);
   EXPECT_THROW((void)local.global_possession(), ContractViolation);
 
-  const StepView peers(inst, possession, possession, &agg, nullptr,
+  const StepView peers(inst, possession, possession, &agg,
                        KnowledgeClass::kLocalPeers, 0);
   EXPECT_NO_THROW((void)peers.peer_possession(0, 1));
   EXPECT_THROW((void)peers.aggregate_holders(), ContractViolation);
 
-  const StepView aggregate(inst, possession, possession, &agg, nullptr,
+  const StepView aggregate(inst, possession, possession, &agg,
                            KnowledgeClass::kLocalAggregate, 0);
   EXPECT_NO_THROW((void)aggregate.aggregate_holders());
   EXPECT_THROW((void)aggregate.instance(), ContractViolation);
 
-  const StepView global(inst, possession, possession, &agg, nullptr,
+  const StepView global(inst, possession, possession, &agg,
                         KnowledgeClass::kGlobal, 0);
   EXPECT_NO_THROW((void)global.global_possession());
   EXPECT_NO_THROW((void)global.instance());
@@ -171,7 +171,7 @@ TEST(StepView, NullAggregatesTripOnAccessNotConstruction) {
   // below kLocalAggregate; touching the accessors must fail loudly.
   const core::Instance inst = two_vertex_instance();
   const util::TokenMatrix possession = have_matrix(inst);
-  const StepView view(inst, possession, possession, nullptr, nullptr,
+  const StepView view(inst, possession, possession, nullptr,
                       KnowledgeClass::kGlobal, 0);
   EXPECT_THROW((void)view.aggregate_holders(), ContractViolation);
   EXPECT_THROW((void)view.aggregate_need(), ContractViolation);
@@ -185,7 +185,7 @@ TEST(StepView, PeerAccessRequiresAdjacency) {
   util::TokenMatrix possession;
   possession.reset(3, 1);
   const Aggregates agg = compute_aggregates(inst, possession);
-  const StepView view(inst, possession, possession, &agg, nullptr,
+  const StepView view(inst, possession, possession, &agg,
                       KnowledgeClass::kLocalPeers, 0);
   EXPECT_NO_THROW((void)view.peer_possession(0, 1));
   EXPECT_NO_THROW((void)view.peer_possession(1, 0));  // reverse direction ok

@@ -12,7 +12,6 @@
 
 #include "ocd/core/scenario.hpp"
 #include "ocd/dynamics/model.hpp"
-#include "ocd/graph/algorithms.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/scripted.hpp"
 #include "ocd/sim/simulator.hpp"
@@ -58,12 +57,6 @@ RunResult reference_run(const core::Instance& inst, Policy& policy,
       result.stats.completion_step[static_cast<std::size_t>(v)] = 0;
   }
 
-  const bool needs_distances =
-      options.precompute_distances ||
-      policy.knowledge_class() == KnowledgeClass::kGlobal;
-  std::vector<std::vector<std::int32_t>> distances;
-  if (needs_distances) distances = all_pairs_distances(inst.graph());
-
   // The view layer consumes TokenMatrix rows; the reference mirrors its
   // per-vertex sets into one with a full deep copy every step (the seed
   // simulator's copying behavior, expressed against the new API).
@@ -100,7 +93,6 @@ RunResult reference_run(const core::Instance& inst, Policy& policy,
     const Aggregates aggregates = compute_aggregates(
         inst, options.stale_aggregates ? snapshots.stale_view() : matrix);
     const StepView view(inst, matrix, snapshots.stale_view(), &aggregates,
-                        needs_distances ? &distances : nullptr,
                         policy.knowledge_class(), step, effective_capacity);
     StepPlan plan(inst.graph(), effective_capacity);
     policy.plan_step(view, plan);

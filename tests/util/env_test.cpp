@@ -4,6 +4,7 @@
 // pinned once here instead of per caller.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "ocd/util/env.hpp"
@@ -12,8 +13,31 @@
 namespace ocd::util {
 namespace {
 
+// Every text the cases feed the parser.  Index 0 is the unset variable.
+constexpr const char* kTexts[] = {
+    nullptr,                 // 0
+    "1",                     // 1
+    "8",                     // 2
+    "2147483647",            // 3
+    "",                      // 4
+    "0",                     // 5
+    "-3",                    // 6
+    "four",                  // 7
+    "4x",                    // 8
+    " 4",                    // 9
+    "4 ",                    // 10
+    "3.5",                   // 11
+    "0x10",                  // 12
+    "2147483648",            // 13: above the i32 cap
+    "99999999999999999999",  // 14
+};
+
+// gtest_discover_tests names each case after gtest's byte dump of this
+// struct, so it must hold no pointer: ASLR moves an address on every
+// discovery run and the case names changed with it.  The text is an
+// index into kTexts instead.
 struct EnvCase {
-  const char* text;
+  std::int64_t text;      ///< index into kTexts
   std::int64_t expected;  ///< -1 = must throw
 };
 
@@ -21,34 +45,30 @@ class ParseEnvIntTest : public ::testing::TestWithParam<EnvCase> {};
 
 TEST_P(ParseEnvIntTest, ParsesOrRejectsWithSharedWording) {
   const EnvCase& c = GetParam();
+  const char* text = kTexts[c.text];
   if (c.expected >= 0) {
-    EXPECT_EQ(parse_env_int("OCD_TEST_KNOB", c.text), c.expected);
+    EXPECT_EQ(parse_env_int("OCD_TEST_KNOB", text), c.expected);
     return;
   }
   try {
-    parse_env_int("OCD_TEST_KNOB", c.text);
-    FAIL() << "expected rejection of '" << (c.text ? c.text : "(null)")
-           << "'";
+    parse_env_int("OCD_TEST_KNOB", text);
+    FAIL() << "expected rejection of '" << (text ? text : "(null)") << "'";
   } catch (const Error& e) {
     const std::string expected =
         std::string("OCD_TEST_KNOB must be a positive integer, got '") +
-        (c.text == nullptr ? "" : c.text) + "'";
+        (text == nullptr ? "" : text) + "'";
     EXPECT_EQ(std::string(e.what()), expected);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKnobShapes, ParseEnvIntTest,
-    ::testing::Values(EnvCase{"1", 1}, EnvCase{"8", 8},
-                      EnvCase{"2147483647", 2147483647},
+    ::testing::Values(EnvCase{1, 1}, EnvCase{2, 8}, EnvCase{3, 2147483647},
                       // rejected: the shared wording cases
-                      EnvCase{nullptr, -1}, EnvCase{"", -1},
-                      EnvCase{"0", -1}, EnvCase{"-3", -1},
-                      EnvCase{"four", -1}, EnvCase{"4x", -1},
-                      EnvCase{" 4", -1}, EnvCase{"4 ", -1},
-                      EnvCase{"3.5", -1}, EnvCase{"0x10", -1},
-                      EnvCase{"2147483648", -1},  // above the i32 cap
-                      EnvCase{"99999999999999999999", -1}));
+                      EnvCase{0, -1}, EnvCase{4, -1}, EnvCase{5, -1},
+                      EnvCase{6, -1}, EnvCase{7, -1}, EnvCase{8, -1},
+                      EnvCase{9, -1}, EnvCase{10, -1}, EnvCase{11, -1},
+                      EnvCase{12, -1}, EnvCase{13, -1}, EnvCase{14, -1}));
 
 TEST(ParseEnvInt, HonorsACustomCap) {
   EXPECT_EQ(parse_env_int("OCD_TEST_KNOB", "64", 64), 64);
