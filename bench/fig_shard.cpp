@@ -1,6 +1,6 @@
 // Vertex-sharded scaling sweep: the same broadcast instance run at
 // shards x {1, 2, 4} over both transports and both planner families
-// (local "round-robin", coordinated "global"), with the partitioner's
+// (local "round-robin", coordinated "bandwidth"), with the partitioner's
 // cut statistics and the barrier traffic accounting alongside the run
 // metrics.  The point of the figure is not speedup (on a small host the
 // barrier protocol is pure overhead) but the properties the shard
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       {shard::TransportKind::kInProcess, "inproc"},
       {shard::TransportKind::kForked, "forked"},
   };
-  const char* policies[] = {"round-robin", "global"};
+  const char* policies[] = {"round-robin", "bandwidth"};
 
   shard::CrashPlan crash_plan;
   if (crash_rate > 0.0) {
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
                 : static_cast<double>(result.stats.shard_bytes_sent) /
                       (1024.0 * static_cast<double>(result.steps));
         const bool coordinated =
-            std::string_view(policy) == "global" && shards > 1;
+            std::string_view(policy) == "bandwidth" && shards > 1;
         const double delta_x =
             coordinated && result.stats.shard_bytes_sent > 0
                 ? static_cast<double>(shards - 1) *

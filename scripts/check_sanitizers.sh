@@ -60,9 +60,9 @@ done
 # teardown/respawn and checkpoint/replay interleaved with the pool
 # phases — the recovery bookkeeping claims to run only on the driver
 # thread between barriers, and this pass is what holds it to that),
-# ShardCoordinated replays the coordinated planners' wave round (the
-# per-step top-k broadcast that precedes plan) against single-process
-# runs with the same pool fan-out,
+# ShardCoordinated replays the coordinated planner's wave round (the
+# per-step token-sliced relay election that precedes plan) against
+# single-process runs with the same pool fan-out,
 # and ShardPartition/BinStream cover the partitioner and the message
 # codec (their data races would surface as corrupt frames, so they run
 # here AND in the ASan pass above).  ShardForkTransport,

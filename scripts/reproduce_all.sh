@@ -93,8 +93,8 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \
-    --require-any 'ShardStep/global/1000/512/shards:1' \
-    --require-any 'ShardStep/global/1000/512/shards:4' \
+    --require-any 'ShardStep/bandwidth/1000/512/shards:1' \
+    --require-any 'ShardStep/bandwidth/1000/512/shards:4' \
     --require-any 'Partition/greedy/k:4' \
     --require-any 'Partition/flow/k:4' \
     --require-any 'Partition/flow/k:8' \

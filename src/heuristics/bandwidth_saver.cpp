@@ -191,7 +191,7 @@ std::int64_t BandwidthPolicy::coord_prescore(const sim::StepView& view,
   return slices;
 }
 
-bool BandwidthPolicy::coord_absorb(const sim::StepView& view,
+void BandwidthPolicy::coord_absorb(const sim::StepView& view,
                                    std::span<const std::string> frames) {
   const auto n = static_cast<std::int64_t>(view.graph().num_vertices());
   const auto universe = static_cast<std::int64_t>(view.num_tokens());
@@ -227,15 +227,13 @@ bool BandwidthPolicy::coord_absorb(const sim::StepView& view,
     }
     in.require(in.exhausted(), "allow.frame", "trailing bytes");
   }
-  return false;  // the sliced election is exact; no fallback exists
 }
 
 // The serial arc loop is arc-ascending, so the owned slice emitted
 // here concatenates across shards (sorted by arc id in the fragment
-// merge) into exactly the plan_step send order — no ordinals needed.
+// merge) into exactly the plan_step send order.
 void BandwidthPolicy::coord_emit(const sim::StepView& view,
-                                 sim::StepPlan& plan,
-                                 std::vector<std::int64_t>& /*ordinals*/) {
+                                 sim::StepPlan& plan) {
   ranker_.assign_by_rarity(view.aggregate_holders(), nullptr);
   for (const ArcId a : owned_arcs_) fill_arc(a, view, plan);
 }

@@ -39,15 +39,14 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
   // (token t belongs to shard t % num_shards); each shard scores its
   // slice, broadcasts the elected receiver sets, and the arc fill then
   // runs per shard over its owned arcs against the merged allowed_
-  // matrix.  The election is deterministic per token, so no fallback
-  // path is ever needed.
+  // matrix.  The election is deterministic per token, so the merge is
+  // exact.
   void begin_coordination(const CoordinationSetup& setup) override;
   [[nodiscard]] std::int64_t coord_prescore(const sim::StepView& view,
                                             std::string& frame) override;
-  bool coord_absorb(const sim::StepView& view,
+  void coord_absorb(const sim::StepView& view,
                     std::span<const std::string> frames) override;
-  void coord_emit(const sim::StepView& view, sim::StepPlan& plan,
-                  std::vector<std::int64_t>& ordinals) override;
+  void coord_emit(const sim::StepView& view, sim::StepPlan& plan) override;
 
  private:
   /// The per-token election: fills allowed_ rows for token `t`.  When

@@ -1,26 +1,24 @@
 // Cross-shard planning coordination for the kGlobal policies.
 //
 // The sharded runtime can run the local heuristics by unioning
-// independent per-shard decisions, but a coordinated planner (Global,
-// Bandwidth) makes cross-vertex choices: every pick depends on picks
-// made for vertices other shards own.  The barrier therefore gains a
-// *wave round* before the plan phase: every shard pre-scores its owned
-// slice of the decision into a compact summary frame, the frames are
-// broadcast, and every shard replays one and the same merge over the
-// union — the decision is replicated, not partitioned, so the merged
-// schedule stays bit-identical to the single-process planner.
+// independent per-shard decisions, but a coordinated planner makes
+// cross-vertex choices: its decision reads possession and demand at
+// vertices other shards own.  The barrier therefore gains a *wave
+// round* before the plan phase: every shard scores its slice of the
+// decision into a frame, the frames are broadcast, and every shard
+// absorbs them into one and the same replicated decision — so the
+// merged schedule stays bit-identical to the single-process planner.
 //
-// The summary is a top-k horizon (OCD_SHARD_WAVE_TOPK): whenever a
-// merge step would need a candidate beyond the horizon, the
-// coordinator abandons the summaries and re-derives the step with the
-// exact serial rescan over its fully replicated possession state —
-// bit-identity is never traded for frame size.
+// Bandwidth is the one implementer: its per-token relay election is
+// sliced by token, one election round per step, and the slices are
+// exact, so the merge never needs a fallback.  Global is not sharded
+// (shard::run_sharded refuses it): its greedy couples every pick to
+// every earlier one, and no summary of it beat one shard.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "ocd/core/instance.hpp"
 #include "ocd/sim/policy.hpp"
@@ -36,50 +34,42 @@ struct CoordinationSetup {
   std::span<const std::int32_t> shard_of;
   std::int32_t shard = 0;       ///< this worker's shard id
   std::int32_t num_shards = 1;  ///< total shards in the run
-  std::int32_t wave_topk = 8;   ///< candidate-summary horizon (>= 1)
 };
 
 /// Interface a kGlobal policy implements to run under shard::run_sharded.
 /// Per step the runtime calls, in barrier order:
-///   1. coord_prescore  — score the owned slice, emit the summary frame
-///      (the frame every peer receives verbatim; the shard's own
-///      summary stays internal and is never serialized).
+///   1. coord_prescore  — score the owned slice, emit the frame every
+///      peer receives verbatim (the shard's own slice stays internal).
 ///   2. coord_absorb    — merge the peers' frames with the internal
-///      summary; every shard replays the identical merge.
-///   3. coord_emit      — emit the owned arcs' share of the merged
-///      schedule into the plan.
-/// All per-step randomness must be drawn in coord_prescore, exactly as
-/// plan_step would draw it, so the RNG stream stays in lockstep with
-/// the single-process run (and with save_state/load_state checkpoints).
+///      slice; every shard ends up with the identical decision.
+///   3. coord_emit      — emit the owned arcs' share of that decision
+///      into the plan, in arc-ascending order.
+/// Any per-step randomness must be drawn exactly as plan_step would
+/// draw it, so the policy state stays in lockstep with the
+/// single-process run (and with save_state/load_state checkpoints).
 class ShardCoordinator {
  public:
   virtual ~ShardCoordinator() = default;
 
   virtual void begin_coordination(const CoordinationSetup& setup) = 0;
 
-  /// Pre-scores the shard's owned slice of this step's decision into
+  /// Scores the shard's owned slice of this step's decision into
   /// `frame` (overwritten) and returns the number of summary entries
   /// it carries, for the RunStats accounting.
   [[nodiscard]] virtual std::int64_t coord_prescore(const sim::StepView& view,
                                                     std::string& frame) = 0;
 
-  /// Replays the merged decision.  `frames` has one slot per shard in
-  /// shard order; the own slot is ignored (the internal summary from
-  /// coord_prescore stands in for it).  Returns true when the top-k
-  /// horizon was exhausted and the exact local rescan decided the step
-  /// instead — the result is bit-identical either way.
-  virtual bool coord_absorb(const sim::StepView& view,
+  /// Merges the peers' frames.  `frames` has one slot per shard in
+  /// shard order; the own slot is ignored (the internal slice from
+  /// coord_prescore stands in for it).
+  virtual void coord_absorb(const sim::StepView& view,
                             std::span<const std::string> frames) = 0;
 
-  /// Emits the owned share of the merged schedule.  For every send
-  /// that creates a new plan slot, appends the slot's global
-  /// first-touch ordinal to `ordinals` — the merge position the
-  /// single-process planner would have created the slot at, which the
-  /// fragment merge uses to interleave per-shard schedules back into
-  /// the exact plan_step send order.  Policies whose plan order is
-  /// arc-ascending may leave `ordinals` untouched.
-  virtual void coord_emit(const sim::StepView& view, sim::StepPlan& plan,
-                          std::vector<std::int64_t>& ordinals) = 0;
+  /// Emits the owned share of the merged decision.  The fragment merge
+  /// sorts each step's sends by arc id, which must reproduce the
+  /// plan_step send order.
+  virtual void coord_emit(const sim::StepView& view,
+                          sim::StepPlan& plan) = 0;
 };
 
 }  // namespace ocd::heuristics

@@ -29,21 +29,23 @@
 //     dependent streams (util::derive_seed), and merges are keyed sums
 //     or deterministic sorts.
 //
-//   * Coordinated planners (global, bandwidth): every shard fully
+//   * The coordinated planner (bandwidth): every shard fully
 //     replicates possession (every owned-vertex delta is broadcast as a
 //     ghost update), and the barrier gains a *wave round* before plan:
-//     shards pre-score their owned slice into compact top-k summaries
-//     (OCD_SHARD_WAVE_TOPK / ShardOptions.wave_topk), broadcast them,
-//     and replay one and the same merge — falling back to the exact
-//     serial rescan whenever the summarized horizon is exhausted, so
-//     the schedule never depends on the horizon.  See
+//     each shard runs the per-token relay elections of its token slice
+//     and broadcasts the elected receivers, so every shard holds the
+//     whole step's election before it fills its owned arcs.  One round
+//     per step, exact by construction.  See
 //     ocd/heuristics/coordination.hpp and DESIGN.md "Sharded
 //     coordinated planning".
 //
-// Envelope: staleness, stale aggregates, dynamics models, completion
-// overrides and adapter-wrapped policies ("+reliable") are refused with
-// ocd::Error — each would need state the barrier protocol does not
-// replicate.  Fault models are supported verbatim.
+// Envelope: the "global" planner, staleness, stale aggregates, dynamics
+// models, completion overrides and adapter-wrapped policies
+// ("+reliable") are refused with ocd::Error before any partitioning;
+// run them with sim::run.  Global's greedy couples every pick to every
+// earlier one, and its sharded form never beat one process; the others
+// need state the barrier protocol does not replicate.  Fault models are
+// supported verbatim.
 #pragma once
 
 #include <cstdint>
@@ -84,13 +86,6 @@ struct ShardOptions {
   /// Crash tolerance: checkpoint cadence, respawn budget, scripted
   /// failure injection (ocd/shard/recovery.hpp).
   RecoveryOptions recovery;
-  /// Candidate-summary horizon of the coordinated planners' wave round:
-  /// each shard ships at most this many wanted and flood ranks per
-  /// candidate arc.  0 consults OCD_SHARD_WAVE_TOPK (validated),
-  /// defaulting to 8.  Any value yields the identical schedule — a
-  /// smaller horizon only trades summary bytes for exact-rescan
-  /// fallbacks.  Ignored by the local planners.
-  std::int32_t wave_topk = 0;
   /// Partition balance slack ε in percent; -1 consults
   /// OCD_SHARD_BALANCE_EPS (validated, default 0 — the historical exact
   /// band).  A resolved ε > 0 also enables the flow-based min-cut
@@ -108,15 +103,10 @@ struct ShardOptions {
 /// 0 consults OCD_SHARDS (throwing ocd::Error on garbage), else 1.
 std::int32_t resolve_num_shards(std::int32_t requested);
 
-/// Resolves a requested wave-summary horizon: positive values pass
-/// through, 0 consults OCD_SHARD_WAVE_TOPK (throwing ocd::Error on
-/// garbage), else 8.
-std::int32_t resolve_wave_topk(std::int32_t requested);
-
-/// Runs `policy_name` (round-robin / random / local / global /
-/// bandwidth — each shard constructs its own instance via
-/// heuristics::make_policy) over the instance, sharded.  Throws
-/// ocd::Error for unsupported options.
+/// Runs `policy_name` (round-robin / random / local / bandwidth — each
+/// shard constructs its own instance via heuristics::make_policy) over
+/// the instance, sharded.  Throws ocd::Error for unsupported planners
+/// and options, before partitioning.
 /// The result is bit-identical to sim::run for every shard count.
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,

@@ -54,11 +54,9 @@ struct RunStats {
   /// replay, so a recovered run reports the crash-free totals.
   std::int64_t shard_bytes_sent = 0;
   std::int64_t shard_bytes_received = 0;
-  /// Coordinated planning (kGlobal policies, > 1 shard): summary
-  /// entries emitted by the wave pre-scores, and steps whose top-k
-  /// horizon was exhausted so the exact serial rescan decided the step.
+  /// Coordinated planning ("bandwidth", > 1 shard): summary entries
+  /// (elected token slices) the wave rounds shipped.
   std::int64_t shard_summary_entries = 0;
-  std::int64_t shard_wave_fallbacks = 0;
   double wall_seconds = 0.0;
 
   [[nodiscard]] std::int64_t total_moves() const noexcept {

@@ -101,7 +101,6 @@ void put_checkpoint(util::BinStream& out, const Checkpoint& checkpoint) {
   out.put_varint(static_cast<std::uint64_t>(checkpoint.bytes_sent));
   out.put_varint(static_cast<std::uint64_t>(checkpoint.bytes_received));
   out.put_varint(static_cast<std::uint64_t>(checkpoint.summary_entries));
-  out.put_varint(static_cast<std::uint64_t>(checkpoint.wave_fallbacks));
   util::put_token_matrix(out, checkpoint.possession);
   out.put_varint(checkpoint.satisfied.size());
   for (char s : checkpoint.satisfied)
@@ -134,15 +133,6 @@ void put_checkpoint(util::BinStream& out, const Checkpoint& checkpoint) {
   }
   out.put_bool(checkpoint.has_schedule);
   if (checkpoint.has_schedule) util::put_schedule(out, checkpoint.schedule);
-  out.put_bool(!checkpoint.schedule_ordinals.empty());
-  if (!checkpoint.schedule_ordinals.empty()) {
-    out.put_varint(checkpoint.schedule_ordinals.size());
-    for (const auto& step : checkpoint.schedule_ordinals) {
-      out.put_varint(step.size());
-      for (std::int64_t o : step)
-        out.put_varint(static_cast<std::uint64_t>(o));
-    }
-  }
 }
 
 Checkpoint get_checkpoint(util::BinStream& in, const char* field,
@@ -179,8 +169,6 @@ Checkpoint get_checkpoint(util::BinStream& in, const char* field,
       static_cast<std::int64_t>(in.get_varint("checkpoint.bytes_received"));
   out.summary_entries =
       static_cast<std::int64_t>(in.get_varint("checkpoint.summary_entries"));
-  out.wave_fallbacks =
-      static_cast<std::int64_t>(in.get_varint("checkpoint.wave_fallbacks"));
   out.possession = util::get_token_matrix(in, "checkpoint.possession");
 
   const std::uint64_t n_satisfied = in.get_varint("checkpoint.satisfied");
@@ -261,26 +249,6 @@ Checkpoint get_checkpoint(util::BinStream& in, const char* field,
   out.has_schedule = in.get_bool("checkpoint.has_schedule");
   if (out.has_schedule)
     out.schedule = util::get_schedule(in, "checkpoint.schedule");
-  if (in.get_bool("checkpoint.has_ordinals")) {
-    in.require(out.has_schedule, "checkpoint.has_ordinals",
-               "ordinals without a schedule");
-    const std::uint64_t n_steps = in.get_varint("checkpoint.ordinals");
-    in.require(n_steps == out.schedule.steps().size(), "checkpoint.ordinals",
-               "length != schedule timesteps");
-    out.schedule_ordinals.reserve(n_steps);
-    for (std::uint64_t i = 0; i < n_steps; ++i) {
-      const std::uint64_t len = in.get_varint("checkpoint.ordinals.step");
-      in.require(len == out.schedule.steps()[i].sends().size(),
-                 "checkpoint.ordinals.step",
-                 "length != the timestep's send count");
-      std::vector<std::int64_t> step;
-      step.reserve(len);
-      for (std::uint64_t j = 0; j < len; ++j)
-        step.push_back(static_cast<std::int64_t>(
-            in.get_varint("checkpoint.ordinals.value")));
-      out.schedule_ordinals.push_back(std::move(step));
-    }
-  }
   return out;
 }
 

@@ -23,9 +23,9 @@ namespace {
 constexpr std::int64_t kDefaultNoProgressWindow = 256;  // simulator.cpp
 
 /// Planners the barrier protocol reproduces bit-identically.  Everything
-/// else (adapter-wrapped policies) is refused up front.
-constexpr std::string_view kSupportedPolicies[] = {
-    "round-robin", "random", "local", "global", "bandwidth"};
+/// else ("global", adapter-wrapped policies) is refused up front.
+constexpr std::string_view kSupportedPolicies[] = {"round-robin", "random",
+                                                   "local", "bandwidth"};
 
 bool supported_policy(std::string_view name) {
   for (std::string_view p : kSupportedPolicies)
@@ -45,8 +45,8 @@ void validate_envelope(std::string_view policy_name,
         std::to_string(options.no_progress_window));
   if (!supported_policy(policy_name))
     throw Error("sharded runtime supports policies round-robin, random, "
-                "local, global and bandwidth; got '" +
-                std::string(policy_name) + "'");
+                "local and bandwidth; run '" +
+                std::string(policy_name) + "' with sim::run");
   if (options.staleness != 0)
     throw Error(
         "sharded runtime does not support staleness (the snapshot ring is "
@@ -189,10 +189,7 @@ ShardWorker::ShardWorker(const RunContext& ctx, std::int32_t shard)
     setup.shard_of = std::span<const std::int32_t>(part.shard_of);
     setup.shard = shard_;
     setup.num_shards = num_shards_;
-    setup.wave_topk = ctx.wave_topk;
     coord_->begin_coordination(setup);
-    ordinal_schedule_ =
-        ctx.sim.record_schedule && ctx.policy_name == "global";
   }
 }
 
@@ -246,7 +243,7 @@ void ShardWorker::absorb_wave(const std::vector<std::string>& in) {
   const std::span<const std::int32_t> capacity(ctx_.static_capacity);
   sim::StepView view(*ctx_.instance, possession_, possession_, &aggregates_,
                      ctx_.knowledge, step_, capacity);
-  if (coord_->coord_absorb(view, in)) ++wave_fallbacks_;
+  coord_->coord_absorb(view, in);
 }
 
 // Local reimplementation of sim::validate_sends: identical checks and
@@ -308,8 +305,7 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
     // Coordinated, > 1 shard: the wave round already replicated the
     // merged decision; emit the owned share (possession is fully
     // replicated, so the view needs no row map).
-    ordinals_.clear();
-    coord_->coord_emit(view, plan_, ordinals_);
+    coord_->coord_emit(view, plan_);
   } else {
     // Coordinated, single shard: no wave round ran (and none is needed —
     // the serial planner sees the whole instance), so this worker IS the
@@ -555,24 +551,9 @@ void ShardWorker::phase_commit(const std::vector<std::string>& in) {
 
   if (ctx_.sim.record_schedule) {
     core::Timestep timestep;
-    if (ordinal_schedule_) {
-      // Keep the merged decision's first-touch ordinal of every
-      // recorded send (loss-emptied slots drop their ordinal with the
-      // send) — the fragment merge's interleaving key.
-      OCD_ASSERT(ordinals_.size() == plan_.sends().size());
-      std::vector<std::int64_t> ords;
-      const std::span<const core::ArcSend> sends = plan_.sends();
-      for (std::size_t i = 0; i < sends.size(); ++i) {
-        if (sends[i].tokens.empty()) continue;
-        timestep.sends().push_back(sends[i]);
-        ords.push_back(ordinals_[i]);
-      }
-      schedule_ordinals_.push_back(std::move(ords));
-    } else {
-      for (const core::ArcSend& send : plan_.sends()) {
-        if (send.tokens.empty()) continue;
-        timestep.sends().push_back(send);
-      }
+    for (const core::ArcSend& send : plan_.sends()) {
+      if (send.tokens.empty()) continue;
+      timestep.sends().push_back(send);
     }
     schedule_.append(std::move(timestep));
   }
@@ -617,7 +598,6 @@ std::string ShardWorker::finish_fragment() {
   frag.put_varint(static_cast<std::uint64_t>(bytes_sent_));
   frag.put_varint(static_cast<std::uint64_t>(bytes_received_));
   frag.put_varint(static_cast<std::uint64_t>(summary_entries_));
-  frag.put_varint(static_cast<std::uint64_t>(wave_fallbacks_));
   if (shard_ == 0) {
     frag.put_varint(moves_per_step_.size());
     for (std::int64_t x : moves_per_step_)
@@ -648,16 +628,6 @@ std::string ShardWorker::finish_fragment() {
   }
   frag.put_bool(ctx_.sim.record_schedule);
   if (ctx_.sim.record_schedule) util::put_schedule(frag, schedule_);
-  frag.put_bool(ordinal_schedule_);
-  if (ordinal_schedule_) {
-    OCD_ASSERT(schedule_ordinals_.size() == schedule_.steps().size());
-    frag.put_varint(schedule_ordinals_.size());
-    for (const auto& step : schedule_ordinals_) {
-      frag.put_varint(step.size());
-      for (std::int64_t o : step)
-        frag.put_varint(static_cast<std::uint64_t>(o));
-    }
-  }
   return std::move(frag).take();
 }
 
@@ -673,7 +643,6 @@ std::string ShardWorker::save_checkpoint() const {
   c.bytes_sent = bytes_sent_;
   c.bytes_received = bytes_received_;
   c.summary_entries = summary_entries_;
-  c.wave_fallbacks = wave_fallbacks_;
   c.possession = possession_;
   c.satisfied = satisfied_;
   c.completion = completion_;
@@ -695,7 +664,6 @@ std::string ShardWorker::save_checkpoint() const {
   }
   c.has_schedule = ctx_.sim.record_schedule;
   if (c.has_schedule) c.schedule = schedule_;
-  if (ordinal_schedule_) c.schedule_ordinals = schedule_ordinals_;
   util::BinStream out;
   put_checkpoint(out, c);
   return std::move(out).take();
@@ -723,10 +691,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
   if (c.has_schedule)
     in.require(c.schedule.steps().size() == static_cast<std::size_t>(c.step),
                "checkpoint.schedule", "length != committed steps");
-  in.require(c.schedule_ordinals.empty() ==
-                 (!ordinal_schedule_ || c.schedule.steps().empty()),
-             "checkpoint.has_ordinals",
-             "ordinal presence does not match the run options");
   const auto n = static_cast<std::int64_t>(sent_by_.size());
   for (const auto& [vertex, count] : c.sent_by)
     in.require(vertex < n, "checkpoint.sender.vertex",
@@ -749,7 +713,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
   bytes_sent_ = c.bytes_sent;
   bytes_received_ = c.bytes_received;
   summary_entries_ = c.summary_entries;
-  wave_fallbacks_ = c.wave_fallbacks;
   stalled_ = false;
   watchdog_hit_ = false;
   pending_stall_ = false;
@@ -765,7 +728,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
     lost_total_ = c.lost_total;
   }
   if (ctx_.sim.record_schedule) schedule_ = std::move(c.schedule);
-  if (ordinal_schedule_) schedule_ordinals_ = std::move(c.schedule_ordinals);
   // A respawned forked worker inherited the parent's reset-state fault
   // model copy-on-write; fast-forward the per-arc chains to the cursor.
   // In-process workers share the live model and must not touch it —
@@ -788,17 +750,6 @@ std::int32_t resolve_num_shards(std::int32_t requested) {
   return static_cast<std::int32_t>(util::parse_env_int("OCD_SHARDS", env));
 }
 
-std::int32_t resolve_wave_topk(std::int32_t requested) {
-  if (requested > 0) return requested;
-  if (requested < 0)
-    throw Error("ShardOptions.wave_topk must be >= 0, got " +
-                std::to_string(requested));
-  const char* env = std::getenv("OCD_SHARD_WAVE_TOPK");
-  if (env == nullptr) return 8;
-  return static_cast<std::int32_t>(
-      util::parse_env_int("OCD_SHARD_WAVE_TOPK", env, 1 << 20));
-}
-
 namespace {
 
 /// Decoded finish fragment of one shard.
@@ -809,7 +760,6 @@ struct Fragment {
   std::int64_t bytes_sent = 0;
   std::int64_t bytes_received = 0;
   std::int64_t summary_entries = 0;
-  std::int64_t wave_fallbacks = 0;
   std::vector<std::int64_t> moves_per_step;  // shard 0 only
   std::vector<std::int64_t> lost_per_step;   // shard 0 only
   std::int64_t useful_total = 0;             // shard 0 only
@@ -818,9 +768,6 @@ struct Fragment {
   std::vector<std::pair<VertexId, std::int64_t>> sent_by;
   bool has_schedule = false;
   core::Schedule schedule;
-  /// Coordinated "global" only: per timestep, the first-touch ordinal
-  /// of each recorded send (ordinal-keyed schedule interleaving).
-  std::vector<std::vector<std::int64_t>> ordinals;
 };
 
 Fragment decode_fragment(const std::string& bytes, bool shard0) {
@@ -839,8 +786,6 @@ Fragment decode_fragment(const std::string& bytes, bool shard0) {
       static_cast<std::int64_t>(frag.get_varint("fragment.bytes_received"));
   out.summary_entries =
       static_cast<std::int64_t>(frag.get_varint("fragment.summary_entries"));
-  out.wave_fallbacks =
-      static_cast<std::int64_t>(frag.get_varint("fragment.wave_fallbacks"));
   if (shard0) {
     const std::uint64_t nm = frag.get_varint("fragment.moves_per_step");
     frag.require(nm == static_cast<std::uint64_t>(out.steps),
@@ -881,26 +826,6 @@ Fragment decode_fragment(const std::string& bytes, bool shard0) {
   out.has_schedule = frag.get_bool("fragment.has_schedule");
   if (out.has_schedule)
     out.schedule = util::get_schedule(frag, "fragment.schedule");
-  if (frag.get_bool("fragment.has_ordinals")) {
-    frag.require(out.has_schedule, "fragment.has_ordinals",
-                 "ordinals without a schedule");
-    const std::uint64_t n_steps = frag.get_varint("fragment.ordinals");
-    frag.require(n_steps == out.schedule.steps().size(), "fragment.ordinals",
-                 "length != schedule timesteps");
-    out.ordinals.reserve(n_steps);
-    for (std::uint64_t i = 0; i < n_steps; ++i) {
-      const std::uint64_t len = frag.get_varint("fragment.ordinals.step");
-      frag.require(len == out.schedule.steps()[i].sends().size(),
-                   "fragment.ordinals.step",
-                   "length != the timestep's send count");
-      std::vector<std::int64_t> step;
-      step.reserve(len);
-      for (std::uint64_t j = 0; j < len; ++j)
-        step.push_back(static_cast<std::int64_t>(
-            frag.get_varint("fragment.ordinals.value")));
-      out.ordinals.push_back(std::move(step));
-    }
-  }
   frag.require(frag.exhausted(), "fragment", "trailing bytes");
   return out;
 }
@@ -942,9 +867,6 @@ sim::RunResult merge_fragments(const core::Instance& inst,
     result.stats.shard_bytes_received += frag.bytes_received;
     result.stats.shard_summary_entries += frag.summary_entries;
   }
-  // The fallback decision is part of the replicated merge, so every
-  // shard counts the same steps — report it once, not per shard.
-  result.stats.shard_wave_fallbacks = lead.wave_fallbacks;
 
   const auto n = static_cast<std::size_t>(inst.num_vertices());
   result.stats.completion_step.assign(n, -1);
@@ -963,57 +885,30 @@ sim::RunResult merge_fragments(const core::Instance& inst,
     // the single-process order: plan_vertex policies emit grouped by
     // sender (each sender lives wholly in one fragment, so a stable
     // sort by sender reassembles vertex-ascending plan order); "local"
-    // and "bandwidth" emit arc-ascending globally; coordinated
-    // "global" emits in wave order, reassembled by the first-touch
-    // ordinals the fragments carry (single-shard "global" is already
-    // the whole plan order and must not be re-sorted).
-    const bool ordinal_ordered = policy_name == "global" && num_shards > 1;
-    const bool plan_ordered = policy_name == "global" && num_shards == 1;
+    // and "bandwidth" emit arc-ascending globally.
     const bool arc_ordered =
         policy_name == "local" || policy_name == "bandwidth";
-    if (ordinal_ordered)
-      for (const Fragment& frag : frags)
-        OCD_ASSERT_MSG(frag.ordinals.size() ==
-                           static_cast<std::size_t>(lead.steps),
-                       "fragment missing schedule ordinals");
     const Digraph& graph = inst.graph();
     for (std::int64_t i = 0; i < lead.steps; ++i) {
       core::Timestep merged;
-      if (ordinal_ordered) {
-        std::vector<std::pair<std::int64_t, core::ArcSend>> keyed;
-        for (Fragment& frag : frags) {
-          auto& sends =
-              frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
-          const auto& ords = frag.ordinals[static_cast<std::size_t>(i)];
-          for (std::size_t j = 0; j < sends.size(); ++j)
-            keyed.emplace_back(ords[j], std::move(sends[j]));
-        }
-        std::sort(keyed.begin(), keyed.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
-        for (auto& [ordinal, send] : keyed)
+      for (Fragment& frag : frags) {
+        auto& sends =
+            frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
+        for (core::ArcSend& send : sends)
           merged.sends().push_back(std::move(send));
+      }
+      if (arc_ordered) {
+        std::sort(merged.sends().begin(), merged.sends().end(),
+                  [](const core::ArcSend& a, const core::ArcSend& b) {
+                    return a.arc < b.arc;
+                  });
       } else {
-        for (Fragment& frag : frags) {
-          auto& sends =
-              frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
-          for (core::ArcSend& send : sends)
-            merged.sends().push_back(std::move(send));
-        }
-        if (arc_ordered) {
-          std::sort(merged.sends().begin(), merged.sends().end(),
-                    [](const core::ArcSend& a, const core::ArcSend& b) {
-                      return a.arc < b.arc;
-                    });
-        } else if (!plan_ordered) {
-          std::stable_sort(merged.sends().begin(), merged.sends().end(),
-                           [&graph](const core::ArcSend& a,
-                                    const core::ArcSend& b) {
-                             return graph.arc(a.arc).from <
-                                    graph.arc(b.arc).from;
-                           });
-        }
+        std::stable_sort(merged.sends().begin(), merged.sends().end(),
+                         [&graph](const core::ArcSend& a,
+                                  const core::ArcSend& b) {
+                           return graph.arc(a.arc).from <
+                                  graph.arc(b.arc).from;
+                         });
       }
       result.schedule.append(std::move(merged));
     }
@@ -1048,7 +943,6 @@ sim::RunResult run_sharded(const core::Instance& instance,
   ctx.sim = options.sim;
   ctx.knowledge = heuristics::make_policy(policy_name)->knowledge_class();
   ctx.coordinated = ctx.knowledge == sim::KnowledgeClass::kGlobal;
-  ctx.wave_topk = resolve_wave_topk(options.wave_topk);
   ctx.watchdog_window = options.sim.no_progress_window;
   if (ctx.watchdog_window == 0)
     ctx.watchdog_window =
@@ -1102,6 +996,8 @@ sim::RunResult run_sharded(const core::Instance& instance,
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options) {
+  // Refuse before partitioning: a refused planner must not pay for it.
+  validate_envelope(policy_name, options.sim);
   const std::int32_t num_shards = resolve_num_shards(options.num_shards);
   if (num_shards > instance.num_vertices())
     throw Error("num_shards (" + std::to_string(num_shards) +

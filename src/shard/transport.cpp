@@ -100,14 +100,16 @@ TransportResult InProcessTransport::run(const RunContext& ctx) {
                   crash_phase_name(phase));
     ++incarnation[s];
     workers[s] = std::make_unique<ShardWorker>(ctx, static_cast<std::int32_t>(s));
+    std::vector<std::string> discard;
     std::int64_t from = 0;
     if (ckpt_step >= 0) {
       workers[s]->restore_checkpoint(checkpoints[s]);
       from = ckpt_step;
     } else {
+      // Silent init round: it re-counts the bytes the dead worker sent.
+      workers[s]->phase_init(discard);
       workers[s]->absorb_init(init_in[s]);
     }
-    std::vector<std::string> discard;
     for (std::int64_t k = from; k < step; ++k) {
       const StepMailLog& l = log.at(k);
       if (coordinated) {
@@ -824,6 +826,7 @@ void child_main(int fd, const ChildTask& task) {
     worker.absorb_init(in);
     handshake();
   } else if (task.resume == Resume::kInitCommit) {
+    worker.phase_init(discard);  // silent: re-counts the bytes sent
     worker.absorb_init(sup.init_in[shard]);
     handshake();
   } else {
@@ -835,6 +838,7 @@ void child_main(int fd, const ChildTask& task) {
       worker.restore_checkpoint(sup.checkpoints[shard]);
       from = sup.ckpt_step;
     } else {
+      worker.phase_init(discard);  // silent: re-counts the bytes sent
       worker.absorb_init(sup.init_in[shard]);
     }
     const std::int64_t upto = (task.resume == Resume::kCheckpointFrame ||

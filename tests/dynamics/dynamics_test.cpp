@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ocd/core/scenario.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
@@ -108,6 +110,12 @@ struct DynCase {
   std::string policy;
   std::string model;
 };
+
+// ctest names each case after gtest's printout of its parameter, and
+// the default printout is a byte dump that includes heap pointers.
+void PrintTo(const DynCase& c, std::ostream* os) {
+  *os << c.policy << '/' << c.model;
+}
 
 class DynamicsEndToEnd : public ::testing::TestWithParam<DynCase> {};
 

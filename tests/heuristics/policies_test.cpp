@@ -2,6 +2,8 @@
 // satisfiable scenario with a schedule that replays cleanly.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ocd/core/bounds.hpp"
 #include "ocd/heuristics/architectures.hpp"
 #include "ocd/core/scenario.hpp"
@@ -44,6 +46,12 @@ struct ScenarioCase {
   std::string scenario;
   std::uint64_t seed;
 };
+
+// ctest names each case after gtest's printout of its parameter, and
+// the default printout is a byte dump that includes heap pointers.
+void PrintTo(const ScenarioCase& c, std::ostream* os) {
+  *os << c.policy << '/' << c.scenario << "/s" << c.seed;
+}
 
 core::Instance build_scenario(const std::string& scenario, std::uint64_t seed) {
   Rng rng(seed);

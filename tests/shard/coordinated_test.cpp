@@ -1,19 +1,17 @@
-// Sharded coordinated planning: the "global" (GlobalGreedy) and
-// "bandwidth" planners need the whole possession map to decide, so the
-// sharded runtime replicates possession on every shard and inserts one
-// wave round (top-k candidate summaries) before each plan phase.  The
-// contract is unchanged from the local planners: the merged schedule
-// and RunStats are bit-for-bit identical to sim::run for every shard
-// count, both transports, any wave_topk, and any fault model — a
-// smaller summary horizon may only trade bytes for exact-rescan
-// fallbacks, never change a single send.
+// Sharded coordinated planning: the "bandwidth" planner needs the
+// whole possession map to decide, so the sharded runtime replicates
+// possession on every shard and inserts one wave round (the token-sliced
+// relay elections) before each plan phase.  The contract is unchanged
+// from the local planners: the merged schedule and RunStats are
+// bit-for-bit identical to sim::run for every shard count, both
+// transports, and any fault model.  ("global" is refused by the
+// runtime; ShardDeterminism pins the refusal.)
 //
 // The ShardCoordinated suite drives the in-process transport (it is
 // part of the TSan pass); ShardForkCoordinated drives forked children
 // and is ASan-only like the other fork suites.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,7 +27,7 @@ namespace ocd::shard {
 namespace {
 
 constexpr std::int32_t kShardCounts[] = {1, 2, 4};
-constexpr const char* kCoordinatedPolicies[] = {"global", "bandwidth"};
+constexpr const char* kCoordinatedPolicies[] = {"bandwidth"};
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
                                   std::uint64_t seed) {
@@ -94,11 +92,10 @@ sim::RunResult reference_run(const core::Instance& inst,
 
 sim::RunResult run_with(const core::Instance& inst, const char* policy_name,
                         std::int32_t shards, const sim::SimOptions& sim,
-                        TransportKind transport, std::int32_t wave_topk = 0) {
+                        TransportKind transport) {
   ShardOptions options;
   options.num_shards = shards;
   options.transport = transport;
-  options.wave_topk = wave_topk;
   options.sim = sim;
   return run_sharded(inst, policy_name, options);
 }
@@ -153,51 +150,24 @@ TEST(ShardCoordinated, MatchesSingleProcessUnderUniformLoss) {
   }
 }
 
-TEST(ShardCoordinated, ExhaustedHorizonFallsBackToTheExactRescan) {
-  // wave_topk = 1 starves the summaries: GlobalGreedy's merge runs out
-  // of listed ranks while a shard's more-flag is set, forcing the exact
-  // serial-rescan fallback — which must leave the schedule untouched.
-  const core::Instance inst = broadcast_instance(40, 24, 7);
-  sim::SimOptions options;
-  options.max_steps = 400;
-  options.seed = 99;
-  const sim::RunResult reference = reference_run(inst, "global", options);
-  for (std::int32_t shards : {2, 4}) {
-    const sim::RunResult starved =
-        run_with(inst, "global", shards, options, TransportKind::kInProcess,
-                 /*wave_topk=*/1);
-    expect_same_run(starved, reference,
-                    "topk=1 shards=" + std::to_string(shards));
-    EXPECT_GT(starved.stats.shard_wave_fallbacks, 0)
-        << "a horizon of 1 must actually exercise the fallback";
-    const sim::RunResult roomy =
-        run_with(inst, "global", shards, options, TransportKind::kInProcess,
-                 /*wave_topk=*/1 << 16);
-    expect_same_run(roomy, reference,
-                    "topk=64k shards=" + std::to_string(shards));
-    EXPECT_EQ(roomy.stats.shard_wave_fallbacks, 0)
-        << "an unbounded horizon never falls back";
-  }
-}
-
 TEST(ShardCoordinated, ReportsBarrierTrafficCounters) {
   const core::Instance inst = broadcast_instance(32, 16, 13);
   sim::SimOptions options;
   options.max_steps = 400;
   // Single process: no barrier, all counters stay zero.
-  const sim::RunResult reference = reference_run(inst, "global", options);
+  const sim::RunResult reference = reference_run(inst, "bandwidth", options);
   EXPECT_EQ(reference.stats.shard_bytes_sent, 0);
   EXPECT_EQ(reference.stats.shard_bytes_received, 0);
   EXPECT_EQ(reference.stats.shard_summary_entries, 0);
   // One shard: no peers, still no traffic.
   const sim::RunResult solo =
-      run_with(inst, "global", 1, options, TransportKind::kInProcess);
+      run_with(inst, "bandwidth", 1, options, TransportKind::kInProcess);
   EXPECT_EQ(solo.stats.shard_bytes_sent, 0);
   EXPECT_EQ(solo.stats.shard_bytes_received, 0);
   // Two shards: every frame is counted on both ends of the star, and
   // the wave summaries contribute entries.
   const sim::RunResult sharded =
-      run_with(inst, "global", 2, options, TransportKind::kInProcess);
+      run_with(inst, "bandwidth", 2, options, TransportKind::kInProcess);
   EXPECT_GT(sharded.stats.shard_bytes_sent, 0);
   EXPECT_EQ(sharded.stats.shard_bytes_sent,
             sharded.stats.shard_bytes_received)
@@ -205,26 +175,13 @@ TEST(ShardCoordinated, ReportsBarrierTrafficCounters) {
   EXPECT_GT(sharded.stats.shard_summary_entries, 0);
 }
 
-TEST(ShardCoordinated, ResolvesWaveTopkFromEnvironment) {
-  EXPECT_EQ(resolve_wave_topk(3), 3);
-  ::unsetenv("OCD_SHARD_WAVE_TOPK");
-  EXPECT_EQ(resolve_wave_topk(0), 8);
-  ::setenv("OCD_SHARD_WAVE_TOPK", "16", 1);
-  EXPECT_EQ(resolve_wave_topk(0), 16);
-  EXPECT_EQ(resolve_wave_topk(2), 2);  // explicit beats environment
-  ::setenv("OCD_SHARD_WAVE_TOPK", "lots", 1);
-  EXPECT_THROW(resolve_wave_topk(0), Error);
-  ::unsetenv("OCD_SHARD_WAVE_TOPK");
-  EXPECT_THROW(resolve_wave_topk(-4), Error);
-}
-
 TEST(ShardCoordinated, ScheduleRecordingCanBeDisabled) {
   const core::Instance inst = broadcast_instance(20, 8, 2);
   sim::SimOptions options;
   options.record_schedule = false;
-  const sim::RunResult reference = reference_run(inst, "global", options);
+  const sim::RunResult reference = reference_run(inst, "bandwidth", options);
   const sim::RunResult result =
-      run_with(inst, "global", 2, options, TransportKind::kInProcess);
+      run_with(inst, "bandwidth", 2, options, TransportKind::kInProcess);
   EXPECT_TRUE(result.schedule.empty());
   EXPECT_EQ(result.steps, reference.steps);
   EXPECT_EQ(result.bandwidth, reference.bandwidth);

@@ -284,6 +284,21 @@ TEST(ShardDeterminism, RefusesOptionsOutsideTheEnvelope) {
   ShardOptions too_many = base;
   too_many.num_shards = 100;  // > num_vertices
   expect_refused(too_many, "round-robin", "more shards than vertices");
+
+  // "global" is refused at every shard count, pointing at sim::run.  The
+  // planner check runs before partitioning, so it also beats the
+  // vertex-count check at 100 shards.
+  for (const std::int32_t shards : {1, 2, 100}) {
+    ShardOptions global = base;
+    global.num_shards = shards;
+    try {
+      (void)run_sharded(inst, "global", global);
+      ADD_FAILURE() << "global at " << shards << " shards was not refused";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("sim::run"), std::string::npos)
+          << shards << " shards: " << e.what();
+    }
+  }
 }
 
 TEST(ShardDeterminism, ResolvesShardCountFromEnvironment) {
