@@ -9,7 +9,8 @@
 // contribute zero allocations.
 //
 // No hidden O(n²): what a run requests up front must scale with the
-// instance (vertices × tokens, arcs), never with vertices squared.
+// instance (vertices × tokens, arcs), never with vertices squared.  The
+// same holds for the makespan lower bound every pipeline ends in.
 //
 // This file is compiled into its own test binary (ocd_alloc_tests) so
 // the replaced global allocator cannot perturb the main suite.
@@ -21,6 +22,7 @@
 #include <new>
 #include <vector>
 
+#include "ocd/core/bounds.hpp"
 #include "ocd/core/scenario.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
@@ -162,6 +164,30 @@ TEST(AllocCount, CoordinatedRunsRequestNoQuadraticMemory) {
         << (bytes >> 10) << " KiB requested by a 2-step run on "
         << inst.num_vertices() << " vertices";
   }
+}
+
+// The makespan bound's shared pass allocates a fixed set of arrays,
+// O(n + outstanding pairs) bytes in all: nothing per vertex, so the
+// call count does not grow with n, and no per-vertex BFS table, which
+// at 4096 vertices alone would request 64 MiB.
+TEST(AllocCount, MakespanBoundAllocatesNothingPerVertex) {
+  std::vector<std::uint64_t> calls;
+  for (const std::int32_t n : {512, 4096}) {
+    Rng rng(0xb0d5);
+    Digraph graph = topology::sparse_random_overlay(n, 8.0, rng);
+    const core::Instance inst =
+        core::single_source_all_receivers(std::move(graph), 8, 0);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t bytes_before = g_bytes.load(std::memory_order_relaxed);
+    EXPECT_GT(core::makespan_lower_bound(inst), 0);
+    calls.push_back(g_allocations.load(std::memory_order_relaxed) - before);
+    const std::uint64_t bytes =
+        g_bytes.load(std::memory_order_relaxed) - bytes_before;
+    const auto pairs = static_cast<std::uint64_t>(inst.total_outstanding());
+    EXPECT_LT(bytes, 64 * (static_cast<std::uint64_t>(n) + pairs))
+        << (bytes >> 10) << " KiB requested on " << n << " vertices";
+  }
+  EXPECT_EQ(calls[0], calls[1]);
 }
 
 TEST(AllocCount, HarnessCountsAllocations) {
