@@ -3,6 +3,7 @@
 // validation/pruning passes that every figure pipeline leans on.
 #include <benchmark/benchmark.h>
 
+#include "ocd/core/bounds.hpp"
 #include "ocd/core/compact.hpp"
 #include "ocd/core/prune.hpp"
 #include "ocd/core/steiner.hpp"
@@ -450,6 +451,30 @@ BENCHMARK_CAPTURE(BM_Partition, flow, true)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// The §5.1 makespan bound every pipeline pass ends in (ocd_cli, the
+// examples, the B&B and IP horizon starts): a dense 1000-vertex overlay
+// with 512 tokens, and fig_shard's sparse 20k-vertex overlay with 8.
+void BM_MakespanLowerBound(benchmark::State& state, bool sparse) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto tokens = static_cast<std::int32_t>(state.range(1));
+  Rng rng(29);
+  Digraph g = sparse ? topology::sparse_random_overlay(n, 8.0, rng)
+                     : topology::random_overlay(n, rng);
+  const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::makespan_lower_bound(inst));
+}
+BENCHMARK_CAPTURE(BM_MakespanLowerBound, dense, false)
+    ->Args({1000, 512})
+    ->MinTime(0.5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakespanLowerBound, sparse, true)
+    ->Args({20000, 8})
+    ->MinTime(0.5)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ValidateAndPrune(benchmark::State& state) {

@@ -135,6 +135,10 @@ struct PruneCase {
   std::uint64_t seed;
 };
 
+void PrintTo(const PruneCase& c, std::ostream* os) {
+  *os << c.policy << "/seed" << c.seed;
+}
+
 class PruneProperty : public ::testing::TestWithParam<PruneCase> {};
 
 TEST_P(PruneProperty, PrunedScheduleRemainsSuccessfulAndSmaller) {
