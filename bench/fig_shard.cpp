@@ -1,26 +1,30 @@
 // Vertex-sharded scaling sweep: the same broadcast instance run at
-// shards x {1, 2, 4} over both transports and both planner families
-// (local "round-robin", coordinated "bandwidth"), with the partitioner's
-// cut statistics and the barrier traffic accounting alongside the run
-// metrics.  The point of the figure is not speedup (on a small host the
-// barrier protocol is pure overhead) but the properties the shard
-// runtime promises: every row of a policy reports the same
-// steps/bandwidth (bit-identity across shard counts and transports),
-// the full-scale instance — a million-vertex sparse overlay that would
-// be impractical under the O(n^2) generator — completes across 4
-// shards, and the coordinated planner's ghost-delta frames ship a
-// small fraction of what a full per-barrier possession re-broadcast
-// would cost (the delta_x column: full-baseline bytes / actual bytes).
-// Rows are emitted in a fixed (transport, policy, shards) loop order,
-// so the output is diff-stable across runs.
+// shards x {1, 2, 4} over both planner families (local "round-robin",
+// coordinated "bandwidth"), with the partitioner's cut statistics and
+// the barrier traffic accounting alongside the run metrics.  The point
+// of the figure is not speedup (on a small host the barrier protocol is
+// pure overhead) but the properties the shard runtime promises: every
+// row of a policy reports the same steps/bandwidth (bit-identity across
+// shard counts and partitions), the full-scale instance — a
+// million-vertex sparse overlay that would be impractical under the
+// O(n^2) generator — completes across 4 shards, and the coordinated
+// planner's ghost-delta frames ship a small fraction of what a full
+// per-barrier possession re-broadcast would cost (the delta_x column:
+// full-baseline bytes / actual bytes).
+// Rows are emitted in a fixed (policy, shards) loop order, so the output
+// is diff-stable across runs.
 //
 // --crash-rate=<r> arms crash recovery (checkpoints every 3 steps) with
-// a seeded random crash schedule at rate r per (shard, step, phase).
-// The crashes/replayed/ckpt_b columns then snapshot the recovery
-// overhead, and the bit-identity check extends over the crashed rows:
-// recovery must not change a single reported number.
+// a seeded random crash schedule at rate r per (shard, step, phase); r
+// must be a number in [0, 1].  The crashes/replayed/ckpt_b columns then
+// snapshot the recovery overhead, and the bit-identity check extends
+// over the crashed rows: recovery must not change a single reported
+// number.
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,11 +38,23 @@
 
 namespace {
 
-double crash_rate_requested(int argc, char** argv) {
+/// The --crash-rate=<r> value (0 when absent), or nullopt after printing
+/// an error when r is not wholly a finite number in [0, 1].
+std::optional<double> crash_rate_requested(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--crash-rate=";
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--crash-rate=", 0) == 0)
-      return std::atof(arg.data() + std::string_view("--crash-rate=").size());
+    if (std::string_view(argv[i]).rfind(kFlag, 0) != 0) continue;
+    const char* text = argv[i] + kFlag.size();
+    char* end = nullptr;
+    const double rate = std::strtod(text, &end);
+    if (end == text || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(*text)) != 0 ||
+        !std::isfinite(rate) || rate < 0.0 || rate > 1.0) {
+      std::cerr << "error: --crash-rate must be a number in [0, 1], got '"
+                << text << "'\n";
+      return std::nullopt;
+    }
+    return rate;
   }
   return 0.0;
 }
@@ -57,11 +73,14 @@ std::int64_t varint_len(std::uint64_t v) {
 int main(int argc, char** argv) {
   using namespace ocd;
   const bool csv = bench::csv_requested(argc, argv);
-  const double crash_rate = crash_rate_requested(argc, argv);
+  const std::optional<double> requested_rate =
+      crash_rate_requested(argc, argv);
+  if (!requested_rate) return 1;
+  const double crash_rate = *requested_rate;
   const bool full = bench::full_scale();
   bench::print_header("fig_shard",
                       "vertex-sharded runtime: scaling + bit-identity "
-                      "across shard counts, transports and planners");
+                      "across shard counts and planners");
 
   const std::int32_t n = full ? 1'000'000 : 20'000;
   const std::int32_t num_tokens = 8;
@@ -77,14 +96,6 @@ int main(int argc, char** argv) {
             << inst.graph().num_arcs() << " arcs, " << num_tokens
             << " tokens, built in " << build_timer.seconds() << " s\n";
 
-  const std::vector<std::int32_t> shard_counts = {1, 2, 4};
-  const struct {
-    shard::TransportKind kind;
-    const char* name;
-  } transports[] = {
-      {shard::TransportKind::kInProcess, "inproc"},
-      {shard::TransportKind::kForked, "forked"},
-  };
   const char* policies[] = {"round-robin", "bandwidth"};
 
   shard::CrashPlan crash_plan;
@@ -104,10 +115,10 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(n - 1)) +
       varint_len(static_cast<std::uint64_t>(num_tokens)) + 1 + 8 * set_words;
 
-  Table table({"transport", "policy", "part", "shards", "cut_arcs",
-               "cut_pct", "imb_pct", "ghosts", "success", "steps",
-               "bandwidth", "kb_per_step", "delta_x", "crashes", "replayed",
-               "ckpt_b", "part_ms", "run_s"});
+  Table table({"policy", "part", "shards", "cut_arcs", "cut_pct", "imb_pct",
+               "ghosts", "success", "steps", "bandwidth", "kb_per_step",
+               "delta_x", "crashes", "replayed", "ckpt_b", "part_ms",
+               "run_s"});
   table.set_precision(3);
 
   // Partition variants per shard count: the default greedy partition at
@@ -128,79 +139,76 @@ int main(int argc, char** argv) {
   constexpr std::int32_t kCompareEps = 10;
 
   bool identical = true;
-  for (const auto& transport : transports) {
-    for (const char* policy : policies) {
-      std::int64_t first_steps = -1;
-      std::int64_t first_bandwidth = -1;
-      for (const PartitionCase& pc : partition_cases) {
-        const std::int32_t shards = pc.shards;
-        shard::PartitionOptions part_options;
-        part_options.num_shards = shards;
-        part_options.balance_eps = pc.flow ? kFlowEps : 0;
-        part_options.flow_refine = pc.flow;
-        Stopwatch part_timer;
-        const shard::Partition part =
-            shard::partition_vertices(inst.graph(), part_options);
-        const double part_seconds = part_timer.seconds();
+  for (const char* policy : policies) {
+    std::int64_t first_steps = -1;
+    std::int64_t first_bandwidth = -1;
+    for (const PartitionCase& pc : partition_cases) {
+      const std::int32_t shards = pc.shards;
+      shard::PartitionOptions part_options;
+      part_options.num_shards = shards;
+      part_options.balance_eps = pc.flow ? kFlowEps : 0;
+      part_options.flow_refine = pc.flow;
+      Stopwatch part_timer;
+      const shard::Partition part =
+          shard::partition_vertices(inst.graph(), part_options);
+      const double part_seconds = part_timer.seconds();
 
-        shard::ShardOptions options;
-        options.num_shards = shards;
-        options.transport = transport.kind;
-        options.sim.seed = 7;
-        options.sim.record_schedule = false;
-        options.sim.max_steps = 500'000;
-        if (crash_rate > 0.0) {
-          options.recovery.crash_plan = &crash_plan;
-          options.recovery.checkpoint_interval = 3;
-          options.recovery.max_respawns = 64;
-        }
-        Stopwatch run_timer;
-        const auto result = shard::run_sharded(inst, policy, options, part);
-        const double run_seconds = run_timer.seconds();
-
-        // Bit-identity is per policy: every (transport, shards) row of
-        // one planner must report the same trajectory.
-        if (first_steps < 0) {
-          first_steps = result.steps;
-          first_bandwidth = result.bandwidth;
-        } else if (result.steps != first_steps ||
-                   result.bandwidth != first_bandwidth) {
-          identical = false;
-        }
-        const double kb_per_step =
-            result.steps == 0
-                ? 0.0
-                : static_cast<double>(result.stats.shard_bytes_sent) /
-                      (1024.0 * static_cast<double>(result.steps));
-        const bool coordinated =
-            std::string_view(policy) == "bandwidth" && shards > 1;
-        const double delta_x =
-            coordinated && result.stats.shard_bytes_sent > 0
-                ? static_cast<double>(shards - 1) *
-                      static_cast<double>(n) *
-                      static_cast<double>(full_row_bytes) *
-                      static_cast<double>(result.steps) /
-                      static_cast<double>(result.stats.shard_bytes_sent)
-                : 0.0;
-        // Achieved imbalance: largest ownership class over the perfect
-        // n/k average, in percent (0 = perfectly balanced).
-        const double imb_pct =
-            100.0 * (static_cast<double>(part.stats.max_owned) *
-                         static_cast<double>(shards) /
-                         static_cast<double>(n) -
-                     1.0);
-        table.add_row({std::string(transport.name), std::string(policy),
-                       std::string(pc.flow ? "flow" : "greedy"), shards,
-                       part.stats.cut_arcs,
-                       100.0 * part.stats.cut_fraction(), imb_pct,
-                       part.stats.total_ghosts,
-                       std::string(result.success ? "yes" : "no"),
-                       result.steps, result.bandwidth, kb_per_step,
-                       delta_x, result.stats.worker_crashes,
-                       result.stats.replayed_steps,
-                       result.stats.checkpoint_bytes,
-                       1000.0 * part_seconds, run_seconds});
+      shard::ShardOptions options;
+      options.num_shards = shards;
+      options.sim.seed = 7;
+      options.sim.record_schedule = false;
+      options.sim.max_steps = 500'000;
+      if (crash_rate > 0.0) {
+        options.recovery.crash_plan = &crash_plan;
+        options.recovery.checkpoint_interval = 3;
+        options.recovery.max_respawns = 64;
       }
+      Stopwatch run_timer;
+      const auto result = shard::run_sharded(inst, policy, options, part);
+      const double run_seconds = run_timer.seconds();
+
+      // Bit-identity is per policy: every (shards, partition) row of
+      // one planner must report the same trajectory.
+      if (first_steps < 0) {
+        first_steps = result.steps;
+        first_bandwidth = result.bandwidth;
+      } else if (result.steps != first_steps ||
+                 result.bandwidth != first_bandwidth) {
+        identical = false;
+      }
+      const double kb_per_step =
+          result.steps == 0
+              ? 0.0
+              : static_cast<double>(result.stats.shard_bytes_sent) /
+                    (1024.0 * static_cast<double>(result.steps));
+      const bool coordinated =
+          std::string_view(policy) == "bandwidth" && shards > 1;
+      const double delta_x =
+          coordinated && result.stats.shard_bytes_sent > 0
+              ? static_cast<double>(shards - 1) *
+                    static_cast<double>(n) *
+                    static_cast<double>(full_row_bytes) *
+                    static_cast<double>(result.steps) /
+                    static_cast<double>(result.stats.shard_bytes_sent)
+              : 0.0;
+      // Achieved imbalance: largest ownership class over the perfect
+      // n/k average, in percent (0 = perfectly balanced).
+      const double imb_pct =
+          100.0 * (static_cast<double>(part.stats.max_owned) *
+                       static_cast<double>(shards) /
+                       static_cast<double>(n) -
+                   1.0);
+      table.add_row({std::string(policy),
+                     std::string(pc.flow ? "flow" : "greedy"), shards,
+                     part.stats.cut_arcs,
+                     100.0 * part.stats.cut_fraction(), imb_pct,
+                     part.stats.total_ghosts,
+                     std::string(result.success ? "yes" : "no"),
+                     result.steps, result.bandwidth, kb_per_step,
+                     delta_x, result.stats.worker_crashes,
+                     result.stats.replayed_steps,
+                     result.stats.checkpoint_bytes,
+                     1000.0 * part_seconds, run_seconds});
     }
   }
 

@@ -53,8 +53,7 @@ done
 # state in the planners shows up here.  FaultSweep runs the lossy
 # fig_loss workload shape (fault models + reliable adapters) on the
 # same pool.  The vertex-shard runtime rides the same pool:
-# ShardDeterminism steps every shard of the in-process transport as
-# pool chunks (the two-mailbox
+# ShardDeterminism steps every shard as pool chunks (the two-mailbox
 # grids between phases are exactly the handoffs TSan must vet),
 # ShardRecovery adds the crash-recovery driver on top (worker
 # teardown/respawn and checkpoint/replay interleaved with the pool
@@ -65,13 +64,8 @@ done
 # single-process runs with the same pool fan-out,
 # and ShardPartition/BinStream cover the partitioner and the message
 # codec (their data races would surface as corrupt frames, so they run
-# here AND in the ASan pass above).  ShardForkTransport,
-# ShardForkRecovery and ShardForkCoordinated are deliberately absent
-# from the filter: fork()
-# from a threaded test binary is outside TSan's supported envelope —
-# the forked transport's correctness (including crash respawn and the
-# barrier-deadline hang detection) is pinned by the differential
-# suites in the default and ASan builds instead.  The flat-memory suites ride along: TokenMatrix
+# here AND in the ASan pass above); `Shard` selects every one of these
+# suites.  The flat-memory suites ride along: TokenMatrix
 # / SnapshotRing exercise the view kernels and snapshot ring
 # (view-lifetime bugs are ASan's bread and butter, caught in the pass
 # above), and AllocCount re-checks the zero-allocation steady state
@@ -84,6 +78,6 @@ cmake --build --preset tsan -j "$(nproc)" --target ocd_tests ocd_alloc_tests
 
 export TSAN_OPTIONS="halt_on_error=1"
 OCD_JOBS=8 ctest --preset tsan -j "$(nproc)" \
-  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|ShardDeterminism|ShardCoordinated|ShardPartition|ShardRecovery|BinStream}"
+  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|Shard|BinStream}"
 
 echo "Sanitizer run clean."

@@ -20,8 +20,8 @@
 //
 // Bit-identity guarantee: for every supported planner the merged
 // schedule and RunStats are bit-for-bit identical to sim::run on the
-// same (instance, options), for every shard count and both transports —
-// pinned by tests/shard/determinism_test.cpp.  Two planner families:
+// same (instance, options), for every shard count — pinned by
+// tests/shard/determinism_test.cpp.  Two planner families:
 //
 //   * Local planners (round-robin, random, local): per-vertex planning
 //     is independent (plan_shard contract), all randomness is derived
@@ -59,32 +59,23 @@
 
 namespace ocd::shard {
 
+/// How shards exchange messages.  There is one transport: every shard
+/// runs in this process, stepped as chunks of the ocd::util worker pool,
+/// with BinStream-encoded messages passed through in-memory mailboxes
+/// (ocd/shard/transport.hpp).  The enum and ShardOptions::transport
+/// remain so callers that name the transport keep compiling.
 enum class TransportKind : std::uint8_t {
-  /// Shards stepped as chunks of the ocd::util worker pool, messages
-  /// through in-memory mailboxes (still BinStream-encoded, same codec
-  /// path as the process transport).  The tests/CI default.
   kInProcess,
-  /// One process per shard (fork), a socketpair star routed by the
-  /// parent.  Breaks the single-address-space ceiling on one host:
-  /// each child's private state is its possession slice + planner
-  /// scratch; the instance is shared copy-on-write.
-  kForked,
 };
 
 struct ShardOptions {
   /// Shard count; 0 resolves OCD_SHARDS from the environment
   /// (validated), defaulting to 1.
   std::int32_t num_shards = 0;
+  /// Always kInProcess; TransportKind has no other value.
   TransportKind transport = TransportKind::kInProcess;
-  /// Hard deadline on every cross-process read and write in the forked
-  /// transport.  A peer that neither answers nor dies within this
-  /// window is declared hung: killed and respawned when recovery is
-  /// armed, surfaced as a field-named ocd::Error otherwise — never a
-  /// silent stall.  Generous by default because a child legitimately
-  /// waits its turn while the parent drains its siblings.
-  std::int64_t barrier_timeout_ms = 120'000;
   /// Crash tolerance: checkpoint cadence, respawn budget, scripted
-  /// failure injection (ocd/shard/recovery.hpp).
+  /// crash injection (ocd/shard/recovery.hpp).
   RecoveryOptions recovery;
   /// Partition balance slack ε in percent; -1 consults
   /// OCD_SHARD_BALANCE_EPS (validated, default 0 — the historical exact

@@ -1,8 +1,8 @@
-// Shard execution engines: one ShardWorker per shard plus a Transport
-// that steps all workers through the barrier protocol and moves their
-// BinStream messages.
+// Shard execution engine: one ShardWorker per shard plus the driver
+// (run_in_process) that steps all workers through the barrier protocol
+// and moves their BinStream messages.
 //
-// The protocol is phase-synchronous; a Transport only provides message
+// The protocol is phase-synchronous; the driver only provides message
 // motion and the barrier, never decisions.  Per step:
 //
 //   phase_plan    -> round-1 messages (plan summary + routed deliveries)
@@ -12,9 +12,10 @@
 //
 // plus one init round before the loop (initial unsatisfied counts) and
 // one finish_fragment() per worker after it, which run_sharded merges
-// into the final RunResult.  Both transports move the same encoded
-// bytes, so the in-process engine exercises the full codec path the
-// process engine ships over sockets.
+// into the final RunResult.  Messages stay BinStream-encoded even in one
+// address space: the encoded frames define the barrier traffic counters
+// (RunStats::shard_bytes_sent) and are what the recovery mail log
+// replays.
 #pragma once
 
 #include <memory>
@@ -35,7 +36,7 @@ class ShardCoordinator;
 namespace ocd::shard {
 
 /// Everything a worker needs to run one shard, resolved once by
-/// run_sharded.  Borrowed pointers must outlive the transport run.
+/// run_sharded.  Borrowed pointers must outlive the driver run.
 struct RunContext {
   const core::Instance* instance = nullptr;
   const Partition* partition = nullptr;
@@ -45,27 +46,21 @@ struct RunContext {
   /// Resolved watchdog window (-1 = off), mirroring the simulator's
   /// auto-arming rule.
   std::int64_t watchdog_window = -1;
-  /// Fault-model stepping: the forked transport replicates the model
-  /// per process (each child advances its copy-on-write copy in
-  /// phase_plan); the in-process transport shares one model and the
-  /// driver advances it exactly once per step.
-  bool worker_advances_faults = false;
-  /// In-process replay cannot re-query the shared fault model for past
-  /// steps (its chain state has moved on), so when recovery is armed
-  /// with faults on the in-process path, every phase_plan also records
-  /// its per-send loss sets for the driver's log.
+  /// Replay cannot re-query the shared fault model for past steps (the
+  /// driver advances it once per step and its chain state has moved
+  /// on), so when recovery is armed with faults, every phase_plan also
+  /// records its per-send loss sets for the driver's log.
   bool log_losses = false;
   /// Resolved recovery knobs (ocd/shard/recovery.hpp).  recovery_armed:
-  /// a failed worker is respawned and replayed; otherwise it surfaces
-  /// as an ocd::Error.
+  /// the driver logs committed messages (and takes checkpoints) so a
+  /// crashed worker can be respawned and replayed.
   bool recovery_armed = false;
   std::int64_t checkpoint_interval = 0;  ///< 0 = checkpoints off
   std::int32_t max_respawns = 0;
   const CrashPlan* crash_plan = nullptr;
-  std::int64_t barrier_timeout_ms = 120'000;
   std::vector<std::int32_t> static_capacity;
   /// Coordinated planning (kGlobal policies): workers fully replicate
-  /// possession, and on > 1 shard the transports run one extra *wave*
+  /// possession, and on > 1 shard the driver runs one extra *wave*
   /// message round (phase_wave / absorb_wave) before every plan phase.
   bool coordinated = false;
 };
@@ -93,11 +88,11 @@ class ShardWorker {
 
   /// Plan owned vertices, validate, apply channel loss, route surviving
   /// deliveries to their destination's owner.  Requires running().
-  /// `replay_losses` (in-process replay only) substitutes a recorded
-  /// loss trace for live fault-model queries: the policy still plans in
-  /// full (its state must advance), but the per-send loss sets are read
-  /// from the record instead of the shared model, whose chain has
-  /// already moved past this step.
+  /// `replay_losses` (replay only) substitutes a recorded loss trace for
+  /// live fault-model queries: the policy still plans in full (its state
+  /// must advance), but the per-send loss sets are read from the record
+  /// instead of the shared model, whose chain has already moved past
+  /// this step.
   void phase_plan(std::vector<std::string>& out,
                   const std::string* replay_losses = nullptr);
   /// Merge inbound deliveries into owned possession rows; emit apply
@@ -124,8 +119,7 @@ class ShardWorker {
   [[nodiscard]] std::string save_checkpoint() const;
   /// Restores a save_checkpoint() blob into a freshly constructed
   /// worker: validates shard identity and every shape against this
-  /// worker's layout, loads the policy state, and (forked transport)
-  /// fast-forwards the private fault-model copy to the fault cursor.
+  /// worker's layout and loads the policy state.
   void restore_checkpoint(const std::string& bytes);
   /// The loss record phase_plan captured (empty unless ctx.log_losses
   /// and a fault model are active).
@@ -205,50 +199,21 @@ class ShardWorker {
   core::Schedule schedule_;  ///< this shard's fragment (when recording)
 };
 
-/// A transport run's outcome: one finish fragment per shard, plus the
+/// A driver run's outcome: one finish fragment per shard, plus the
 /// recovery counters (all zero for a crash-free run).
 struct TransportResult {
   std::vector<std::string> fragments;
   RecoveryStats recovery;
 };
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-  /// Runs the full protocol; returns one finish fragment per shard.
-  virtual TransportResult run(const RunContext& ctx) = 0;
-};
-
-/// Workers stepped as chunks of the ocd::util worker pool; messages
-/// pass through two in-memory mailbox grids (one per round, so a
-/// phase never reads a grid another worker is writing).  When recovery
-/// is armed, the driver logs committed message rows and checkpoints so
-/// an injected crash (CrashPlan) discards the worker and rebuilds it —
-/// hang injection is handled as a crash, since there is no deadline to
-/// expire inside one address space.  All recovery bookkeeping runs on
-/// the driver thread between parallel phases, so the suite is
-/// TSan-clean.
-class InProcessTransport final : public Transport {
- public:
-  TransportResult run(const RunContext& ctx) override;
-};
-
-/// One forked child process per shard, each owning a private
-/// ShardWorker; the parent routes frames over a socketpair star.  The
-/// instance and partition are shared copy-on-write; only possession
-/// slices and planner scratch are private dirty pages.
-///
-/// Every read and write carries ctx.barrier_timeout_ms; SIGPIPE is
-/// suppressed (MSG_NOSIGNAL + SIG_IGN in the parent for the run), so a
-/// dead child surfaces as EOF/EPIPE and a hung one as an expired
-/// deadline.  When recovery is armed the supervisor kills the failed
-/// child, respawns it from the latest checkpoint (or from scratch),
-/// replays the committed steps from the logged mail, and re-enters the
-/// barrier protocol at the exact sub-stage that failed; otherwise the
-/// failure is rethrown as a field-named ocd::Error.
-class ForkTransport final : public Transport {
- public:
-  TransportResult run(const RunContext& ctx) override;
-};
+/// Runs the full protocol with every worker in this process, stepped as
+/// chunks of the ocd::util worker pool; messages pass through two
+/// in-memory mailbox grids (one per round, so a phase never reads a grid
+/// another worker is writing).  When recovery is armed, the driver logs
+/// committed message rows and checkpoints so an injected crash
+/// (CrashPlan) discards the worker and rebuilds it.  All recovery
+/// bookkeeping runs on the driver thread between parallel phases, so the
+/// suite is TSan-clean.
+TransportResult run_in_process(const RunContext& ctx);
 
 }  // namespace ocd::shard

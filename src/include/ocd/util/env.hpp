@@ -1,11 +1,10 @@
 // Shared environment-variable parsing.
 //
-// Every numeric knob in the runtime family (OCD_JOBS worker budget,
-// OCD_SHARDS shard count, OCD_SHARD_CHECKPOINT_INTERVAL recovery
-// cadence) means "a validated positive integer, or a hard error" —
-// never a silent fallback, because a typo'd budget that quietly runs
-// serial (or unsharded, or checkpoint-free) is a measurement bug.  The
-// three knobs share one parser so they also share one error wording.
+// Every positive-integer knob in the runtime family (OCD_JOBS worker
+// budget, OCD_SHARDS shard count) means "a validated positive integer,
+// or a hard error" — never a silent fallback, because a typo'd budget
+// that quietly runs serial (or unsharded) is a measurement bug.  The
+// knobs share one parser so they also share one error wording.
 #pragma once
 
 #include <cstdint>

@@ -279,12 +279,9 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
                              const std::string* replay_losses) {
   OCD_ASSERT(running_);
   const core::Instance& inst = *ctx_.instance;
-  // Channel state advances every step, traffic or not (the in-process
-  // driver advances the shared model instead; see RunContext).  A
-  // replaying in-process worker reads its recorded loss trace and never
-  // touches the shared model, whose chain is already at the live step.
-  if (ctx_.worker_advances_faults && faulted_)
-    ctx_.sim.faults->begin_step(step_, inst.graph());
+  // The driver advances the shared fault model once per step.  A
+  // replaying worker reads its recorded loss trace and never touches the
+  // shared model, whose chain is already at the live step.
   const bool log_losses =
       ctx_.log_losses && faulted_ && replay_losses == nullptr;
   util::BinStream record;
@@ -440,7 +437,7 @@ void ShardWorker::phase_apply(const std::vector<std::string>& in,
     msg.require(msg.exhausted(), "plan", "trailing bytes");
   }
   // Stall is decided from the round-1 flags alone, so every shard knows
-  // it here; commit acts on it after round 2 keeps the transports in
+  // it here; commit acts on it after round 2 keeps the shards in
   // lockstep (a stalled step carries no deliveries, so nothing above
   // mutated state).
   pending_stall_ = global_empty && !any_idle;
@@ -636,7 +633,6 @@ std::string ShardWorker::save_checkpoint() const {
   c.shard = shard_;
   c.num_shards = num_shards_;
   c.step = step_;
-  c.fault_cursor = step_;  // begin_step has run once per committed step
   c.unsatisfied = unsatisfied_;
   c.local_unsatisfied = local_unsatisfied_;
   c.no_progress = no_progress_;
@@ -728,13 +724,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
     lost_total_ = c.lost_total;
   }
   if (ctx_.sim.record_schedule) schedule_ = std::move(c.schedule);
-  // A respawned forked worker inherited the parent's reset-state fault
-  // model copy-on-write; fast-forward the per-arc chains to the cursor.
-  // In-process workers share the live model and must not touch it —
-  // replay reads the recorded loss traces instead.
-  if (faulted_ && ctx_.worker_advances_faults)
-    for (std::int64_t k = 0; k < c.fault_cursor; ++k)
-      ctx_.sim.faults->begin_step(k, ctx_.instance->graph());
 }
 
 // ---------------------------------------------------------------------
@@ -947,41 +936,28 @@ sim::RunResult run_sharded(const core::Instance& instance,
   if (ctx.watchdog_window == 0)
     ctx.watchdog_window =
         options.sim.faults != nullptr ? kDefaultNoProgressWindow : -1;
-  ctx.worker_advances_faults = options.transport == TransportKind::kForked;
-  if (options.barrier_timeout_ms <= 0)
-    throw Error("ShardOptions.barrier_timeout_ms must be positive, got " +
-                std::to_string(options.barrier_timeout_ms));
   if (options.recovery.max_respawns < 0)
     throw Error("RecoveryOptions.max_respawns must be >= 0, got " +
                 std::to_string(options.recovery.max_respawns));
-  ctx.barrier_timeout_ms = options.barrier_timeout_ms;
-  ctx.checkpoint_interval =
-      resolve_checkpoint_interval(options.recovery.checkpoint_interval);
+  if (options.recovery.checkpoint_interval < 0)
+    throw Error("RecoveryOptions.checkpoint_interval must be >= 0, got " +
+                std::to_string(options.recovery.checkpoint_interval));
+  ctx.checkpoint_interval = options.recovery.checkpoint_interval;
   ctx.max_respawns = options.recovery.max_respawns;
   ctx.crash_plan = options.recovery.crash_plan;
   ctx.recovery_armed =
       ctx.checkpoint_interval > 0 || ctx.crash_plan != nullptr;
-  ctx.log_losses = ctx.recovery_armed && options.sim.faults != nullptr &&
-                   options.transport == TransportKind::kInProcess;
+  ctx.log_losses = ctx.recovery_armed && options.sim.faults != nullptr;
   ctx.static_capacity.resize(
       static_cast<std::size_t>(instance.graph().num_arcs()));
   for (ArcId a = 0; a < instance.graph().num_arcs(); ++a)
     ctx.static_capacity[static_cast<std::size_t>(a)] =
         instance.graph().arc(a).capacity;
-  // One reset in the parent: the in-process workers share the model;
-  // forked children inherit the reset state copy-on-write and advance
-  // their private copies in lockstep.
+  // One reset here: the workers share the model.
   if (options.sim.faults != nullptr)
     options.sim.faults->reset(instance, options.sim.seed);
 
-  TransportResult transported;
-  if (options.transport == TransportKind::kInProcess) {
-    InProcessTransport transport;
-    transported = transport.run(ctx);
-  } else {
-    ForkTransport transport;
-    transported = transport.run(ctx);
-  }
+  const TransportResult transported = run_in_process(ctx);
 
   sim::RunResult result =
       merge_fragments(instance, policy_name, transported.fragments);

@@ -3,13 +3,9 @@
 // possession on every shard and inserts one wave round (the token-sliced
 // relay elections) before each plan phase.  The contract is unchanged
 // from the local planners: the merged schedule and RunStats are
-// bit-for-bit identical to sim::run for every shard count, both
-// transports, and any fault model.  ("global" is refused by the
-// runtime; ShardDeterminism pins the refusal.)
-//
-// The ShardCoordinated suite drives the in-process transport (it is
-// part of the TSan pass); ShardForkCoordinated drives forked children
-// and is ASan-only like the other fork suites.
+// bit-for-bit identical to sim::run for every shard count and any
+// fault model.  ("global" is refused by the runtime; ShardDeterminism
+// pins the refusal.)
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -91,16 +87,12 @@ sim::RunResult reference_run(const core::Instance& inst,
 }
 
 sim::RunResult run_with(const core::Instance& inst, const char* policy_name,
-                        std::int32_t shards, const sim::SimOptions& sim,
-                        TransportKind transport) {
+                        std::int32_t shards, const sim::SimOptions& sim) {
   ShardOptions options;
   options.num_shards = shards;
-  options.transport = transport;
   options.sim = sim;
   return run_sharded(inst, policy_name, options);
 }
-
-// ---- in-process (TSan pass) ----------------------------------------
 
 TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
   for (const auto& make_inst :
@@ -116,8 +108,8 @@ TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
       const sim::RunResult reference =
           reference_run(inst, policy_name, options);
       for (std::int32_t shards : kShardCounts) {
-        const sim::RunResult result = run_with(
-            inst, policy_name, shards, options, TransportKind::kInProcess);
+        const sim::RunResult result =
+            run_with(inst, policy_name, shards, options);
         expect_same_run(result, reference,
                         std::string(policy_name) + " shards=" +
                             std::to_string(shards));
@@ -141,8 +133,8 @@ TEST(ShardCoordinated, MatchesSingleProcessUnderUniformLoss) {
       faults::UniformLoss sharded_model(0.3);
       sim::SimOptions sharded = options;
       sharded.faults = &sharded_model;
-      const sim::RunResult result = run_with(
-          inst, policy_name, shards, sharded, TransportKind::kInProcess);
+      const sim::RunResult result =
+          run_with(inst, policy_name, shards, sharded);
       expect_same_run(result, reference,
                       std::string(policy_name) + "/uniform shards=" +
                           std::to_string(shards));
@@ -160,14 +152,12 @@ TEST(ShardCoordinated, ReportsBarrierTrafficCounters) {
   EXPECT_EQ(reference.stats.shard_bytes_received, 0);
   EXPECT_EQ(reference.stats.shard_summary_entries, 0);
   // One shard: no peers, still no traffic.
-  const sim::RunResult solo =
-      run_with(inst, "bandwidth", 1, options, TransportKind::kInProcess);
+  const sim::RunResult solo = run_with(inst, "bandwidth", 1, options);
   EXPECT_EQ(solo.stats.shard_bytes_sent, 0);
   EXPECT_EQ(solo.stats.shard_bytes_received, 0);
   // Two shards: every frame is counted on both ends of the star, and
   // the wave summaries contribute entries.
-  const sim::RunResult sharded =
-      run_with(inst, "bandwidth", 2, options, TransportKind::kInProcess);
+  const sim::RunResult sharded = run_with(inst, "bandwidth", 2, options);
   EXPECT_GT(sharded.stats.shard_bytes_sent, 0);
   EXPECT_EQ(sharded.stats.shard_bytes_sent,
             sharded.stats.shard_bytes_received)
@@ -180,53 +170,11 @@ TEST(ShardCoordinated, ScheduleRecordingCanBeDisabled) {
   sim::SimOptions options;
   options.record_schedule = false;
   const sim::RunResult reference = reference_run(inst, "bandwidth", options);
-  const sim::RunResult result =
-      run_with(inst, "bandwidth", 2, options, TransportKind::kInProcess);
+  const sim::RunResult result = run_with(inst, "bandwidth", 2, options);
   EXPECT_TRUE(result.schedule.empty());
   EXPECT_EQ(result.steps, reference.steps);
   EXPECT_EQ(result.bandwidth, reference.bandwidth);
   EXPECT_EQ(result.stats.completion_step, reference.stats.completion_step);
-}
-
-// ---- forked (ASan-only; fork is excluded from TSan) -----------------
-
-TEST(ShardForkCoordinated, MatchesSingleProcessForEveryShardCount) {
-  const core::Instance inst = broadcast_instance(32, 16, 13);
-  for (const char* policy_name : kCoordinatedPolicies) {
-    sim::SimOptions options;
-    options.max_steps = 400;
-    options.seed = 99;
-    const sim::RunResult reference =
-        reference_run(inst, policy_name, options);
-    for (std::int32_t shards : kShardCounts) {
-      const sim::RunResult result = run_with(
-          inst, policy_name, shards, options, TransportKind::kForked);
-      expect_same_run(result, reference,
-                      std::string("fork ") + policy_name + " shards=" +
-                          std::to_string(shards));
-    }
-  }
-}
-
-TEST(ShardForkCoordinated, MatchesSingleProcessUnderUniformLoss) {
-  const core::Instance inst = broadcast_instance(28, 14, 17);
-  for (const char* policy_name : kCoordinatedPolicies) {
-    sim::SimOptions options;
-    options.max_steps = 400;
-    options.seed = 23;
-    faults::UniformLoss reference_model(0.3);
-    options.faults = &reference_model;
-    const sim::RunResult reference =
-        reference_run(inst, policy_name, options);
-    ASSERT_GT(reference.stats.lost_moves, 0) << policy_name;
-    faults::UniformLoss sharded_model(0.3);
-    sim::SimOptions sharded = options;
-    sharded.faults = &sharded_model;
-    const sim::RunResult result = run_with(inst, policy_name, 4, sharded,
-                                           TransportKind::kForked);
-    expect_same_run(result, reference,
-                    std::string("fork ") + policy_name + "/uniform");
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shard-count invariance: the vertex-sharded runtime must reproduce
 // sim::run bit-for-bit — schedules, step counts, loss traces, per-vertex
 // completion and upload series — for every supported policy, every shard
-// count in {1, 2, 4}, every fault model, and any OCD_JOBS budget.  This
+// count in {1, 2, 3, 4}, every fault model, and any OCD_JOBS budget.  This
 // is the contract that makes sharding an execution detail instead of a
 // semantics change.
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@
 namespace ocd::shard {
 namespace {
 
-constexpr std::int32_t kShardCounts[] = {1, 2, 4};
+constexpr std::int32_t kShardCounts[] = {1, 2, 3, 4};
 constexpr const char* kPolicies[] = {"round-robin", "random", "local"};
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
@@ -143,7 +143,7 @@ TEST(ShardDeterminism, MatchesSingleProcessUnderFaults) {
          return plan;
        }}};
 
-  for (const char* policy_name : {"round-robin", "local"}) {
+  for (const char* policy_name : kPolicies) {
     for (const FaultCase& c : cases) {
       sim::SimOptions options;
       options.max_steps = 400;

@@ -403,7 +403,6 @@ shard::Checkpoint sample_checkpoint(std::int32_t shard_id) {
   c.shard = shard_id;
   c.num_shards = 4;
   c.step = 6;
-  c.fault_cursor = 6;
   c.unsatisfied = 9;
   c.local_unsatisfied = 3;
   c.no_progress = 1;
@@ -446,7 +445,6 @@ TEST(BinStream, CheckpointRoundTrip) {
     EXPECT_EQ(decoded.shard, original.shard);
     EXPECT_EQ(decoded.num_shards, original.num_shards);
     EXPECT_EQ(decoded.step, original.step);
-    EXPECT_EQ(decoded.fault_cursor, original.fault_cursor);
     EXPECT_EQ(decoded.unsatisfied, original.unsatisfied);
     EXPECT_EQ(decoded.local_unsatisfied, original.local_unsatisfied);
     EXPECT_EQ(decoded.no_progress, original.no_progress);
@@ -496,7 +494,6 @@ TEST(BinStream, CheckpointCorruptionNeverCrashes) {
           shard::get_checkpoint(reader, "checkpoint", 2);
       // Surviving decodes must still satisfy the record's invariants.
       EXPECT_EQ(decoded.shard, 2);
-      EXPECT_EQ(decoded.fault_cursor, decoded.step);
       EXPECT_LE(decoded.local_unsatisfied, decoded.unsatisfied);
       EXPECT_EQ(decoded.completion.size(), decoded.satisfied.size());
     } catch (const Error&) {

@@ -1,7 +1,7 @@
-// parse_env_int is the single parser behind every OCD_* integer knob
-// (OCD_JOBS, OCD_SHARDS, OCD_SHARD_CHECKPOINT_INTERVAL), so its
-// acceptance/rejection behaviour — and the exact error wording — is
-// pinned once here instead of per caller.
+// parse_env_int is the single parser behind every OCD_* positive-integer
+// knob (OCD_JOBS, OCD_SHARDS), so its acceptance/rejection behaviour —
+// and the exact error wording — is pinned once here instead of per
+// caller.
 #include <gtest/gtest.h>
 
 #include <cstdint>
