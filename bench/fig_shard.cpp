@@ -13,51 +13,18 @@
 // full-baseline bytes / actual bytes).
 // Rows are emitted in a fixed (policy, shards) loop order, so the output
 // is diff-stable across runs.
-//
-// --crash-rate=<r> arms crash recovery (checkpoints every 3 steps) with
-// a seeded random crash schedule at rate r per (shard, step, phase); r
-// must be a number in [0, 1].  The crashes/replayed/ckpt_b columns then
-// snapshot the recovery overhead, and the bit-identity check extends
-// over the crashed rows: recovery must not change a single reported
-// number.
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "ocd/core/scenario.hpp"
-#include "ocd/shard/recovery.hpp"
 #include "ocd/shard/runtime.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
 
 namespace {
-
-/// The --crash-rate=<r> value (0 when absent), or nullopt after printing
-/// an error when r is not wholly a finite number in [0, 1].
-std::optional<double> crash_rate_requested(int argc, char** argv) {
-  constexpr std::string_view kFlag = "--crash-rate=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind(kFlag, 0) != 0) continue;
-    const char* text = argv[i] + kFlag.size();
-    char* end = nullptr;
-    const double rate = std::strtod(text, &end);
-    if (end == text || *end != '\0' ||
-        std::isspace(static_cast<unsigned char>(*text)) != 0 ||
-        !std::isfinite(rate) || rate < 0.0 || rate > 1.0) {
-      std::cerr << "error: --crash-rate must be a number in [0, 1], got '"
-                << text << "'\n";
-      return std::nullopt;
-    }
-    return rate;
-  }
-  return 0.0;
-}
 
 std::int64_t varint_len(std::uint64_t v) {
   std::int64_t n = 1;
@@ -73,10 +40,6 @@ std::int64_t varint_len(std::uint64_t v) {
 int main(int argc, char** argv) {
   using namespace ocd;
   const bool csv = bench::csv_requested(argc, argv);
-  const std::optional<double> requested_rate =
-      crash_rate_requested(argc, argv);
-  if (!requested_rate) return 1;
-  const double crash_rate = *requested_rate;
   const bool full = bench::full_scale();
   bench::print_header("fig_shard",
                       "vertex-sharded runtime: scaling + bit-identity "
@@ -98,13 +61,6 @@ int main(int argc, char** argv) {
 
   const char* policies[] = {"round-robin", "bandwidth"};
 
-  shard::CrashPlan crash_plan;
-  if (crash_rate > 0.0) {
-    crash_plan.random_crashes(crash_rate, 0xc4a5'0001);
-    std::cout << "# crash-rate: " << crash_rate
-              << " per (shard, step, phase); checkpoints every 3 steps\n";
-  }
-
   // Full-replication baseline for the coordinated planner: without
   // ghost-delta frames, every barrier would re-broadcast every owned
   // possession row to every peer — vertex id + a full raw-encoded set
@@ -117,8 +73,7 @@ int main(int argc, char** argv) {
 
   Table table({"policy", "part", "shards", "cut_arcs", "cut_pct", "imb_pct",
                "ghosts", "success", "steps", "bandwidth", "kb_per_step",
-               "delta_x", "crashes", "replayed", "ckpt_b", "part_ms",
-               "run_s"});
+               "delta_x", "part_ms", "run_s"});
   table.set_precision(3);
 
   // Partition variants per shard count: the default greedy partition at
@@ -158,11 +113,6 @@ int main(int argc, char** argv) {
       options.sim.seed = 7;
       options.sim.record_schedule = false;
       options.sim.max_steps = 500'000;
-      if (crash_rate > 0.0) {
-        options.recovery.crash_plan = &crash_plan;
-        options.recovery.checkpoint_interval = 3;
-        options.recovery.max_respawns = 64;
-      }
       Stopwatch run_timer;
       const auto result = shard::run_sharded(inst, policy, options, part);
       const double run_seconds = run_timer.seconds();
@@ -205,10 +155,7 @@ int main(int argc, char** argv) {
                      part.stats.total_ghosts,
                      std::string(result.success ? "yes" : "no"),
                      result.steps, result.bandwidth, kb_per_step,
-                     delta_x, result.stats.worker_crashes,
-                     result.stats.replayed_steps,
-                     result.stats.checkpoint_bytes,
-                     1000.0 * part_seconds, run_seconds});
+                     delta_x, 1000.0 * part_seconds, run_seconds});
     }
   }
 

@@ -289,7 +289,10 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
 // the numbers do not depend on OCD_JOBS.  reproduce_all.sh snapshots
 // these series to BENCH_planner.json so scripts/compare_bench.py can
 // flag regressions across changes; per-step plan time is
-// 1 / items_per_sec.
+// 1 / items_per_sec.  Rows are timed in real time over at least 2 s:
+// under the default 0.5 s minimum the ~0.5-1.3 s iterations at
+// 1000v x 512t ran once or twice, and back-to-back runs of `global`
+// differed by ~50%.
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
@@ -313,22 +316,32 @@ void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Fault path: the same bounded-window workload with 20% uniform loss

@@ -6,7 +6,9 @@
 //   $ ./ocd_cli --topology transit-stub --n 200 --files 8 --policy bandwidth
 //   $ ./ocd_cli --policy random --staleness 4 --dynamics link-churn
 //   $ ./ocd_cli --save my.inst ; ./ocd_cli --load my.inst --policy global
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -51,10 +53,38 @@ void usage() {
       "  --policy <name>                  round-robin|random|local|bandwidth|global\n"
       "  --staleness <int>                peer knowledge k turns old (default 0)\n"
       "  --dynamics jitter|link-churn|node-churn\n"
-      "  --seed <int>\n"
+      "  --seed <uint64>\n"
       "  --save <path>                    write the instance and exit\n"
       "  --load <path>                    run on a saved instance\n"
       "  --optimize                       report prune+compact post-pass too\n";
+}
+
+/// Reports a malformed or out-of-range flag value and exits with the
+/// usage-error status.
+[[noreturn]] void bad_value(const std::string& flag, const char* expected,
+                            const char* text) {
+  std::cerr << "error: " << flag << " must be " << expected << ", got '"
+            << text << "'\n";
+  std::exit(2);
+}
+
+/// Parses `text` wholly as a T (no sign for unsigned, no whitespace, no
+/// trailing characters, no overflow).
+template <typename T>
+std::optional<T> parse_whole(const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::int32_t parse_int_at_least(const std::string& flag, const char* text,
+                                std::int32_t min) {
+  const auto value = parse_whole<std::int32_t>(text);
+  if (!value || *value < min)
+    bad_value(flag, ("an integer >= " + std::to_string(min)).c_str(), text);
+  return *value;
 }
 
 std::optional<CliOptions> parse(int argc, char** argv) {
@@ -73,22 +103,32 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       return std::nullopt;
     } else if (flag == "--topology") {
       opt.topology = value();
+      if (opt.topology != "random" && opt.topology != "transit-stub")
+        bad_value(flag, "one of random, transit-stub", opt.topology.c_str());
     } else if (flag == "--n") {
-      opt.n = std::atoi(value());
+      opt.n = parse_int_at_least(flag, value(), 2);
     } else if (flag == "--tokens") {
-      opt.tokens = std::atoi(value());
+      opt.tokens = parse_int_at_least(flag, value(), 1);
     } else if (flag == "--files") {
-      opt.files = std::atoi(value());
+      opt.files = parse_int_at_least(flag, value(), 1);
     } else if (flag == "--density") {
-      opt.density = std::atof(value());
+      const char* text = value();
+      const auto density = parse_whole<double>(text);
+      // Written so that NaN, which fails every comparison, is rejected.
+      if (!density || !(*density >= 0.0 && *density <= 1.0))
+        bad_value(flag, "a number in [0, 1]", text);
+      opt.density = *density;
     } else if (flag == "--policy") {
       opt.policy = value();
     } else if (flag == "--staleness") {
-      opt.staleness = std::atoi(value());
+      opt.staleness = parse_int_at_least(flag, value(), 0);
     } else if (flag == "--dynamics") {
       opt.dynamics = value();
     } else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      const char* text = value();
+      const auto seed = parse_whole<std::uint64_t>(text);
+      if (!seed) bad_value(flag, "an unsigned 64-bit decimal integer", text);
+      opt.seed = *seed;
     } else if (flag == "--save") {
       opt.save_path = value();
     } else if (flag == "--load") {

@@ -55,10 +55,6 @@ done
 # same pool.  The vertex-shard runtime rides the same pool:
 # ShardDeterminism steps every shard as pool chunks (the two-mailbox
 # grids between phases are exactly the handoffs TSan must vet),
-# ShardRecovery adds the crash-recovery driver on top (worker
-# teardown/respawn and checkpoint/replay interleaved with the pool
-# phases — the recovery bookkeeping claims to run only on the driver
-# thread between barriers, and this pass is what holds it to that),
 # ShardCoordinated replays the coordinated planner's wave round (the
 # per-step token-sliced relay election that precedes plan) against
 # single-process runs with the same pool fan-out,

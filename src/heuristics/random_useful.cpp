@@ -1,7 +1,5 @@
 #include "ocd/heuristics/random_useful.hpp"
 
-#include "ocd/util/binstream.hpp"
-
 namespace ocd::heuristics {
 
 void RandomPolicy::reset(const core::Instance& instance, std::uint64_t seed) {
@@ -50,14 +48,6 @@ void RandomPolicy::plan_vertex(VertexId self, const sim::StepView& view,
       batch_.set(pool_[index]);
     plan.send(arc_id, batch_);
   }
-}
-
-void RandomPolicy::save_state(util::BinStream& out) const {
-  out.put_u64(seed_);
-}
-
-void RandomPolicy::load_state(util::BinStream& in) {
-  seed_ = in.get_u64("random.seed");
 }
 
 }  // namespace ocd::heuristics

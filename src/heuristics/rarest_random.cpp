@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ocd/util/binstream.hpp"
-
 namespace ocd::heuristics {
 
 void RarestRandomPolicy::reset(const core::Instance& instance,
@@ -145,16 +143,6 @@ void RarestRandomPolicy::plan_shard(const sim::StepView& view,
   begin_plan(view);
   for (VertexId v : owned) plan_receiver(v, view);
   emit_requests(view, plan);
-}
-
-void RarestRandomPolicy::save_state(util::BinStream& out) const {
-  for (std::uint64_t word : rng_.state()) out.put_u64(word);
-}
-
-void RarestRandomPolicy::load_state(util::BinStream& in) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = in.get_u64("local.rng");
-  rng_.set_state(state);
 }
 
 }  // namespace ocd::heuristics

@@ -1,7 +1,5 @@
 #include "ocd/heuristics/round_robin.hpp"
 
-#include "ocd/util/binstream.hpp"
-
 namespace ocd::heuristics {
 
 void RoundRobinPolicy::reset(const core::Instance& inst, std::uint64_t) {
@@ -28,22 +26,6 @@ void RoundRobinPolicy::plan_vertex(VertexId self, const sim::StepView& view,
     }
     cursor_[static_cast<std::size_t>(arc_id)] = position;
     plan.send(arc_id, batch_);
-  }
-}
-
-void RoundRobinPolicy::save_state(util::BinStream& out) const {
-  out.put_varint(cursor_.size());
-  for (TokenId c : cursor_) out.put_varint_signed(c);
-}
-
-void RoundRobinPolicy::load_state(util::BinStream& in) {
-  const std::uint64_t count = in.get_varint("round-robin.cursors");
-  in.require(count == cursor_.size(), "round-robin.cursors",
-             "cursor count does not match the arc count");
-  for (TokenId& c : cursor_) {
-    const std::int64_t v = in.get_varint_signed("round-robin.cursor");
-    in.require(v >= -1, "round-robin.cursor", "cursor below -1");
-    c = static_cast<TokenId>(v);
   }
 }
 

@@ -46,7 +46,7 @@ struct CoordinationSetup {
 ///      into the plan, in arc-ascending order.
 /// Any per-step randomness must be drawn exactly as plan_step would
 /// draw it, so the policy state stays in lockstep with the
-/// single-process run (and with save_state/load_state checkpoints).
+/// single-process run.
 class ShardCoordinator {
  public:
   virtual ~ShardCoordinator() = default;

@@ -24,10 +24,6 @@ class RandomPolicy final : public sim::Policy {
   void reset(const core::Instance& instance, std::uint64_t seed) override;
   void plan_vertex(VertexId self, const sim::StepView& view,
                    sim::StepPlan& plan) override;
-  /// Checkpointable state: just the base seed (per-step randomness is
-  /// re-derived from (seed, step, vertex), never consumed sequentially).
-  void save_state(util::BinStream& out) const override;
-  void load_state(util::BinStream& in) override;
 
  private:
   // Sampling draws from an Rng derived per (seed, step, vertex) rather

@@ -42,10 +42,6 @@ class RarestRandomPolicy final : public sim::Policy {
   /// disjoint per-shard fragments merge back into plan_step's order.
   void plan_shard(const sim::StepView& view, sim::StepPlan& plan,
                   std::span<const VertexId> owned) override;
-  /// Checkpointable state: the tie-break RNG position (one shuffle is
-  /// consumed per planned step; everything else is per-step scratch).
-  void save_state(util::BinStream& out) const override;
-  void load_state(util::BinStream& in) override;
 
  private:
   /// Pass-1 body for one receiver: subdivide the tokens `v` lacks into

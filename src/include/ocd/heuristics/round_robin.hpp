@@ -23,10 +23,6 @@ class RoundRobinPolicy final : public sim::Policy {
   void reset(const core::Instance& instance, std::uint64_t seed) override;
   void plan_vertex(VertexId self, const sim::StepView& view,
                    sim::StepPlan& plan) override;
-  /// Checkpointable state: the per-arc cursors (the only mutation
-  /// plan_vertex performs).
-  void save_state(util::BinStream& out) const override;
-  void load_state(util::BinStream& in) override;
 
  private:
   /// Per-arc circular cursor: the token id after which the next scan

@@ -9,9 +9,7 @@
 // arc table is exactly the traffic that must cross shard boundaries.
 //
 // The partitioner is deterministic and seedless: the same (graph,
-// options) always yields the same Partition, on every shard of every
-// transport — the runtime relies on this to let each process derive the
-// partition independently instead of shipping it.
+// options) always yields the same Partition.
 //
 // Two refinement stages run after the BFS-grown seed blocks:
 //
@@ -36,7 +34,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ocd/core/instance.hpp"
 #include "ocd/graph/digraph.hpp"
 
 namespace ocd::shard {
@@ -136,30 +133,5 @@ Partition partition_vertices(const Digraph& graph, std::int32_t num_shards,
 /// flow_refine: false} reproduces it bit-for-bit.
 Partition partition_vertices(const Digraph& graph,
                              const PartitionOptions& options);
-
-/// A shard's slice of an instance, relabeled to dense local ids — the
-/// unit a genuinely distributed deployment would ship to a remote host
-/// (BinStream-serializable via put_instance).  Local vertices are the
-/// shard's owned plus ghost vertices in ascending global order; arcs
-/// are every arc incident to an owned vertex (ghost-ghost arcs are
-/// dropped — no owned planner ever consults them).  have/want are
-/// copied for all local vertices so ghost possession can be seeded.
-///
-/// The one-host runtime does NOT plan on sub-instances — it keeps
-/// global vertex ids and maps them onto shard-local possession rows
-/// (StepView::set_row_map), which is what makes bit-identity with the
-/// single-process simulator a per-vertex statement instead of a
-/// relabeling argument.
-struct SubInstance {
-  core::Instance instance;
-  /// Local vertex id -> global vertex id, ascending.
-  std::vector<VertexId> to_global;
-  /// Local arc id -> global arc id, ascending.
-  std::vector<ArcId> arc_to_global;
-};
-
-SubInstance extract_sub_instance(const core::Instance& instance,
-                                 const Partition& partition,
-                                 std::int32_t shard);
 
 }  // namespace ocd::shard

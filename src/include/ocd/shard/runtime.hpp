@@ -54,7 +54,6 @@
 
 #include "ocd/core/instance.hpp"
 #include "ocd/shard/partition.hpp"
-#include "ocd/shard/recovery.hpp"
 #include "ocd/sim/simulator.hpp"
 
 namespace ocd::shard {
@@ -74,9 +73,6 @@ struct ShardOptions {
   std::int32_t num_shards = 0;
   /// Always kInProcess; TransportKind has no other value.
   TransportKind transport = TransportKind::kInProcess;
-  /// Crash tolerance: checkpoint cadence, respawn budget, scripted
-  /// crash injection (ocd/shard/recovery.hpp).
-  RecoveryOptions recovery;
   /// Partition balance slack ε in percent; -1 consults
   /// OCD_SHARD_BALANCE_EPS (validated, default 0 — the historical exact
   /// band).  A resolved ε > 0 also enables the flow-based min-cut

@@ -5,6 +5,7 @@
 // The protocol is phase-synchronous; the driver only provides message
 // motion and the barrier, never decisions.  Per step:
 //
+//   phase_wave    -> election frames (coordinated planners, > 1 shard)
 //   phase_plan    -> round-1 messages (plan summary + routed deliveries)
 //   phase_apply   -> round-2 messages (apply summary + ghost updates)
 //   phase_commit  -> replicated global decision; every worker agrees on
@@ -14,8 +15,9 @@
 // one finish_fragment() per worker after it, which run_sharded merges
 // into the final RunResult.  Messages stay BinStream-encoded even in one
 // address space: the encoded frames define the barrier traffic counters
-// (RunStats::shard_bytes_sent) and are what the recovery mail log
-// replays.
+// (RunStats::shard_bytes_sent).  Workers are pool chunks of one process:
+// an error in any worker (a policy breaking capacity, a corrupt frame)
+// propagates out of run_sharded.
 #pragma once
 
 #include <memory>
@@ -46,18 +48,6 @@ struct RunContext {
   /// Resolved watchdog window (-1 = off), mirroring the simulator's
   /// auto-arming rule.
   std::int64_t watchdog_window = -1;
-  /// Replay cannot re-query the shared fault model for past steps (the
-  /// driver advances it once per step and its chain state has moved
-  /// on), so when recovery is armed with faults, every phase_plan also
-  /// records its per-send loss sets for the driver's log.
-  bool log_losses = false;
-  /// Resolved recovery knobs (ocd/shard/recovery.hpp).  recovery_armed:
-  /// the driver logs committed messages (and takes checkpoints) so a
-  /// crashed worker can be respawned and replayed.
-  bool recovery_armed = false;
-  std::int64_t checkpoint_interval = 0;  ///< 0 = checkpoints off
-  std::int32_t max_respawns = 0;
-  const CrashPlan* crash_plan = nullptr;
   std::vector<std::int32_t> static_capacity;
   /// Coordinated planning (kGlobal policies): workers fully replicate
   /// possession, and on > 1 shard the driver runs one extra *wave*
@@ -88,13 +78,7 @@ class ShardWorker {
 
   /// Plan owned vertices, validate, apply channel loss, route surviving
   /// deliveries to their destination's owner.  Requires running().
-  /// `replay_losses` (replay only) substitutes a recorded loss trace for
-  /// live fault-model queries: the policy still plans in full (its state
-  /// must advance), but the per-send loss sets are read from the record
-  /// instead of the shared model, whose chain has already moved past
-  /// this step.
-  void phase_plan(std::vector<std::string>& out,
-                  const std::string* replay_losses = nullptr);
+  void phase_plan(std::vector<std::string>& out);
   /// Merge inbound deliveries into owned possession rows; emit apply
   /// summaries and ghost updates.
   void phase_apply(const std::vector<std::string>& in,
@@ -112,20 +96,6 @@ class ShardWorker {
   /// counts; shard 0 adds the global per-step series), BinStream-
   /// encoded for run_sharded's merge.
   [[nodiscard]] std::string finish_fragment();
-
-  /// Serializes this worker's complete restartable state (see
-  /// shard::Checkpoint).  Capture point: a committed barrier, i.e.
-  /// between phase_commit and the next phase_plan.
-  [[nodiscard]] std::string save_checkpoint() const;
-  /// Restores a save_checkpoint() blob into a freshly constructed
-  /// worker: validates shard identity and every shape against this
-  /// worker's layout and loads the policy state.
-  void restore_checkpoint(const std::string& bytes);
-  /// The loss record phase_plan captured (empty unless ctx.log_losses
-  /// and a fault model are active).
-  [[nodiscard]] const std::string& loss_record() const noexcept {
-    return loss_record_;
-  }
 
  private:
   void deliver(VertexId to, TokenSetView tokens);
@@ -165,8 +135,7 @@ class ShardWorker {
   TokenSet fresh_;        ///< apply kernel scratch
   TokenSet lost_;         ///< fault scratch
   TokenSet msg_tokens_;   ///< decode scratch
-  std::string loss_record_;  ///< this step's loss sets (ctx.log_losses)
-  std::string wave_frame_;   ///< phase_wave's frame, reused per step
+  std::string wave_frame_;  ///< phase_wave's frame, reused per step
 
   // Barrier traffic accounting (sim/stats.hpp shard_* counters).
   std::int64_t bytes_sent_ = 0;
@@ -199,21 +168,10 @@ class ShardWorker {
   core::Schedule schedule_;  ///< this shard's fragment (when recording)
 };
 
-/// A driver run's outcome: one finish fragment per shard, plus the
-/// recovery counters (all zero for a crash-free run).
-struct TransportResult {
-  std::vector<std::string> fragments;
-  RecoveryStats recovery;
-};
-
 /// Runs the full protocol with every worker in this process, stepped as
 /// chunks of the ocd::util worker pool; messages pass through two
 /// in-memory mailbox grids (one per round, so a phase never reads a grid
-/// another worker is writing).  When recovery is armed, the driver logs
-/// committed message rows and checkpoints so an injected crash
-/// (CrashPlan) discards the worker and rebuilds it.  All recovery
-/// bookkeeping runs on the driver thread between parallel phases, so the
-/// suite is TSan-clean.
-TransportResult run_in_process(const RunContext& ctx);
+/// another worker is writing).  Returns one finish fragment per shard.
+std::vector<std::string> run_in_process(const RunContext& ctx);
 
 }  // namespace ocd::shard

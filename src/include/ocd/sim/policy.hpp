@@ -126,14 +126,9 @@ class Policy {
   /// to their inner policy.  Default: no-op.
   virtual void finish_run(RunStats& stats);
 
-  /// Serializes the policy's mutable per-run state (RNG positions,
-  /// cursors) so the shard runtime can checkpoint and later restore a
-  /// mid-run worker.  The contract: after reset(inst, seed) followed by
-  /// load_state(s), the policy plans exactly as the policy s was saved
-  /// from would.  Immutable reset()-derived state need not be written.
-  /// Default: no state (writes and reads nothing) — correct for
-  /// stateless policies, silently wrong for stateful ones, which is why
-  /// the shard envelope only admits policies that implement the pair.
+  /// No-ops that no library code calls.  They remain only because
+  /// perfbench's TimedPolicy overrides them; ROADMAP item 2's benchmark
+  /// change deletes both together.
   virtual void save_state(util::BinStream& out) const;
   virtual void load_state(util::BinStream& in);
 };

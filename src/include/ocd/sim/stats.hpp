@@ -38,20 +38,10 @@ struct RunStats {
   /// paper's introduction lists ("nodes contribute roughly in
   /// proportion to one another").
   std::vector<std::int64_t> sent_by_vertex;
-  /// Crash-recovery accounting, filled only by shard::run_sharded (all
-  /// zero for sim::run and crash-free sharded runs).  These are the only
-  /// fields a recovered run may differ from its crash-free twin in —
-  /// the recovery differential suite compares everything else
-  /// bit-for-bit.
-  std::int64_t worker_crashes = 0;   ///< workers that died or hung
-  std::int64_t recoveries = 0;       ///< successful respawn+rejoin cycles
-  std::int64_t replayed_steps = 0;   ///< full steps re-executed from logs
-  std::int64_t checkpoint_bytes = 0; ///< total checkpoint bytes written
   /// Barrier traffic accounting, filled only by shard::run_sharded (all
   /// zero for sim::run): frame bytes each worker handed the transport
   /// and received from it, summed over shards and phases (wave, plan,
-  /// apply, init).  Crash-invariant — checkpointed and rebuilt by
-  /// replay, so a recovered run reports the crash-free totals.
+  /// apply, init).
   std::int64_t shard_bytes_sent = 0;
   std::int64_t shard_bytes_received = 0;
   /// Coordinated planning ("bandwidth", > 1 shard): summary entries

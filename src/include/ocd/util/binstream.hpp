@@ -1,10 +1,11 @@
-// Compact binary serialization for cross-shard messages and state
-// shipping (the husky engine's BinStream idiom: one append-only byte
-// buffer, typed put/get pairs, no schema negotiation).
+// Compact binary serialization for the sharded runtime's barrier frames
+// (the husky engine's BinStream idiom: one append-only byte buffer,
+// typed put/get pairs, no schema negotiation).
 //
-// The vertex-sharded runtime moves three kinds of payload through this
-// layer — sub-instances, possession snapshots, and per-step delivery
-// batches — so the encoding favors the shapes those produce:
+// The frames are per-step delivery batches, ghost deltas, the
+// coordinated planner's election frames and each shard's finish
+// fragment (counters plus its schedule fragment), so the encoding
+// favors the shapes those produce:
 //   * varint (LEB128) for every count and id: delivery batches are
 //     dominated by small arc ids and short token lists;
 //   * TokenSets carry a one-byte encoding tag chosen per set — raw
@@ -25,12 +26,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
-#include "ocd/core/instance.hpp"
 #include "ocd/core/schedule.hpp"
 #include "ocd/util/error.hpp"
-#include "ocd/util/token_matrix.hpp"
 #include "ocd/util/token_set.hpp"
 
 namespace ocd::util {
@@ -45,23 +43,15 @@ class BinStream {
   /// Moves the buffer out (e.g. to hand it to a transport frame).
   [[nodiscard]] std::string take() && { return std::move(bytes_); }
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] std::size_t read_pos() const noexcept { return pos_; }
   /// True when every byte has been consumed — message decoders check
   /// this to reject trailing garbage.
   [[nodiscard]] bool exhausted() const noexcept {
     return pos_ == bytes_.size();
   }
-  void clear() {
-    bytes_.clear();
-    pos_ = 0;
-  }
 
   // ---- writers -------------------------------------------------------
   void put_u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
-  void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
-  void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   /// LEB128; the encoding for every count and id.
   void put_varint(std::uint64_t v);
@@ -69,20 +59,13 @@ class BinStream {
   /// (capacities, step numbers): zig-zag + LEB128.
   void put_varint_signed(std::int64_t v);
   void put_bytes(const void* data, std::size_t n);
-  void put_string(std::string_view s);
 
   // ---- readers (throw ocd::Error naming `field` on failure) ----------
   std::uint8_t get_u8(const char* field);
-  std::uint32_t get_u32(const char* field);
   std::uint64_t get_u64(const char* field);
-  std::int64_t get_i64(const char* field) {
-    return static_cast<std::int64_t>(get_u64(field));
-  }
-  double get_f64(const char* field);
   bool get_bool(const char* field);
   std::uint64_t get_varint(const char* field);
   std::int64_t get_varint_signed(const char* field);
-  std::string get_string(const char* field);
 
   /// Decoder-side validation helper: throws ocd::Error naming `field`
   /// when `cond` is false.
@@ -110,17 +93,7 @@ TokenSet get_token_set(BinStream& stream, const char* field);
 void get_token_set_into(BinStream& stream, const char* field,
                         MutableTokenSetView out);
 
-// ---- TokenMatrix (possession snapshots) ------------------------------
-void put_token_matrix(BinStream& stream, const TokenMatrix& matrix);
-TokenMatrix get_token_matrix(BinStream& stream, const char* field);
-
-// ---- graph / instance / schedule -------------------------------------
-void put_digraph(BinStream& stream, const Digraph& graph);
-Digraph get_digraph(BinStream& stream, const char* field);
-
-void put_instance(BinStream& stream, const core::Instance& instance);
-core::Instance get_instance(BinStream& stream, const char* field);
-
+// ---- Schedule (finish fragments) -------------------------------------
 void put_schedule(BinStream& stream, const core::Schedule& schedule);
 core::Schedule get_schedule(BinStream& stream, const char* field);
 

@@ -102,14 +102,6 @@ class Rng {
   /// (per heuristic, per repetition) its own stream.
   Rng split() noexcept;
 
-  /// The raw xoshiro256** state, for checkpoint/restore.  A generator
-  /// restored via set_state() continues the exact output sequence of
-  /// the generator state() was read from.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return s_;
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) noexcept { s_ = s; }
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

@@ -484,48 +484,4 @@ Partition partition_vertices(const Digraph& graph,
   return part;
 }
 
-SubInstance extract_sub_instance(const core::Instance& instance,
-                                 const Partition& partition,
-                                 std::int32_t shard) {
-  OCD_EXPECTS(shard >= 0 && shard < partition.num_shards);
-  const Digraph& graph = instance.graph();
-  const auto s = static_cast<std::size_t>(shard);
-
-  SubInstance sub;
-  // Local vertex set = owned ∪ ghosts, ascending (both inputs sorted).
-  sub.to_global.resize(partition.owned[s].size() + partition.ghosts[s].size());
-  std::merge(partition.owned[s].begin(), partition.owned[s].end(),
-             partition.ghosts[s].begin(), partition.ghosts[s].end(),
-             sub.to_global.begin());
-
-  std::vector<std::int32_t> to_local(
-      static_cast<std::size_t>(graph.num_vertices()), -1);
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i)
-    to_local[static_cast<std::size_t>(sub.to_global[i])] =
-        static_cast<std::int32_t>(i);
-
-  Digraph local(static_cast<std::int32_t>(sub.to_global.size()));
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const Arc& arc = graph.arc(a);
-    const bool from_owned =
-        partition.shard_of[static_cast<std::size_t>(arc.from)] == shard;
-    const bool to_owned =
-        partition.shard_of[static_cast<std::size_t>(arc.to)] == shard;
-    if (!from_owned && !to_owned) continue;  // ghost-ghost: never consulted
-    local.add_arc(to_local[static_cast<std::size_t>(arc.from)],
-                  to_local[static_cast<std::size_t>(arc.to)], arc.capacity);
-    sub.arc_to_global.push_back(a);
-  }
-  local.finalize();
-
-  sub.instance = core::Instance(std::move(local), instance.num_tokens());
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-    sub.instance.set_have(static_cast<VertexId>(i),
-                          instance.have(sub.to_global[i]));
-    sub.instance.set_want(static_cast<VertexId>(i),
-                          instance.want(sub.to_global[i]));
-  }
-  return sub;
-}
-
 }  // namespace ocd::shard

@@ -10,7 +10,6 @@
 #include "ocd/faults/model.hpp"
 #include "ocd/heuristics/coordination.hpp"
 #include "ocd/heuristics/factory.hpp"
-#include "ocd/shard/recovery.hpp"
 #include "ocd/shard/transport.hpp"
 #include "ocd/util/binstream.hpp"
 #include "ocd/util/env.hpp"
@@ -62,7 +61,7 @@ void validate_envelope(std::string_view policy_name,
   if (options.completion)
     throw Error(
         "sharded runtime does not support completion overrides (the "
-        "predicate cannot be shipped to shard processes)");
+        "predicate is not replicated across shards)");
 }
 
 }  // namespace
@@ -275,19 +274,9 @@ void ShardWorker::validate_shard_sends(std::span<const core::ArcSend> sends) {
     arc_load_[static_cast<std::size_t>(send.arc)] = 0;
 }
 
-void ShardWorker::phase_plan(std::vector<std::string>& out,
-                             const std::string* replay_losses) {
+void ShardWorker::phase_plan(std::vector<std::string>& out) {
   OCD_ASSERT(running_);
   const core::Instance& inst = *ctx_.instance;
-  // The driver advances the shared fault model once per step.  A
-  // replaying worker reads its recorded loss trace and never touches the
-  // shared model, whose chain is already at the live step.
-  const bool log_losses =
-      ctx_.log_losses && faulted_ && replay_losses == nullptr;
-  util::BinStream record;
-  util::BinStream replay(replay_losses == nullptr ? std::string()
-                                                  : *replay_losses);
-
   const std::span<const std::int32_t> capacity(ctx_.static_capacity);
   plan_.rebind(inst.graph(), capacity);
   sim::StepView view(inst, possession_, possession_,
@@ -312,7 +301,8 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
   validate_shard_sends(plan_.sends());
 
   // Wire counters and channel loss, then route surviving deliveries to
-  // the destination vertex's owning shard.  Loss decisions are derived
+  // the destination vertex's owning shard.  The driver advances the
+  // shared fault model once per step, and its loss decisions are derived
   // per (step, arc), so querying only this shard's sends — in any
   // order — reproduces the single-process loss trace exactly.
   step_moves_ = 0;
@@ -320,11 +310,6 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
   local_deliv_.clear();
   for (auto& routed : deliv_for_) routed.clear();
   const std::span<core::ArcSend> sends = plan_.sends();
-  if (replay_losses != nullptr && faulted_)
-    replay.require(replay.get_varint("loss_record.sends") == sends.size(),
-                   "loss_record.sends",
-                   "send count does not match the replayed plan");
-  if (log_losses) record.put_varint(sends.size());
   for (std::size_t i = 0; i < sends.size(); ++i) {
     core::ArcSend& send = sends[i];
     const Arc& arc = inst.graph().arc(send.arc);
@@ -332,14 +317,9 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
     step_moves_ += count;
     sent_by_[static_cast<std::size_t>(arc.from)] += count;
     if (faulted_) {
-      if (replay_losses != nullptr) {
-        util::get_token_set_into(replay, "loss_record.lost", lost_);
-      } else {
-        lost_.clear();
-        ctx_.sim.faults->lost(step_, send.arc, send.tokens, lost_);
-      }
+      lost_.clear();
+      ctx_.sim.faults->lost(step_, send.arc, send.tokens, lost_);
       lost_ &= send.tokens;  // a model may only lose what was sent
-      if (log_losses) util::put_token_set(record, lost_);
       const auto lost_count = static_cast<std::int64_t>(lost_.count());
       if (lost_count > 0) {
         step_lost_ += lost_count;
@@ -355,9 +335,6 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
       deliv_for_[static_cast<std::size_t>(owner)].push_back(
           static_cast<std::uint32_t>(i));
   }
-  if (replay_losses != nullptr && faulted_)
-    replay.require(replay.exhausted(), "loss_record", "trailing bytes");
-  if (log_losses) loss_record_ = std::move(record).take();
 
   out.assign(static_cast<std::size_t>(num_shards_), {});
   for (std::int32_t p = 0; p < num_shards_; ++p) {
@@ -628,104 +605,6 @@ std::string ShardWorker::finish_fragment() {
   return std::move(frag).take();
 }
 
-std::string ShardWorker::save_checkpoint() const {
-  Checkpoint c;
-  c.shard = shard_;
-  c.num_shards = num_shards_;
-  c.step = step_;
-  c.unsatisfied = unsatisfied_;
-  c.local_unsatisfied = local_unsatisfied_;
-  c.no_progress = no_progress_;
-  c.bytes_sent = bytes_sent_;
-  c.bytes_received = bytes_received_;
-  c.summary_entries = summary_entries_;
-  c.possession = possession_;
-  c.satisfied = satisfied_;
-  c.completion = completion_;
-  for (std::size_t v = 0; v < sent_by_.size(); ++v)
-    if (sent_by_[v] != 0)
-      c.sent_by.emplace_back(static_cast<std::int64_t>(v), sent_by_[v]);
-  if (needs_aggregates_) {
-    c.holders = aggregates_.holders;
-    c.need = aggregates_.need;
-  }
-  util::BinStream policy_state;
-  policy_->save_state(policy_state);
-  c.policy_state = std::move(policy_state).take();
-  if (shard_ == 0) {
-    c.moves_per_step = moves_per_step_;
-    c.lost_per_step = lost_per_step_;
-    c.useful_total = useful_total_;
-    c.lost_total = lost_total_;
-  }
-  c.has_schedule = ctx_.sim.record_schedule;
-  if (c.has_schedule) c.schedule = schedule_;
-  util::BinStream out;
-  put_checkpoint(out, c);
-  return std::move(out).take();
-}
-
-void ShardWorker::restore_checkpoint(const std::string& bytes) {
-  util::BinStream in(bytes);
-  Checkpoint c = get_checkpoint(in, "checkpoint", shard_);
-  in.require(in.exhausted(), "checkpoint", "trailing bytes");
-  in.require(c.num_shards == num_shards_, "checkpoint.num_shards",
-             "shard count does not match this run");
-  in.require(c.possession.rows() == possession_.rows() &&
-                 c.possession.universe_size() == possession_.universe_size(),
-             "checkpoint.possession", "row layout does not match this shard");
-  in.require(c.satisfied.size() == satisfied_.size(), "checkpoint.satisfied",
-             "owned slot count does not match this shard");
-  in.require(c.step <= ctx_.sim.max_steps, "checkpoint.step",
-             "beyond max_steps");
-  in.require(c.holders.empty() == !needs_aggregates_,
-             "checkpoint.has_aggregates",
-             "aggregate presence does not match the policy");
-  in.require(c.has_schedule == ctx_.sim.record_schedule,
-             "checkpoint.has_schedule",
-             "schedule presence does not match the run options");
-  if (c.has_schedule)
-    in.require(c.schedule.steps().size() == static_cast<std::size_t>(c.step),
-               "checkpoint.schedule", "length != committed steps");
-  const auto n = static_cast<std::int64_t>(sent_by_.size());
-  for (const auto& [vertex, count] : c.sent_by)
-    in.require(vertex < n, "checkpoint.sender.vertex",
-               "vertex id out of range");
-
-  possession_ = std::move(c.possession);
-  satisfied_ = std::move(c.satisfied);
-  completion_ = std::move(c.completion);
-  std::fill(sent_by_.begin(), sent_by_.end(), 0);
-  for (const auto& [vertex, count] : c.sent_by)
-    sent_by_[static_cast<std::size_t>(vertex)] = count;
-  if (needs_aggregates_) {
-    aggregates_.holders = std::move(c.holders);
-    aggregates_.need = std::move(c.need);
-  }
-  step_ = c.step;
-  unsatisfied_ = c.unsatisfied;
-  local_unsatisfied_ = c.local_unsatisfied;
-  no_progress_ = c.no_progress;
-  bytes_sent_ = c.bytes_sent;
-  bytes_received_ = c.bytes_received;
-  summary_entries_ = c.summary_entries;
-  stalled_ = false;
-  watchdog_hit_ = false;
-  pending_stall_ = false;
-  running_ = step_ < ctx_.sim.max_steps && unsatisfied_ > 0;
-  util::BinStream policy_state(std::move(c.policy_state));
-  policy_->load_state(policy_state);
-  policy_state.require(policy_state.exhausted(), "checkpoint.policy_state",
-                       "trailing bytes");
-  if (shard_ == 0) {
-    moves_per_step_ = std::move(c.moves_per_step);
-    lost_per_step_ = std::move(c.lost_per_step);
-    useful_total_ = c.useful_total;
-    lost_total_ = c.lost_total;
-  }
-  if (ctx_.sim.record_schedule) schedule_ = std::move(c.schedule);
-}
-
 // ---------------------------------------------------------------------
 // run_sharded
 // ---------------------------------------------------------------------
@@ -936,18 +815,6 @@ sim::RunResult run_sharded(const core::Instance& instance,
   if (ctx.watchdog_window == 0)
     ctx.watchdog_window =
         options.sim.faults != nullptr ? kDefaultNoProgressWindow : -1;
-  if (options.recovery.max_respawns < 0)
-    throw Error("RecoveryOptions.max_respawns must be >= 0, got " +
-                std::to_string(options.recovery.max_respawns));
-  if (options.recovery.checkpoint_interval < 0)
-    throw Error("RecoveryOptions.checkpoint_interval must be >= 0, got " +
-                std::to_string(options.recovery.checkpoint_interval));
-  ctx.checkpoint_interval = options.recovery.checkpoint_interval;
-  ctx.max_respawns = options.recovery.max_respawns;
-  ctx.crash_plan = options.recovery.crash_plan;
-  ctx.recovery_armed =
-      ctx.checkpoint_interval > 0 || ctx.crash_plan != nullptr;
-  ctx.log_losses = ctx.recovery_armed && options.sim.faults != nullptr;
   ctx.static_capacity.resize(
       static_cast<std::size_t>(instance.graph().num_arcs()));
   for (ArcId a = 0; a < instance.graph().num_arcs(); ++a)
@@ -957,14 +824,8 @@ sim::RunResult run_sharded(const core::Instance& instance,
   if (options.sim.faults != nullptr)
     options.sim.faults->reset(instance, options.sim.seed);
 
-  const TransportResult transported = run_in_process(ctx);
-
   sim::RunResult result =
-      merge_fragments(instance, policy_name, transported.fragments);
-  result.stats.worker_crashes = transported.recovery.worker_crashes;
-  result.stats.recoveries = transported.recovery.recoveries;
-  result.stats.replayed_steps = transported.recovery.replayed_steps;
-  result.stats.checkpoint_bytes = transported.recovery.checkpoint_bytes;
+      merge_fragments(instance, policy_name, run_in_process(ctx));
   result.stats.wall_seconds = timer.seconds();
   return result;
 }

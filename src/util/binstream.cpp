@@ -1,6 +1,5 @@
 #include "ocd/util/binstream.hpp"
 
-#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -47,21 +46,9 @@ const char* BinStream::read_span(const char* field, std::size_t n) {
   return out;
 }
 
-void BinStream::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
 void BinStream::put_u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i)
     bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void BinStream::put_f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
 }
 
 void BinStream::put_varint(std::uint64_t v) {
@@ -81,22 +68,8 @@ void BinStream::put_bytes(const void* data, std::size_t n) {
   bytes_.append(static_cast<const char*>(data), n);
 }
 
-void BinStream::put_string(std::string_view s) {
-  put_varint(s.size());
-  bytes_.append(s.data(), s.size());
-}
-
 std::uint8_t BinStream::get_u8(const char* field) {
   return static_cast<std::uint8_t>(*read_span(field, 1));
-}
-
-std::uint32_t BinStream::get_u32(const char* field) {
-  const char* p = read_span(field, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
 }
 
 std::uint64_t BinStream::get_u64(const char* field) {
@@ -105,13 +78,6 @@ std::uint64_t BinStream::get_u64(const char* field) {
   for (int i = 0; i < 8; ++i)
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
          << (8 * i);
-  return v;
-}
-
-double BinStream::get_f64(const char* field) {
-  const std::uint64_t bits = get_u64(field);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
@@ -137,14 +103,6 @@ std::uint64_t BinStream::get_varint(const char* field) {
 std::int64_t BinStream::get_varint_signed(const char* field) {
   const std::uint64_t u = get_varint(field);
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-std::string BinStream::get_string(const char* field) {
-  const std::uint64_t n = get_varint(field);
-  require(n <= bytes_.size() - pos_, field,
-          "string length exceeds remaining bytes");
-  const char* p = read_span(field, static_cast<std::size_t>(n));
-  return std::string(p, static_cast<std::size_t>(n));
 }
 
 // ---------------------------------------------------------------------
@@ -238,141 +196,8 @@ void get_token_set_into(BinStream& stream, const char* field,
 }
 
 // ---------------------------------------------------------------------
-// TokenMatrix
+// Schedule
 // ---------------------------------------------------------------------
-void put_token_matrix(BinStream& stream, const TokenMatrix& matrix) {
-  stream.put_varint(matrix.rows());
-  stream.put_varint(matrix.universe_size());
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    const TokenSetView row = matrix.row(r);
-    for (std::size_t w = 0; w < row.num_words(); ++w)
-      stream.put_u64(row.words_data()[w]);
-  }
-}
-
-TokenMatrix get_token_matrix(BinStream& stream, const char* field) {
-  const std::uint64_t rows = stream.get_varint(field);
-  const std::uint64_t universe = stream.get_varint(field);
-  stream.require(
-      universe <= static_cast<std::uint64_t>(
-                      std::numeric_limits<std::int32_t>::max()),
-      field, "token-matrix universe exceeds the TokenId range");
-  const std::uint64_t words = (universe + 63) / 64;
-  // 8 bytes per stored word must still be ahead in the buffer; checking
-  // before the allocation keeps a forged row count from OOMing.
-  stream.require(rows <= (stream.size() / 8 + 1) / (words ? words : 1),
-                 field, "token-matrix row count exceeds remaining bytes");
-  TokenMatrix out(static_cast<std::size_t>(rows),
-                  static_cast<std::size_t>(universe));
-  const std::uint64_t tail_mask =
-      universe % 64 == 0 ? ~0ULL : (~0ULL) >> (64 - universe % 64);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    MutableTokenSetView row = out.row(static_cast<std::size_t>(r));
-    for (std::uint64_t w = 0; w < words; ++w)
-      row.mutable_words()[w] = stream.get_u64(field);
-    if (words > 0) {
-      stream.require((row.words_data()[words - 1] & ~tail_mask) == 0, field,
-                     "token-matrix row has bits set beyond the universe");
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// Digraph / Instance / Schedule
-// ---------------------------------------------------------------------
-void put_digraph(BinStream& stream, const Digraph& graph) {
-  stream.put_varint(static_cast<std::uint64_t>(graph.num_vertices()));
-  stream.put_varint(static_cast<std::uint64_t>(graph.num_arcs()));
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const Arc& arc = graph.arc(a);
-    stream.put_varint(static_cast<std::uint64_t>(arc.from));
-    stream.put_varint(static_cast<std::uint64_t>(arc.to));
-    stream.put_varint_signed(arc.capacity);
-  }
-}
-
-Digraph get_digraph(BinStream& stream, const char* field) {
-  const std::uint64_t n = stream.get_varint(field);
-  const std::uint64_t num_arcs = stream.get_varint(field);
-  stream.require(n <= static_cast<std::uint64_t>(
-                          std::numeric_limits<std::int32_t>::max()),
-                 field, "vertex count exceeds the VertexId range");
-  // Every arc needs at least 3 bytes ahead of us.
-  stream.require(num_arcs <= stream.size() / 3 + 1, field,
-                 "arc count exceeds remaining bytes");
-  Digraph graph(static_cast<std::int32_t>(n));
-  for (std::uint64_t i = 0; i < num_arcs; ++i) {
-    const std::uint64_t from = stream.get_varint(field);
-    const std::uint64_t to = stream.get_varint(field);
-    const std::int64_t capacity = stream.get_varint_signed(field);
-    stream.require(from < n && to < n, field,
-                   "arc endpoint outside the vertex range");
-    stream.require(from != to, field, "self-loop arc");
-    stream.require(capacity >= 0 && capacity <= std::numeric_limits<
-                                                    std::int32_t>::max(),
-                   field, "arc capacity out of range");
-    stream.require(
-        !graph.has_arc(static_cast<VertexId>(from),
-                       static_cast<VertexId>(to)),
-        field, "duplicate arc");
-    graph.add_arc(static_cast<VertexId>(from), static_cast<VertexId>(to),
-                  static_cast<std::int32_t>(capacity));
-  }
-  graph.finalize();
-  return graph;
-}
-
-void put_instance(BinStream& stream, const core::Instance& instance) {
-  put_digraph(stream, instance.graph());
-  stream.put_varint(static_cast<std::uint64_t>(instance.num_tokens()));
-  for (VertexId v = 0; v < instance.num_vertices(); ++v)
-    put_token_set(stream, TokenSetView(instance.have(v)));
-  for (VertexId v = 0; v < instance.num_vertices(); ++v)
-    put_token_set(stream, TokenSetView(instance.want(v)));
-  stream.put_varint(instance.files().size());
-  for (const core::File& file : instance.files()) {
-    stream.put_varint(static_cast<std::uint64_t>(file.first));
-    stream.put_varint(static_cast<std::uint64_t>(file.size));
-  }
-}
-
-core::Instance get_instance(BinStream& stream, const char* field) {
-  Digraph graph = get_digraph(stream, field);
-  const std::uint64_t num_tokens = stream.get_varint(field);
-  stream.require(
-      num_tokens <= static_cast<std::uint64_t>(
-                        std::numeric_limits<std::int32_t>::max()),
-      field, "token universe exceeds the TokenId range");
-  const std::int32_t n = graph.num_vertices();
-  core::Instance instance(std::move(graph),
-                          static_cast<std::int32_t>(num_tokens));
-  for (VertexId v = 0; v < n; ++v) {
-    TokenSet have = get_token_set(stream, field);
-    stream.require(have.universe_size() == num_tokens, field,
-                   "have-set universe does not match the instance");
-    instance.set_have(v, std::move(have));
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    TokenSet want = get_token_set(stream, field);
-    stream.require(want.universe_size() == num_tokens, field,
-                   "want-set universe does not match the instance");
-    instance.set_want(v, std::move(want));
-  }
-  const std::uint64_t num_files = stream.get_varint(field);
-  stream.require(num_files <= stream.size(), field,
-                 "file count exceeds remaining bytes");
-  for (std::uint64_t i = 0; i < num_files; ++i) {
-    const std::uint64_t first = stream.get_varint(field);
-    const std::uint64_t size = stream.get_varint(field);
-    stream.require(first + size <= num_tokens, field,
-                   "file range outside the token universe");
-    instance.add_file(static_cast<TokenId>(first),
-                      static_cast<std::int32_t>(size));
-  }
-  return instance;
-}
-
 void put_schedule(BinStream& stream, const core::Schedule& schedule) {
   stream.put_varint(schedule.steps().size());
   for (const core::Timestep& step : schedule.steps()) {

@@ -1,5 +1,5 @@
 // The s-t max-flow core (ocd/flow/max_flow.hpp) underneath the shard
-// partitioner's flow refinement (and, per ROADMAP item 2, future
+// partitioner's flow refinement (and, per ROADMAP item 4, future
 // time-expanded flow planners).  Pinned here: exact values on known
 // networks, min-cut duality on both canonical cuts, Dinic == scaling
 // on every network, and a differential fuzz of both against a naive

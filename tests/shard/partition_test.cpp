@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "ocd/core/scenario.hpp"
 #include "ocd/shard/partition.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
@@ -180,56 +179,6 @@ TEST(ShardPartition, MultiSweepConvergesAndStaysDeterministic) {
   // The default stays bit-compatible with the historical single sweep.
   EXPECT_EQ(partition_vertices(g, 4).shard_of,
             partition_vertices(g, 4, 1).shard_of);
-}
-
-TEST(ShardPartition, SubInstanceExtractsOwnedPlusGhostSlice) {
-  Rng rng(5);
-  Digraph g = topology::random_overlay(30, rng);
-  core::Instance inst =
-      core::single_source_all_receivers(std::move(g), 10, 0);
-  const Partition part = partition_vertices(inst.graph(), 3);
-  for (std::int32_t s = 0; s < 3; ++s) {
-    const SubInstance sub = extract_sub_instance(inst, part, s);
-    const auto& owned = part.owned[static_cast<std::size_t>(s)];
-    const auto& ghosts = part.ghosts[static_cast<std::size_t>(s)];
-    ASSERT_EQ(sub.to_global.size(), owned.size() + ghosts.size());
-    EXPECT_TRUE(
-        std::is_sorted(sub.to_global.begin(), sub.to_global.end()));
-    EXPECT_EQ(sub.instance.num_vertices(),
-              static_cast<std::int32_t>(sub.to_global.size()));
-    EXPECT_EQ(sub.instance.num_tokens(), inst.num_tokens());
-    // have/want copied for every local vertex.
-    for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-      EXPECT_EQ(sub.instance.have(static_cast<VertexId>(i)),
-                inst.have(sub.to_global[i]));
-      EXPECT_EQ(sub.instance.want(static_cast<VertexId>(i)),
-                inst.want(sub.to_global[i]));
-    }
-    // Arcs: exactly those incident to an owned vertex, in global arc
-    // order, endpoints relabeled consistently.
-    ASSERT_EQ(sub.arc_to_global.size(),
-              static_cast<std::size_t>(sub.instance.graph().num_arcs()));
-    EXPECT_TRUE(std::is_sorted(sub.arc_to_global.begin(),
-                               sub.arc_to_global.end()));
-    std::size_t expected_arcs = 0;
-    for (ArcId a = 0; a < inst.graph().num_arcs(); ++a) {
-      const Arc& arc = inst.graph().arc(a);
-      const bool incident =
-          part.shard_of[static_cast<std::size_t>(arc.from)] == s ||
-          part.shard_of[static_cast<std::size_t>(arc.to)] == s;
-      if (incident) ++expected_arcs;
-    }
-    EXPECT_EQ(sub.arc_to_global.size(), expected_arcs);
-    for (ArcId local = 0;
-         local < sub.instance.graph().num_arcs(); ++local) {
-      const Arc& la = sub.instance.graph().arc(local);
-      const Arc& ga = inst.graph().arc(
-          sub.arc_to_global[static_cast<std::size_t>(local)]);
-      EXPECT_EQ(sub.to_global[static_cast<std::size_t>(la.from)], ga.from);
-      EXPECT_EQ(sub.to_global[static_cast<std::size_t>(la.to)], ga.to);
-      EXPECT_EQ(la.capacity, ga.capacity);
-    }
-  }
 }
 
 // --- Balance band (ε) and flow-based refinement -----------------------

@@ -1,7 +1,7 @@
-// BinStream: differential round-trip fuzz over every core type plus
-// hostile-input error paths.  Decoders must reject truncated and
-// corrupted streams with an ocd::Error naming the offending field —
-// never crash, never silently misparse.
+// BinStream: differential round-trip fuzz over the primitives, token
+// sets and schedules, plus hostile-input error paths.  Decoders must
+// reject truncated and corrupted streams with an ocd::Error naming the
+// offending field — never crash, never silently misparse.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,9 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "ocd/core/scenario.hpp"
-#include "ocd/shard/recovery.hpp"
-#include "ocd/topology/random_graph.hpp"
 #include "ocd/util/binstream.hpp"
 #include "ocd/util/rng.hpp"
 
@@ -32,10 +29,7 @@ TokenSet random_set(std::size_t universe, double density, Rng& rng) {
 TEST(BinStream, PrimitiveRoundTrip) {
   BinStream stream;
   stream.put_u8(0xAB);
-  stream.put_u32(0xDEADBEEFu);
   stream.put_u64(0x0123456789ABCDEFull);
-  stream.put_i64(-42);
-  stream.put_f64(2.5);
   stream.put_bool(true);
   stream.put_bool(false);
   stream.put_varint(0);
@@ -46,38 +40,31 @@ TEST(BinStream, PrimitiveRoundTrip) {
   stream.put_varint_signed(-1);
   stream.put_varint_signed(std::numeric_limits<std::int64_t>::min());
   stream.put_varint_signed(std::numeric_limits<std::int64_t>::max());
-  stream.put_string("hello");
-  stream.put_string("");
 
   BinStream reader(stream.bytes());
   EXPECT_EQ(reader.get_u8("a"), 0xAB);
-  EXPECT_EQ(reader.get_u32("b"), 0xDEADBEEFu);
-  EXPECT_EQ(reader.get_u64("c"), 0x0123456789ABCDEFull);
-  EXPECT_EQ(reader.get_i64("d"), -42);
-  EXPECT_EQ(reader.get_f64("e"), 2.5);
-  EXPECT_TRUE(reader.get_bool("f"));
-  EXPECT_FALSE(reader.get_bool("g"));
-  EXPECT_EQ(reader.get_varint("h"), 0u);
-  EXPECT_EQ(reader.get_varint("i"), 127u);
-  EXPECT_EQ(reader.get_varint("j"), 128u);
-  EXPECT_EQ(reader.get_varint("k"),
+  EXPECT_EQ(reader.get_u64("b"), 0x0123456789ABCDEFull);
+  EXPECT_TRUE(reader.get_bool("c"));
+  EXPECT_FALSE(reader.get_bool("d"));
+  EXPECT_EQ(reader.get_varint("e"), 0u);
+  EXPECT_EQ(reader.get_varint("f"), 127u);
+  EXPECT_EQ(reader.get_varint("g"), 128u);
+  EXPECT_EQ(reader.get_varint("h"),
             std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(reader.get_varint_signed("l"), 0);
-  EXPECT_EQ(reader.get_varint_signed("m"), -1);
-  EXPECT_EQ(reader.get_varint_signed("n"),
+  EXPECT_EQ(reader.get_varint_signed("i"), 0);
+  EXPECT_EQ(reader.get_varint_signed("j"), -1);
+  EXPECT_EQ(reader.get_varint_signed("k"),
             std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(reader.get_varint_signed("o"),
+  EXPECT_EQ(reader.get_varint_signed("l"),
             std::numeric_limits<std::int64_t>::max());
-  EXPECT_EQ(reader.get_string("p"), "hello");
-  EXPECT_EQ(reader.get_string("q"), "");
   EXPECT_TRUE(reader.exhausted());
 }
 
 TEST(BinStream, TruncatedReadNamesTheField) {
   BinStream stream;
-  stream.put_u32(7);
+  stream.put_u8(7);
   BinStream reader(stream.bytes());
-  reader.get_u32("first");
+  reader.get_u8("first");
   try {
     reader.get_u64("second.field");
     FAIL() << "expected ocd::Error";
@@ -281,54 +268,6 @@ TEST(BinStream, TokenSetRawSparseThresholdAtWordBoundaries) {
   }
 }
 
-TEST(BinStream, TokenMatrixRoundTrip) {
-  Rng rng(11);
-  for (std::size_t universe : kUniverses) {
-    TokenMatrix matrix(5, universe);
-    for (std::size_t r = 0; r < 5; ++r)
-      matrix.row(r).assign(random_set(universe, 0.3, rng));
-    BinStream stream;
-    put_token_matrix(stream, matrix);
-    BinStream reader(stream.bytes());
-    const TokenMatrix decoded = get_token_matrix(reader, "matrix");
-    EXPECT_EQ(decoded, matrix) << universe;
-    EXPECT_TRUE(reader.exhausted());
-  }
-}
-
-TEST(BinStream, DigraphAndInstanceRoundTrip) {
-  Rng rng(3);
-  Digraph g = topology::random_overlay(20, rng);
-  BinStream gstream;
-  put_digraph(gstream, g);
-  BinStream greader(gstream.bytes());
-  const Digraph gd = get_digraph(greader, "graph");
-  ASSERT_EQ(gd.num_vertices(), g.num_vertices());
-  ASSERT_EQ(gd.num_arcs(), g.num_arcs());
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    EXPECT_EQ(gd.arc(a).from, g.arc(a).from);
-    EXPECT_EQ(gd.arc(a).to, g.arc(a).to);
-    EXPECT_EQ(gd.arc(a).capacity, g.arc(a).capacity);
-  }
-
-  Rng rng2(4);
-  Digraph g2 = topology::random_overlay(15, rng2);
-  const core::Instance inst =
-      core::single_source_all_receivers(std::move(g2), 9, 0);
-  BinStream istream;
-  put_instance(istream, inst);
-  BinStream ireader(istream.bytes());
-  const core::Instance decoded = get_instance(ireader, "instance");
-  ASSERT_EQ(decoded.num_vertices(), inst.num_vertices());
-  ASSERT_EQ(decoded.num_tokens(), inst.num_tokens());
-  ASSERT_EQ(decoded.graph().num_arcs(), inst.graph().num_arcs());
-  for (VertexId v = 0; v < inst.num_vertices(); ++v) {
-    EXPECT_EQ(decoded.have(v), inst.have(v));
-    EXPECT_EQ(decoded.want(v), inst.want(v));
-  }
-  decoded.validate();
-}
-
 TEST(BinStream, ScheduleRoundTrip) {
   core::Schedule schedule;
   core::Timestep step0;
@@ -357,21 +296,41 @@ TEST(BinStream, ScheduleRoundTrip) {
   }
 }
 
-// Hostile-input sweep: every proper prefix of an encoded instance must
-// throw (truncation), and single-byte corruptions must either throw or
-// decode into something self-consistent — never crash.
+// Hostile-input sweep over the surviving frame codec: every proper
+// prefix of an encoded schedule must throw (truncation), and single-byte
+// corruptions must either throw or decode into a schedule that survives
+// its own round trip — never crash.  The 65-token universe spans two
+// words, and the sends mix sparse and raw token-set encodings.
 TEST(BinStream, TruncationAndCorruptionSweep) {
+  constexpr std::size_t kUniverse = 65;
   Rng rng(6);
-  Digraph g = topology::random_overlay(10, rng);
-  const core::Instance inst =
-      core::single_source_all_receivers(std::move(g), 5, 0);
+  core::Schedule schedule;
+  for (int s = 0; s < 4; ++s) {
+    core::Timestep step;
+    for (ArcId arc = 0; arc < 3; ++arc)
+      step.add(arc + 3 * s,
+               random_set(kUniverse, arc == 0 ? 0.05 : 0.6, rng));
+    schedule.append(std::move(step));
+  }
+  // Both encodings occur (tag byte follows the one-byte universe).
+  const auto tag_of = [](const TokenSet& set) {
+    BinStream one;
+    put_token_set(one, set);
+    return one.bytes()[1];
+  };
+  bool sparse = false, raw = false;
+  for (const core::Timestep& step : schedule.steps())
+    for (const core::ArcSend& send : step.sends())
+      (tag_of(send.tokens) == 1 ? sparse : raw) = true;
+  ASSERT_TRUE(sparse && raw);
+
   BinStream stream;
-  put_instance(stream, inst);
+  put_schedule(stream, schedule);
   const std::string& bytes = stream.bytes();
 
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     BinStream reader(bytes.substr(0, cut));
-    EXPECT_THROW(get_instance(reader, "instance"), Error) << "cut " << cut;
+    EXPECT_THROW(get_schedule(reader, "schedule"), Error) << "cut " << cut;
   }
 
   Rng corrupt_rng(99);
@@ -382,160 +341,24 @@ TEST(BinStream, TruncationAndCorruptionSweep) {
         mutated[pos] ^ static_cast<char>(1 + corrupt_rng.below(255)));
     BinStream reader(mutated);
     try {
-      const core::Instance decoded = get_instance(reader, "instance");
-      decoded.validate();
+      const core::Schedule decoded = get_schedule(reader, "schedule");
+      BinStream again;
+      put_schedule(again, decoded);
+      BinStream again_reader(again.bytes());
+      const core::Schedule redecoded = get_schedule(again_reader, "schedule");
+      ASSERT_EQ(redecoded.steps().size(), decoded.steps().size());
+      for (std::size_t s = 0; s < decoded.steps().size(); ++s) {
+        const auto& want = decoded.steps()[s].sends();
+        const auto& got = redecoded.steps()[s].sends();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].arc, want[i].arc);
+          EXPECT_EQ(got[i].tokens, want[i].tokens);
+        }
+      }
     } catch (const Error&) {
       // rejected: fine
     }
-  }
-}
-
-// ---- checkpoint record ---------------------------------------------
-// The shard checkpoint is the highest-stakes record in the codec: a
-// silently misparsed one resurrects a worker with wrong state, which
-// recovery then replicates into the final schedule.  Same discipline as
-// the instance sweep: truncation at every byte (hence at every field
-// boundary) throws a field-named error, corruption never crashes, and a
-// checkpoint presented to the wrong shard is rejected by name.
-
-shard::Checkpoint sample_checkpoint(std::int32_t shard_id) {
-  shard::Checkpoint c;
-  c.shard = shard_id;
-  c.num_shards = 4;
-  c.step = 6;
-  c.unsatisfied = 9;
-  c.local_unsatisfied = 3;
-  c.no_progress = 1;
-  Rng rng(41);
-  c.possession = TokenMatrix(7, 65);
-  for (std::size_t row = 0; row < 7; ++row)
-    c.possession.assign_row(row, random_set(65, 0.4, rng));
-  c.satisfied = {1, 0, 1, 0, 0};
-  c.completion = {2, -1, 5, -1, -1};
-  c.sent_by = {{0, 4}, {3, 1}, {6, 11}};
-  c.holders.assign(65, 2);
-  c.need.assign(65, 3);
-  {
-    BinStream policy;
-    policy.put_u64(0xfeedfacecafebeefull);
-    c.policy_state = std::move(policy).take();
-  }
-  if (shard_id == 0) {
-    c.moves_per_step = {4, 3, 5, 2, 1, 6};
-    c.lost_per_step = {0, 1, 0, 0, 2, 0};
-    c.useful_total = 17;
-    c.lost_total = 3;
-  }
-  c.has_schedule = true;
-  core::Timestep step;
-  step.add(1, TokenSet::of(65, {2, 64}));
-  c.schedule.append(std::move(step));
-  return c;
-}
-
-TEST(BinStream, CheckpointRoundTrip) {
-  for (std::int32_t shard_id : {0, 2}) {
-    const shard::Checkpoint original = sample_checkpoint(shard_id);
-    BinStream stream;
-    shard::put_checkpoint(stream, original);
-    BinStream reader(stream.bytes());
-    const shard::Checkpoint decoded =
-        shard::get_checkpoint(reader, "checkpoint", shard_id);
-    EXPECT_TRUE(reader.exhausted());
-    EXPECT_EQ(decoded.shard, original.shard);
-    EXPECT_EQ(decoded.num_shards, original.num_shards);
-    EXPECT_EQ(decoded.step, original.step);
-    EXPECT_EQ(decoded.unsatisfied, original.unsatisfied);
-    EXPECT_EQ(decoded.local_unsatisfied, original.local_unsatisfied);
-    EXPECT_EQ(decoded.no_progress, original.no_progress);
-    ASSERT_EQ(decoded.possession.rows(), original.possession.rows());
-    for (std::size_t row = 0; row < original.possession.rows(); ++row)
-      EXPECT_EQ(TokenSet(decoded.possession.row(row)),
-                TokenSet(original.possession.row(row)));
-    EXPECT_EQ(decoded.satisfied, original.satisfied);
-    EXPECT_EQ(decoded.completion, original.completion);
-    EXPECT_EQ(decoded.sent_by, original.sent_by);
-    EXPECT_EQ(decoded.holders, original.holders);
-    EXPECT_EQ(decoded.need, original.need);
-    EXPECT_EQ(decoded.policy_state, original.policy_state);
-    EXPECT_EQ(decoded.moves_per_step, original.moves_per_step);
-    EXPECT_EQ(decoded.lost_per_step, original.lost_per_step);
-    EXPECT_EQ(decoded.useful_total, original.useful_total);
-    EXPECT_EQ(decoded.lost_total, original.lost_total);
-    ASSERT_EQ(decoded.has_schedule, original.has_schedule);
-    EXPECT_EQ(decoded.schedule.length(), original.schedule.length());
-  }
-}
-
-TEST(BinStream, CheckpointTruncationAtEveryFieldBoundary) {
-  BinStream stream;
-  shard::put_checkpoint(stream, sample_checkpoint(0));
-  const std::string& bytes = stream.bytes();
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    BinStream reader(bytes.substr(0, cut));
-    EXPECT_THROW(shard::get_checkpoint(reader, "checkpoint"), Error)
-        << "cut " << cut;
-  }
-}
-
-TEST(BinStream, CheckpointCorruptionNeverCrashes) {
-  BinStream stream;
-  shard::put_checkpoint(stream, sample_checkpoint(2));
-  const std::string& bytes = stream.bytes();
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = bytes;
-    const auto pos = static_cast<std::size_t>(rng.below(mutated.size()));
-    mutated[pos] = static_cast<char>(
-        mutated[pos] ^ static_cast<char>(1 + rng.below(255)));
-    BinStream reader(mutated);
-    try {
-      const shard::Checkpoint decoded =
-          shard::get_checkpoint(reader, "checkpoint", 2);
-      // Surviving decodes must still satisfy the record's invariants.
-      EXPECT_EQ(decoded.shard, 2);
-      EXPECT_LE(decoded.local_unsatisfied, decoded.unsatisfied);
-      EXPECT_EQ(decoded.completion.size(), decoded.satisfied.size());
-    } catch (const Error&) {
-      // rejected: fine
-    }
-  }
-}
-
-TEST(BinStream, CheckpointFromTheWrongShardIsRejected) {
-  BinStream stream;
-  shard::put_checkpoint(stream, sample_checkpoint(1));
-  BinStream reader(stream.bytes());
-  try {
-    shard::get_checkpoint(reader, "checkpoint", /*expect_shard=*/3);
-    FAIL() << "expected wrong-shard rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("checkpoint from the wrong shard"),
-              std::string::npos)
-        << e.what();
-  }
-  // Without an expectation the same record decodes fine.
-  BinStream again(stream.bytes());
-  EXPECT_EQ(shard::get_checkpoint(again, "checkpoint").shard, 1);
-}
-
-TEST(BinStream, CheckpointCorruptVarintAndBadMagicAreRejected) {
-  BinStream stream;
-  shard::put_checkpoint(stream, sample_checkpoint(0));
-  std::string bytes = stream.bytes();
-  {
-    std::string bad_magic = bytes;
-    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
-    BinStream reader(bad_magic);
-    EXPECT_THROW(shard::get_checkpoint(reader, "checkpoint"), Error);
-  }
-  {
-    // An unterminated varint where the shard id lives: continuation
-    // bits forever.
-    std::string runaway = bytes.substr(0, 4);
-    runaway.append(12, static_cast<char>(0x80));
-    BinStream reader(runaway);
-    EXPECT_THROW(shard::get_checkpoint(reader, "checkpoint"), Error);
   }
 }
 
