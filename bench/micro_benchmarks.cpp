@@ -292,12 +292,17 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
 // 1 / items_per_sec.  Rows are timed in real time over at least 2 s:
 // under the default 0.5 s minimum the ~0.5-1.3 s iterations at
 // 1000v x 512t ran once or twice, and back-to-back runs of `global`
-// differed by ~50%.
-void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
+// differed by ~50%.  The `_sparse` rows run fig_shard's instance
+// (sparse_random_overlay(n, 8.0) from its graph seed, 8 tokens at
+// vertex 0): the few-token regime, where `global`'s duplication cap
+// relaxes every few grants.
+void BM_PlannerStepsPerSec(benchmark::State& state, const char* name,
+                           bool sparse) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
-  Rng rng(29);
-  Digraph g = topology::random_overlay(n, rng);
+  Rng rng(sparse ? 0x5a4d'0001 : 29);
+  Digraph g = sparse ? topology::sparse_random_overlay(n, 8.0, rng)
+                     : topology::random_overlay(n, rng);
   const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
   auto policy = heuristics::make_policy(name);
   sim::SimOptions options;
@@ -313,33 +318,59 @@ void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
   }
   state.SetItemsProcessed(steps);  // items/sec == planned steps/sec
 }
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global")
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global", false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local", false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random", false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin", false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth", false)
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global_sparse, "global", true)
+    ->Args({20000, 8})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local_sparse, "local", true)
+    ->Args({20000, 8})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random_sparse, "random", true)
+    ->Args({20000, 8})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin_sparse, "round-robin",
+                  true)
+    ->Args({20000, 8})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_sparse, "bandwidth", true)
+    ->Args({20000, 8})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -51,6 +51,10 @@ void usage() {
       "  --files <int>                    subdivide into equal files (default 1)\n"
       "  --density <0..1>                 receiver-density threshold (default 1)\n"
       "  --policy <name>                  round-robin|random|local|bandwidth|global\n"
+      "                                   (default local), any of them with\n"
+      "                                   +reliable, or an architecture\n"
+      "                                   baseline: overcast-tree|\n"
+      "                                   splitstream-forest|fast-replica\n"
       "  --staleness <int>                peer knowledge k turns old (default 0)\n"
       "  --dynamics jitter|link-churn|node-churn\n"
       "  --seed <uint64>\n"
@@ -120,10 +124,20 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       opt.density = *density;
     } else if (flag == "--policy") {
       opt.policy = value();
+      // The factory is the one list of names, "+reliable" included.
+      try {
+        (void)ocd::heuristics::make_policy(opt.policy);
+      } catch (const ocd::Error&) {
+        bad_value(flag, "a policy name listed by --help", opt.policy.c_str());
+      }
     } else if (flag == "--staleness") {
       opt.staleness = parse_int_at_least(flag, value(), 0);
     } else if (flag == "--dynamics") {
       opt.dynamics = value();
+      if (opt.dynamics != "jitter" && opt.dynamics != "link-churn" &&
+          opt.dynamics != "node-churn")
+        bad_value(flag, "one of jitter, link-churn, node-churn",
+                  opt.dynamics.c_str());
     } else if (flag == "--seed") {
       const char* text = value();
       const auto seed = parse_whole<std::uint64_t>(text);
@@ -192,9 +206,6 @@ int main(int argc, char** argv) {
       model = std::make_unique<dynamics::LinkChurn>(0.10, 3);
     } else if (opt.dynamics == "node-churn") {
       model = std::make_unique<dynamics::NodeChurn>(0.05, 4);
-    } else if (!opt.dynamics.empty()) {
-      std::cerr << "unknown dynamics model " << opt.dynamics << '\n';
-      return 2;
     }
 
     auto policy = heuristics::make_policy(opt.policy);

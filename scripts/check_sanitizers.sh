@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Build the full tree with AddressSanitizer + UndefinedBehaviorSanitizer
-# (the `asan-ubsan` CMake preset) and run the tier-1 test suite under it,
-# then rebuild the test suite with ThreadSanitizer (the `tsan` preset)
-# and run the threaded sweep-harness tests under that.  Any sanitizer
-# report fails the run.
+# (the `asan-ubsan` CMake preset, which also defines _GLIBCXX_ASSERTIONS
+# so that libstdc++ bounds-checks container indexing) and run the tier-1
+# test suite under it, then rebuild the test suite with ThreadSanitizer
+# (the `tsan` preset) and run the threaded sweep-harness tests under
+# that.  Any sanitizer report or failed assertion fails the run.
 #
 #   scripts/check_sanitizers.sh             # configure + build + ctest
 #   OCD_SAN_FILTER='Simulator*' scripts/check_sanitizers.sh  # ASan subset

@@ -64,7 +64,9 @@ build-bench/bench/micro_benchmarks \
 
 # The regression gate refuses debug-build snapshots and insists the
 # full planner grid is present — every family at the large 1000v/512t
-# point — so a silently dropped benchmark cannot pass unnoticed.  The
+# point, and `global` on the sparse 20k-vertex 8-token instance — so a
+# silently dropped benchmark cannot pass unnoticed (a baseline recorded
+# before the sparse rows existed fails that --require).  The
 # /shards:N gates are --require-any: --allow-undersized-host keeps
 # this gate usable on small CI boxes, where presence is still enforced
 # but the vacuous contention comparison is skipped.  The scalar
@@ -90,6 +92,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/random/1000/512' \
     --require 'PlannerStepsPerSec/round_robin/1000/512' \
     --require 'PlannerStepsPerSec/bandwidth/1000/512' \
+    --require 'PlannerStepsPerSec/global_sparse/20000/8' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

@@ -57,10 +57,11 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
   active_.clear();
   active_.reserve(num_arcs);
   asleep_.assign(num_arcs, 0);
+  epoch_ = 0;
 }
 
 // Coordinated greedy over (arc, token) pairs.  Assignment proceeds in
-// passes; during pass w a token may hold at most w+1 grants, which
+// passes; during wave w a token may hold at most w+1 grants, which
 // spreads *different* rare tokens across the arcs (diversity) instead of
 // pushing the single rarest token everywhere.  Wanted deliveries are
 // preferred over pure diversity floods at every pick, and a token is
@@ -72,8 +73,7 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
 // `cand_words & wanted_words & wave_ok_words` instead of an O(universe)
 // scan of the rarity order.  Per-arc candidate sets are maintained
 // incrementally: granting a token to a vertex clears its bit from every
-// in-arc of that vertex, and arcs whose candidates or capacity are
-// exhausted leave the active list for good (both only shrink).
+// in-arc of that vertex.
 //
 // Every working set lives in the policy's scratch members (sized in
 // reset(), overwritten in place here), so a steady-state step is
@@ -93,17 +93,19 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
   for (std::size_t vi = 0; vi < n; ++vi)
     ranker_.to_ranks_into(possession.row(vi), ranked_poss_.row(vi));
 
-  // Per-arc candidates (tail has, head lacks) and remaining capacity.
-  bool anything = false;
+  // Per-arc candidates (tail has, head lacks) and remaining capacity;
+  // the arcs that have both form the pick list, in arc-id order.
+  active_.clear();
   for (std::size_t ai = 0; ai < num_arcs; ++ai) {
-    const Arc& arc = graph.arc(static_cast<ArcId>(ai));
+    const auto a = static_cast<ArcId>(ai);
+    const Arc& arc = graph.arc(a);
     MutableTokenSetView cand = candidates_.row(ai);
     cand.assign(ranked_poss_.row(static_cast<std::size_t>(arc.from)));
     cand -= ranked_poss_.row(static_cast<std::size_t>(arc.to));
-    anything = anything || !cand.empty();
-    remaining_[ai] = view.capacity(static_cast<ArcId>(ai));
+    remaining_[ai] = view.capacity(a);
+    if (remaining_[ai] > 0 && !cand.empty()) active_.push_back(a);
   }
-  if (!anything) return;
+  if (active_.empty()) return;
 
   // Outstanding wants per vertex, fixed at step start.
   for (std::size_t vi = 0; vi < n; ++vi) {
@@ -114,45 +116,62 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
 
   // wave_ok holds the ranks whose grant count is still <= wave; ranks
   // pushed over the cap park in `capped` until the next wave relaxes it.
+  // A capped rank holds exactly wave+1 grants, so a relaxation returns
+  // every rank to wave_ok and `uncapped` (wave_ok's size) to universe.
   std::fill(grant_count_.begin(), grant_count_.end(), 0);
   wave_ok_.assign(full_);
   capped_.clear();
+  std::int32_t wave = 0;
+  std::size_t uncapped = universe;
 
-  active_.clear();
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (remaining_[ai] > 0 && !candidates_.row(ai).empty())
-      active_.push_back(a);
-  }
+  // An arc whose candidates are all over the duplication cap cannot
+  // pick again until the cap relaxes (its candidate set and wave_ok only
+  // shrink within a wave), so it falls asleep: its stamp is set to the
+  // current epoch, and each pass skips it with one compare instead of a
+  // word scan.  A relaxation starts a new epoch, which wakes every arc
+  // at once; so does the start of a step.
+  const auto wake_all = [&] {
+    if (++epoch_ == 0) {  // wrapped: old stamps would read as asleep
+      std::fill(asleep_.begin(), asleep_.end(), 0);
+      epoch_ = 1;
+    }
+  };
+  const auto relax = [&] {
+    ++wave;
+    wave_ok_ |= capped_;
+    capped_.clear();
+    uncapped = universe;
+    wake_all();
+  };
+  wake_all();
 
-  // An arc whose candidates are all over the duplication cap cannot pick
-  // again until the cap relaxes (its candidate set and wave_ok only
-  // shrink within a wave), so instead of rescanning it every pass it
-  // falls asleep and skips to the next relaxation: one flag check per
-  // pass instead of a full word scan.  The pick sequence — and hence the
-  // schedule — is identical to rescanning everything, because a sleeping
-  // arc could never have picked in the passes it skips, and it keeps its
-  // slot in the list so the scan order never changes.
+  // The live list is active_[first, size()).  A pass visits it in order
+  // and compacts the survivors forward.  It stops as soon as every rank
+  // is capped: no arc can pick before the next relaxation, so each scan
+  // left in the pass could only put an arc to sleep or find it
+  // exhausted.  The visited survivors then slide up against the
+  // unvisited tail, and the list restarts after the gap, so the pass
+  // costs only the arcs it visited.  Arcs left with no candidates or no
+  // capacity leave the list when a pass next reaches them.
+  //
+  // The schedule is the one a full rescan of every arc in every pass
+  // would give: the list order never changes, and every skipped scan
+  // (a sleeping arc, the rest of a stopped pass, the all-asleep pass
+  // before a relaxation) could only have put an arc to sleep or dropped
+  // it, never picked.
   const std::size_t num_words = wave_ok_.words().size();
   const std::uint64_t* ok_w = wave_ok_.words().data();
-  std::int32_t wave = 0;
-  std::size_t awake = active_.size();
-  while (!active_.empty()) {
-    if (awake == 0) {
-      // Every surviving arc is capped: the full rescan would be a
-      // no-progress pass.  Relax the cap and wake everyone.
-      ++wave;
-      wave_ok_ |= capped_;
-      capped_.clear();
-      for (const ArcId a : active_) asleep_[static_cast<std::size_t>(a)] = 0;
-      awake = active_.size();
-    }
-
-    std::size_t kept = 0;
-    for (std::size_t p = 0; p < active_.size(); ++p) {
-      const ArcId a = active_[p];
+  std::size_t first = 0;
+  while (first < active_.size()) {
+    const std::size_t end = active_.size();
+    const std::uint32_t epoch = epoch_;
+    std::size_t kept = first;
+    std::size_t p = first;
+    bool picker_kept_capacity = false;
+    while (p < end) {
+      const ArcId a = active_[p++];
       const auto ai = static_cast<std::size_t>(a);
-      if (asleep_[ai]) {
+      if (asleep_[ai] == epoch) {
         active_[kept++] = a;
         continue;
       }
@@ -166,9 +185,8 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
       if (pick < 0) {
         // Candidates left means they are all capped: sleep until the
         // next relaxation.  None left means the arc is done for good.
-        --awake;
         if (scan.cand_left != 0) {
-          asleep_[ai] = 1;
+          asleep_[ai] = epoch;
           active_[kept++] = a;
         }
         continue;
@@ -178,6 +196,7 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
       if (++grant_count_[static_cast<std::size_t>(pick)] > wave) {
         wave_ok_.reset(pick);
         capped_.set(pick);
+        --uncapped;
       }
       // The head now holds (a grant of) this token: no arc into it may
       // offer the token again this step.
@@ -185,11 +204,24 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
         candidates_.row(static_cast<std::size_t>(b)).reset(pick);
       if (--remaining_[ai] > 0) {
         active_[kept++] = a;
-      } else {
-        --awake;  // capacity exhausted: the arc leaves for good
+        picker_kept_capacity = true;
       }
+      if (uncapped == 0) break;
     }
-    active_.resize(kept);
+
+    if (p < end) {
+      if (kept < p) {
+        ArcId* list = active_.data();
+        std::move_backward(list + first, list + kept, list + p);
+        first = p - (kept - first);
+      }
+    } else {
+      active_.resize(kept);
+    }
+    // Relax once every rank is capped, or once no arc that picked in
+    // this pass kept capacity (every other listed arc is asleep): the
+    // next pass could not pick either way.
+    if (uncapped == 0 || !picker_kept_capacity) relax();
   }
 }
 

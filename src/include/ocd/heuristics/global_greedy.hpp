@@ -46,7 +46,11 @@ class GlobalGreedyPolicy final : public sim::Policy {
   TokenSet wave_ok_;  ///< ranks whose grant count is still <= wave
   TokenSet capped_;
   std::vector<ArcId> active_;
-  std::vector<char> asleep_;  ///< capped arcs sleep until a wave relax
+  /// Per arc, the epoch in which it fell asleep: an arc sleeps while
+  /// its stamp equals `epoch_`, so a relaxation wakes every arc by
+  /// bumping the epoch instead of writing to each of them.
+  std::vector<std::uint32_t> asleep_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace ocd::heuristics

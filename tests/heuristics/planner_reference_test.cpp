@@ -1,11 +1,14 @@
 // Differential test: the rank-space planner kernels against verbatim
 // copies of the pre-kernel ("seed") implementations.  The rewritten
 // GlobalGreedyPolicy (word-parallel picks, incremental candidate sets,
-// wave mask) and the refactored rarest-random / bandwidth pickers must
-// produce bit-identical RunResults — success, steps, bandwidth,
+// wave mask, and a wave loop that sleeps arcs under epoch stamps, ends
+// a pass once every rank is capped and compacts its list behind a
+// moving start) and the refactored rarest-random / bandwidth pickers
+// must produce bit-identical RunResults — success, steps, bandwidth,
 // useful/redundant split, per-step moves, completion steps, upload
 // counts, and the full recorded schedule — across policies, seeds and
-// staleness levels.
+// staleness levels.  GlobalWaveLoopFuzz drives the wave loop through
+// the few-token sparse regime where nearly every pass ends early.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include <string>
 
 #include "ocd/core/scenario.hpp"
+#include "ocd/dynamics/model.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
@@ -471,6 +475,105 @@ TEST(PlannerReference, MaxStepsExhaustion) {
               "inst" + std::to_string(i) + "/maxsteps");
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Wave-loop fuzz: GlobalGreedyPolicy's sleep epochs, early stop and
+// list compaction against ReferenceGlobalGreedy, in the regimes the
+// fixed instances above are too small to reach.
+// ---------------------------------------------------------------------
+
+struct FuzzCase {
+  std::string label;
+  core::Instance instance;
+};
+
+/// Seeded instances for the wave-loop fuzz:
+///  * few-token sparse overlays (1 and 8 tokens), where every rank is
+///    soon capped and nearly every wave ends early; narrow capacity
+///    ranges make arcs also run dry in mid-pass;
+///  * word-boundary universes around 64 and 128 tokens, where the
+///    early stop rarely or never fires;
+///  * files from random senders, where a rank can stay uncapped with no
+///    arc left to carry it, so about half the waves end because every
+///    listed arc is asleep rather than by the early stop.
+std::vector<FuzzCase> wave_loop_fuzz_cases(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FuzzCase> out;
+  for (const std::int32_t tokens : {1, 8}) {
+    const auto n = static_cast<std::int32_t>(rng.uniform_int(150, 400));
+    topology::RandomGraphOptions graph_options;
+    graph_options.capacities.lo = 1;
+    graph_options.capacities.hi =
+        static_cast<std::int32_t>(rng.uniform_int(1, 15));
+    Digraph g = topology::sparse_random_overlay(
+        n, static_cast<double>(rng.uniform_int(3, 8)), graph_options, rng);
+    out.push_back({"sparse" + std::to_string(n) + "x" + std::to_string(tokens),
+                   core::single_source_all_receivers(std::move(g), tokens, 0)});
+  }
+  for (const std::int32_t universe : {63, 64, 65, 127, 128, 129}) {
+    const auto n = static_cast<std::int32_t>(rng.uniform_int(10, 20));
+    Digraph g = topology::random_overlay(n, rng);
+    out.push_back({"universe" + std::to_string(universe),
+                   core::single_source_all_receivers(std::move(g), universe,
+                                                     0)});
+  }
+  {
+    const auto n = static_cast<std::int32_t>(rng.uniform_int(40, 80));
+    Digraph g = topology::sparse_random_overlay(n, 4.0, rng);
+    const auto files = static_cast<std::int32_t>(rng.uniform_int(2, 4));
+    out.push_back({"senders" + std::to_string(n),
+                   core::subdivided_files_random_senders(
+                       std::move(g), 6 * files, files, rng)});
+  }
+  return out;
+}
+
+TEST(PlannerReference, GlobalWaveLoopFuzz) {
+  // One policy object serves every run, so a sleep stamp leaking from
+  // one run into the next would show up as a diverging schedule.
+  auto reused = make_policy("global");
+  for (const std::uint64_t seed : {0x6f63'6401ULL, 0x6f63'6402ULL}) {
+    for (const FuzzCase& fc : wave_loop_fuzz_cases(seed)) {
+      for (const bool churn : {false, true}) {
+        for (const std::int32_t staleness : {0, 2}) {
+          // Link churn takes arcs down for whole steps, so some start a
+          // step at capacity 0.
+          dynamics::LinkChurn link_churn(0.2, 2);
+          sim::SimOptions options;
+          options.seed = seed;
+          options.staleness = staleness;
+          options.stale_aggregates = staleness > 0;
+          if (churn) options.dynamics = &link_churn;
+          ReferenceGlobalGreedy reference;
+          const sim::RunResult expected =
+              sim::run(fc.instance, reference, options);
+          const sim::RunResult actual = sim::run(fc.instance, *reused, options);
+          expect_identical(actual, expected,
+                           fc.label + (churn ? "/churn" : "") + "/stale" +
+                               std::to_string(staleness) + "/seed" +
+                               std::to_string(seed));
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannerReference, GlobalReusedPolicyMatchesFreshPolicy) {
+  // reset() must clear the sleep stamps with the epoch: a stamp left
+  // from the first run would put arcs to sleep in the second.
+  Rng rng(71);
+  Digraph g = topology::sparse_random_overlay(300, 8.0, rng);
+  const auto inst = core::single_source_all_receivers(std::move(g), 8, 0);
+  auto reused = make_policy("global");
+  sim::SimOptions first;
+  first.seed = 5;
+  (void)sim::run(inst, *reused, first);
+  sim::SimOptions second;
+  second.seed = 6;
+  auto fresh = make_policy("global");
+  expect_identical(sim::run(inst, *reused, second),
+                   sim::run(inst, *fresh, second), "reused/global");
 }
 
 }  // namespace
