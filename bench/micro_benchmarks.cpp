@@ -12,7 +12,6 @@
 #include "ocd/core/validate.hpp"
 #include "ocd/exact/ip_builder.hpp"
 #include "ocd/faults/model.hpp"
-#include "ocd/graph/algorithms.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/lp/simplex.hpp"
 #include "ocd/shard/runtime.hpp"
@@ -97,7 +96,6 @@ void BM_TokenKernel(benchmark::State& state, const char* kernel,
   TokenSet disjoint = TokenSet::full(universe);
   disjoint -= a;
   TokenSet dst = b;
-  TokenSet uni(universe);
   TokenSet fresh(universe);
   std::int64_t sink = 0;
   if (std::strcmp(kernel, "count_intersection") == 0) {
@@ -122,11 +120,6 @@ void BM_TokenKernel(benchmark::State& state, const char* kernel,
       sink += static_cast<std::int64_t>(MutableTokenSetView::apply_fresh_union(
           dst, a, fresh));
     }
-  } else if (std::strcmp(kernel, "fresh_union_apply_merge") == 0) {
-    for (auto _ : state) {
-      sink += static_cast<std::int64_t>(
-          MutableTokenSetView::apply_fresh_union_merge(dst, uni, a, fresh));
-    }
   } else {
     state.SkipWithError("unknown kernel");
   }
@@ -143,10 +136,6 @@ void BM_TokenKernel(benchmark::State& state, const char* kernel,
   BENCHMARK_CAPTURE(BM_TokenKernel, kernel##_avx2, #kernel,                 \
                     simd::Level::kAvx2)                                     \
       ->Arg(512)                                                            \
-      ->Arg(4096);                                                          \
-  BENCHMARK_CAPTURE(BM_TokenKernel, kernel##_avx512, #kernel,               \
-                    simd::Level::kAvx512)                                   \
-      ->Arg(512)                                                            \
       ->Arg(4096)
 OCD_TOKEN_KERNEL_BENCH(count_intersection);
 OCD_TOKEN_KERNEL_BENCH(first_in_intersection);
@@ -154,7 +143,6 @@ OCD_TOKEN_KERNEL_BENCH(for_each_in_intersection);
 OCD_TOKEN_KERNEL_BENCH(is_subset);
 OCD_TOKEN_KERNEL_BENCH(intersects);
 OCD_TOKEN_KERNEL_BENCH(fresh_union_apply);
-OCD_TOKEN_KERNEL_BENCH(fresh_union_apply_merge);
 #undef OCD_TOKEN_KERNEL_BENCH
 
 void BM_RandomOverlay(benchmark::State& state) {
@@ -177,14 +165,6 @@ void BM_TransitStub(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitStub)->Arg(50)->Arg(200);
-
-void BM_AllPairsDistances(benchmark::State& state) {
-  Rng rng(3);
-  const Digraph g =
-      topology::random_overlay(static_cast<std::int32_t>(state.range(0)), rng);
-  for (auto _ : state) benchmark::DoNotOptimize(all_pairs_distances(g));
-}
-BENCHMARK(BM_AllPairsDistances)->Arg(100)->Arg(300);
 
 void BM_SimplexTransportation(benchmark::State& state) {
   // Random dense transportation LP: s suppliers x s consumers.

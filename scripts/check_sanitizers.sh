@@ -28,15 +28,11 @@ ctest "${ctest_args[@]}"
 # bit-identity with scalar AND sanitizer-cleanliness (unaligned loads
 # only, scalar tails, never a byte past num_words).  The fuzz +
 # dispatch + planner-replay suites run with OCD_SIMD forced to scalar
-# and again to the widest level this host can execute, so ASan/UBSan
-# see every dispatch table actually run — the default auto-resolution
-# above only exercises one.  The shell probe mirrors the C++ cpuid
-# probe (avx512 needs VPOPCNTDQ, not just the F foundation).
+# and, on hosts with AVX2, again to avx2, so ASan/UBSan see both
+# dispatch tables actually run — the default auto-resolution above only
+# exercises one.  The shell probe mirrors the C++ cpuid probe.
 simd_levels=(scalar)
-if grep -qw avx512_vpopcntdq /proc/cpuinfo 2>/dev/null \
-    && grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
-  simd_levels+=(avx512)
-elif grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
   simd_levels+=(avx2)
 fi
 for level in "${simd_levels[@]}"; do

@@ -50,7 +50,7 @@ def snapshot(cores: str, ips_scale: float) -> dict:
             row("BM_PlannerStepsPerSec/global/threads:8", 8000.0),
             row("BM_ShardStep/round_robin/1000/512/shards:4", 4000.0),
             row("BM_TokenKernel/count_intersection_scalar/512", 1e9),
-            row("BM_TokenKernel/count_intersection_avx512/512", 0.0,
+            row("BM_TokenKernel/count_intersection_avx2/512", 0.0,
                 error=True),
         ],
     }
@@ -100,10 +100,10 @@ def main() -> int:
             proc)
 
         proc = run(str(base), str(curr), "--allow-undersized-host",
-                   "--require", r"count_intersection_avx512")
+                   "--require", r"count_intersection_avx2")
         check(
             proc.returncode != 0
-            and "count_intersection_avx512" in (proc.stderr + proc.stdout),
+            and "count_intersection_avx2" in (proc.stderr + proc.stdout),
             "errored (SkipWithError) rows cannot satisfy --require", proc)
 
         # Sanity: an actual regression in the surviving rows still fails.

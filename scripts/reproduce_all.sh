@@ -71,17 +71,13 @@ build-bench/bench/micro_benchmarks \
 # this gate usable on small CI boxes, where presence is still enforced
 # but the vacuous contention comparison is skipped.  The scalar
 # token-kernel families are likewise required unconditionally; the
-# avx2/avx512 families only where this host can run them (elsewhere
-# they are SkipWithError rows, which compare_bench.py excludes).
+# avx2 families only where this host can run them (elsewhere they are
+# SkipWithError rows, which compare_bench.py excludes).
 simd_requires=(--require 'TokenKernel/count_intersection_scalar/4096'
                --require 'TokenKernel/fresh_union_apply_scalar/4096')
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
   simd_requires+=(--require 'TokenKernel/count_intersection_avx2/4096'
                   --require 'TokenKernel/fresh_union_apply_avx2/4096')
-fi
-if grep -qw avx512_vpopcntdq /proc/cpuinfo 2>/dev/null \
-    && grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
-  simd_requires+=(--require 'TokenKernel/count_intersection_avx512/4096')
 fi
 if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
   python3 scripts/compare_bench.py "${OCD_BENCH_BASELINE}" \

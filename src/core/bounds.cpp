@@ -17,19 +17,21 @@ struct HolderDistances {
   std::vector<std::int32_t> dist;
 };
 
-/// One multi-source BFS per outstanding token, from its holders; the
-/// distance and queue arrays are shared by every token.  Throws, in
+/// One multi-source BFS per outstanding token, from its holders in
+/// `have` (the instance's haves, or a mid-schedule possession state);
+/// the distance and queue arrays are shared by every token.  Throws, in
 /// token order, when a wanted token has no holder or cannot reach a
 /// vertex that wants it.
-HolderDistances holder_distances(const Instance& inst) {
+HolderDistances holder_distances(const Instance& inst,
+                                 std::span<const TokenSet> have) {
   const auto n = static_cast<std::size_t>(inst.num_vertices());
+  OCD_EXPECTS(have.size() == n);
   HolderDistances out;
   out.offsets.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const TokenSet& want = inst.want(static_cast<VertexId>(v));
-    const TokenSet& have = inst.have(static_cast<VertexId>(v));
     out.offsets[v + 1] = out.offsets[v] + want.count() -
-                         TokenSet::count_intersection(want, have);
+                         TokenSet::count_intersection(want, have[v]);
   }
   out.dist.resize(out.offsets[n]);
 
@@ -44,7 +46,7 @@ HolderDistances holder_distances(const Instance& inst) {
     std::size_t tail = 0;
     needy.clear();
     for (VertexId v = 0; v < inst.num_vertices(); ++v) {
-      if (inst.have(v).test(t)) {
+      if (have[static_cast<std::size_t>(v)].test(t)) {
         hops[static_cast<std::size_t>(v)] = 0;
         queue[tail++] = v;
       } else if (inst.want(v).test(t)) {
@@ -85,12 +87,17 @@ std::int64_t bandwidth_lower_bound(const Instance& inst) {
 }
 
 std::int64_t distance_lower_bound(const Instance& inst) {
-  const auto dist = holder_distances(inst).dist;
+  const auto dist = holder_distances(inst, inst.haves()).dist;
   return dist.empty() ? 0 : *std::max_element(dist.begin(), dist.end());
 }
 
 std::int64_t makespan_lower_bound(const Instance& inst) {
-  auto [offsets, dist] = holder_distances(inst);
+  return makespan_lower_bound(inst, inst.haves());
+}
+
+std::int64_t makespan_lower_bound(const Instance& inst,
+                                  std::span<const TokenSet> possession) {
+  auto [offsets, dist] = holder_distances(inst, possession);
   std::int64_t best = 0;
   for (VertexId v = 0; v < inst.num_vertices(); ++v) {
     const auto i = static_cast<std::size_t>(v);

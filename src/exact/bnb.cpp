@@ -6,7 +6,6 @@
 #include "ocd/core/bounds.hpp"
 #include "ocd/core/validate.hpp"
 #include "ocd/flow/max_flow.hpp"
-#include "ocd/graph/algorithms.hpp"
 
 namespace ocd::exact {
 
@@ -54,12 +53,7 @@ class Searcher {
       : inst_(inst),
         options_(options),
         stats_(stats),
-        universe_(static_cast<std::size_t>(inst.num_tokens())),
-        distances_(all_pairs_distances(inst.graph())) {
-    in_capacity_.reserve(static_cast<std::size_t>(inst.num_vertices()));
-    for (VertexId v = 0; v < inst.num_vertices(); ++v)
-      in_capacity_.push_back(inst.graph().in_capacity(v));
-  }
+        universe_(static_cast<std::size_t>(inst.num_tokens())) {}
 
   bool feasible(std::int32_t tau, core::Schedule* out_schedule) {
     std::vector<TokenSet> possession;
@@ -83,37 +77,6 @@ class Searcher {
         return false;
     }
     return true;
-  }
-
-  /// Distance + capacity lower bound on the remaining makespan.
-  [[nodiscard]] std::int64_t lower_bound(
-      const std::vector<TokenSet>& possession) const {
-    std::int64_t bound = 0;
-    for (VertexId v = 0; v < inst_.num_vertices(); ++v) {
-      const TokenSet missing =
-          inst_.want(v) - possession[static_cast<std::size_t>(v)];
-      if (missing.empty()) continue;
-      const std::int64_t cap = in_capacity_[static_cast<std::size_t>(v)];
-      if (cap == 0) return std::numeric_limits<std::int64_t>::max();
-      bound = std::max(bound,
-                       (static_cast<std::int64_t>(missing.count()) + cap - 1) /
-                           cap);
-      std::int64_t worst_token = 0;
-      missing.for_each([&](TokenId t) {
-        std::int32_t nearest = kUnreachable;
-        for (VertexId u = 0; u < inst_.num_vertices(); ++u) {
-          if (possession[static_cast<std::size_t>(u)].test(t)) {
-            nearest = std::min(
-                nearest,
-                distances_[static_cast<std::size_t>(u)]
-                          [static_cast<std::size_t>(v)]);
-          }
-        }
-        worst_token = std::max<std::int64_t>(worst_token, nearest);
-      });
-      bound = std::max(bound, worst_token);
-    }
-    return bound;
   }
 
   /// Exact one-step feasibility via max-flow; on success appends the
@@ -183,7 +146,7 @@ class Searcher {
     if (++stats_.nodes > options_.max_nodes)
       throw Error("bnb: node budget exhausted — instance too large");
 
-    if (lower_bound(possession) > remaining) {
+    if (core::makespan_lower_bound(inst_, possession) > remaining) {
       ++stats_.bound_prunes;
       return false;
     }
@@ -299,8 +262,6 @@ class Searcher {
   BnbOptions options_;
   BnbStats& stats_;
   std::size_t universe_;
-  std::vector<std::vector<std::int32_t>> distances_;
-  std::vector<std::int64_t> in_capacity_;
   std::unordered_map<StateKey, std::int32_t, StateKeyHash> memo_;
   flow::MaxFlow flow_;  ///< final_step's network, rebuilt per call
 };
@@ -311,6 +272,9 @@ bool dfocd_feasible(const core::Instance& inst, std::int32_t tau,
                     const BnbOptions& options, core::Schedule* out_schedule,
                     BnbStats* stats) {
   OCD_EXPECTS(tau >= 0);
+  // No schedule of any length exists, and the bound pass the search
+  // prunes with throws on a wanted token no holder can reach.
+  if (!inst.is_satisfiable()) return false;
   BnbStats local_stats;
   BnbStats& s = stats != nullptr ? *stats : local_stats;
   Searcher searcher(inst, options, s);

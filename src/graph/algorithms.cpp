@@ -45,14 +45,6 @@ std::vector<std::int32_t> bfs_distances_to(const Digraph& g, VertexId target) {
   });
 }
 
-std::vector<std::vector<std::int32_t>> all_pairs_distances(const Digraph& g) {
-  std::vector<std::vector<std::int32_t>> dist;
-  dist.reserve(static_cast<std::size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    dist.push_back(bfs_distances(g, v));
-  return dist;
-}
-
 bool is_strongly_connected(const Digraph& g) {
   if (g.num_vertices() <= 1) return true;
   const auto fwd = bfs_distances(g, 0);

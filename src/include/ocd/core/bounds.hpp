@@ -41,6 +41,13 @@ std::int64_t distance_lower_bound(const Instance& instance);
 /// pass.  Throws as distance_lower_bound does.
 std::int64_t makespan_lower_bound(const Instance& instance);
 
+/// makespan_lower_bound with `possession` (one set per vertex) in place
+/// of the instance's haves: a lower bound on the steps still needed
+/// from a mid-schedule state.  The branch-and-bound search prunes with
+/// it.  Throws as makespan_lower_bound does.
+std::int64_t makespan_lower_bound(const Instance& instance,
+                                  std::span<const TokenSet> possession);
+
 /// One-step lookahead (§5.1 "special case"): 0 when done, 1 when every
 /// outstanding token sits at an in-neighbor within capacity, else 2.
 std::int64_t one_step_lookahead_bound(const Instance& instance,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ class Instance {
 
   [[nodiscard]] const TokenSet& have(VertexId v) const;
   [[nodiscard]] const TokenSet& want(VertexId v) const;
+  /// Every vertex's have set, indexed by vertex.
+  [[nodiscard]] std::span<const TokenSet> haves() const noexcept {
+    return have_;
+  }
 
   void add_have(VertexId v, TokenId t);
   void add_want(VertexId v, TokenId t);

@@ -14,7 +14,8 @@
 //     enumeration.
 //  3. Memoization + bounds — possession states that already failed with
 //     at least as many steps remaining are pruned, as are states whose
-//     distance/capacity lower bound exceeds the remaining budget.
+//     M_i(v) closure bound (core::makespan_lower_bound, read from the
+//     state's possession) exceeds the remaining budget.
 //
 // The solver throws ocd::Error when branching would exceed the
 // configured node budget, rather than silently degrading to a heuristic.

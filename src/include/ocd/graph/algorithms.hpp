@@ -21,9 +21,6 @@ std::vector<std::int32_t> bfs_distances(const Digraph& g, VertexId source);
 /// vertex must cover to reach target).
 std::vector<std::int32_t> bfs_distances_to(const Digraph& g, VertexId target);
 
-/// All-pairs hop distances (n BFS passes); dist[u][v].
-std::vector<std::vector<std::int32_t>> all_pairs_distances(const Digraph& g);
-
 /// Every vertex reachable from every other (following arc direction).
 bool is_strongly_connected(const Digraph& g);
 

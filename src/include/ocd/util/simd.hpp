@@ -3,19 +3,18 @@
 //
 // Every hot bitset kernel (intersection popcounts, first-set scans,
 // subset/intersects tests, the fused fresh-union apply of the simulator
-// apply phase) exists in up to three bit-identical implementations:
+// apply phase) exists in two bit-identical implementations:
 //
 //   scalar   portable uint64 loops — the reference semantics
 //   avx2     256-bit paths (4 words/vector, pshufb-LUT popcounts)
-//   avx512   512-bit paths (8 words/vector, vpopcntq popcounts)
 //
 // The active implementation is picked ONCE at first kernel use from
 //   1. the set_simd_level() override (tests, benchmarks), else
-//   2. the OCD_SIMD environment variable — one of "scalar", "avx2",
-//      "avx512", validated exactly like OCD_JOBS: garbage or a level
-//      the host cannot run throws ocd::Error naming the variable, else
-//   3. the highest level both the CPU (cpuid-probed) and this build
-//      (per-file -mavx2/-mavx512* TUs) support.
+//   2. the OCD_SIMD environment variable — "scalar" or "avx2",
+//      validated exactly like OCD_JOBS: garbage or a level the host
+//      cannot run throws ocd::Error naming the variable, else
+//   3. avx2 when both the CPU (cpuid-probed) and this build (the
+//      -mavx2 TU) support it, scalar otherwise.
 //
 // Dispatch is a single table pointer: callers go through kernels(),
 // one acquire load + an indirect call.  All levels consume exactly
@@ -37,9 +36,9 @@
 namespace ocd::util::simd {
 
 /// Dispatch levels, ordered: a higher level strictly requires more ISA.
-enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 [[nodiscard]] const char* level_name(Level level) noexcept;
 
 /// The word-kernel dispatch table.  One instance per implementation
@@ -69,20 +68,13 @@ struct Kernels {
   std::size_t (*fresh_union_apply)(std::uint64_t* dst,
                                    const std::uint64_t* src,
                                    std::uint64_t* fresh, std::size_t n);
-  /// fresh_union_apply that additionally folds fresh into a second
-  /// accumulator: uni |= fresh (the shard runtime's apply phase keeps
-  /// the union of an owned vertex's fresh sets for its delta).
-  std::size_t (*fresh_union_apply_merge)(std::uint64_t* dst,
-                                         std::uint64_t* uni,
-                                         const std::uint64_t* src,
-                                         std::uint64_t* fresh, std::size_t n);
 };
 
 /// Highest level this host can actually run: min(cpuid support, levels
 /// compiled into this binary).  Probed once, never throws.
 [[nodiscard]] Level max_supported_level() noexcept;
 
-/// Parses an OCD_SIMD-style value ("scalar" | "avx2" | "avx512").
+/// Parses an OCD_SIMD-style value ("scalar" | "avx2").
 /// Throws ocd::Error naming the variable for anything else.  Pure —
 /// does not consult the CPU; resolution checks support separately.
 [[nodiscard]] Level parse_level_value(const char* text);

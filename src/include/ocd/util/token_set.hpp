@@ -339,22 +339,6 @@ class MutableTokenSetView : public TokenSetView {
     return n;
   }
 
-  /// apply_fresh_union that additionally folds the fresh set into an
-  /// accumulator: uni |= fresh.  The shard runtime's apply phase keeps
-  /// the union of an owned vertex's fresh deliveries for its delta.
-  static std::size_t apply_fresh_union_merge(MutableTokenSetView dst,
-                                             MutableTokenSetView uni,
-                                             TokenSetView src,
-                                             MutableTokenSetView fresh) {
-    dst.check_same_universe(src);
-    dst.check_same_universe(fresh);
-    dst.check_same_universe(uni);
-    const std::size_t n = util::simd::kernels().fresh_union_apply_merge(
-        dst.mut(), uni.mut(), src.words_data(), fresh.mut(), dst.num_words());
-    dst.assert_tail_zero();
-    return n;
-  }
-
   [[nodiscard]] std::uint64_t* mutable_words() const noexcept { return mut(); }
 
  private:

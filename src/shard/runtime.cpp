@@ -369,12 +369,14 @@ void ShardWorker::deliver(VertexId to, TokenSetView tokens) {
     uni.clear();
   }
   // Fused kernel: fresh = tokens - possession, possession |= tokens,
-  // uni |= fresh, one pass.  Apply order across deliveries is
-  // irrelevant: per destination, the useful total telescopes to
-  // |union of sends - possession| and possession ends at the union.
+  // one pass; uni collects the fresh tokens for the delta.  Apply order
+  // across deliveries is irrelevant: per destination, the useful total
+  // telescopes to |union of sends - possession| and possession ends at
+  // the union.
   step_useful_ += static_cast<std::int64_t>(
-      MutableTokenSetView::apply_fresh_union_merge(possession_.row(row), uni,
-                                                   tokens, fresh_));
+      MutableTokenSetView::apply_fresh_union(possession_.row(row), tokens,
+                                             fresh_));
+  uni |= fresh_;
 }
 
 void ShardWorker::phase_apply(const std::vector<std::string>& in,

@@ -1,8 +1,8 @@
 // SIMD dispatch resolution plus the scalar reference kernels.
 //
-// The scalar table is the semantics every vectorized level must match
-// bit-for-bit; it is also the fallback for non-x86 builds and the
-// OCD_SIMD=scalar escape hatch.
+// The scalar table is the semantics the AVX2 table must match
+// bit-for-bit; it is also the fallback for non-x86 builds and hosts
+// without AVX2, and the OCD_SIMD=scalar escape hatch.
 #include "ocd/util/simd.hpp"
 
 #include <cstdlib>
@@ -66,22 +66,6 @@ std::size_t scalar_fresh_union_apply(std::uint64_t* dst,
   return total;
 }
 
-std::size_t scalar_fresh_union_apply_merge(std::uint64_t* dst,
-                                           std::uint64_t* uni,
-                                           const std::uint64_t* src,
-                                           std::uint64_t* fresh,
-                                           std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t f = src[i] & ~dst[i];
-    fresh[i] = f;
-    dst[i] |= src[i];
-    uni[i] |= f;
-    total += static_cast<std::size_t>(__builtin_popcountll(f));
-  }
-  return total;
-}
-
 constexpr Kernels kScalarKernels = {
     scalar_count,
     scalar_count_intersection,
@@ -89,7 +73,6 @@ constexpr Kernels kScalarKernels = {
     scalar_intersects,
     scalar_first_and_word,
     scalar_fresh_union_apply,
-    scalar_fresh_union_apply_merge,
 };
 
 // ---- probe + resolution --------------------------------------------
@@ -98,11 +81,6 @@ constexpr Kernels kScalarKernels = {
 /// host CPU advertises the ISA and the matching TU was built with it.
 Level probe_max_level() noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vpopcntdq") &&
-      detail::avx512_kernels() != nullptr) {
-    return Level::kAvx512;
-  }
   if (__builtin_cpu_supports("avx2") && detail::avx2_kernels() != nullptr)
     return Level::kAvx2;
 #endif
@@ -110,15 +88,7 @@ Level probe_max_level() noexcept {
 }
 
 const Kernels* table_for(Level level) noexcept {
-  switch (level) {
-    case Level::kAvx512:
-      return detail::avx512_kernels();
-    case Level::kAvx2:
-      return detail::avx2_kernels();
-    case Level::kScalar:
-      break;
-  }
-  return &kScalarKernels;
+  return level == Level::kAvx2 ? detail::avx2_kernels() : &kScalarKernels;
 }
 
 std::mutex g_resolve_mutex;
@@ -139,15 +109,7 @@ void require_supported(Level level, const std::string& origin) {
 }  // namespace
 
 const char* level_name(Level level) noexcept {
-  switch (level) {
-    case Level::kAvx512:
-      return "avx512";
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kScalar:
-      break;
-  }
-  return "scalar";
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 Level max_supported_level() noexcept {
@@ -159,9 +121,7 @@ Level parse_level_value(const char* text) {
   const std::string value = text == nullptr ? "" : text;
   if (value == "scalar") return Level::kScalar;
   if (value == "avx2") return Level::kAvx2;
-  if (value == "avx512") return Level::kAvx512;
-  throw Error("OCD_SIMD must be one of scalar/avx2/avx512, got '" + value +
-              "'");
+  throw Error("OCD_SIMD must be one of scalar/avx2, got '" + value + "'");
 }
 
 Level active_level() {

@@ -130,32 +130,6 @@ std::size_t avx2_fresh_union_apply(std::uint64_t* dst,
   return total;
 }
 
-std::size_t avx2_fresh_union_apply_merge(std::uint64_t* dst,
-                                         std::uint64_t* uni,
-                                         const std::uint64_t* src,
-                                         std::uint64_t* fresh, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vd = load(dst + i);
-    const __m256i vs = load(src + i);
-    const __m256i vf = _mm256_andnot_si256(vd, vs);
-    store(fresh + i, vf);
-    store(dst + i, _mm256_or_si256(vd, vs));
-    store(uni + i, _mm256_or_si256(load(uni + i), vf));
-    acc = _mm256_add_epi64(acc, popcount_lanes(vf));
-  }
-  std::size_t total = horizontal_sum(acc);
-  for (; i < n; ++i) {
-    const std::uint64_t f = src[i] & ~dst[i];
-    fresh[i] = f;
-    dst[i] |= src[i];
-    uni[i] |= f;
-    total += static_cast<std::size_t>(__builtin_popcountll(f));
-  }
-  return total;
-}
-
 constexpr Kernels kAvx2Kernels = {
     avx2_count,
     avx2_count_intersection,
@@ -163,7 +137,6 @@ constexpr Kernels kAvx2Kernels = {
     avx2_intersects,
     avx2_first_and_word,
     avx2_fresh_union_apply,
-    avx2_fresh_union_apply_merge,
 };
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Internal linkage seam between the dispatch resolver (simd.cpp) and
-// the per-ISA kernel translation units (simd_avx2.cpp, simd_avx512.cpp,
-// each compiled with its own -m flags).  A TU whose ISA the build
-// cannot target returns nullptr and the resolver treats the level as
-// uncompiled.
+// the AVX2 kernel translation unit (simd_avx2.cpp, the one TU compiled
+// with -mavx2).  When the build cannot target AVX2 that TU returns
+// nullptr and the resolver treats the level as uncompiled.
 #pragma once
 
 #include "ocd/util/simd.hpp"
@@ -12,9 +11,5 @@ namespace ocd::util::simd::detail {
 /// AVX2 kernel table, or nullptr when this binary was built without
 /// AVX2 codegen for simd_avx2.cpp.
 const Kernels* avx2_kernels() noexcept;
-
-/// AVX-512 (F + VPOPCNTDQ) kernel table, or nullptr when this binary
-/// was built without AVX-512 codegen for simd_avx512.cpp.
-const Kernels* avx512_kernels() noexcept;
 
 }  // namespace ocd::util::simd::detail

@@ -54,6 +54,7 @@ TEST(Bnb, UnsatisfiableInstance) {
   inst.add_have(1, 0);
   inst.add_want(0, 0);
   EXPECT_FALSE(focd_min_makespan(inst, 5).has_value());
+  EXPECT_FALSE(dfocd_feasible(inst, 5));
 }
 
 TEST(Bnb, Figure1MakespanIsTwo) {

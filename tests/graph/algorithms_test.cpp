@@ -41,13 +41,6 @@ TEST(GraphAlgorithms, BfsDistancesToFollowsArcsBackward) {
   EXPECT_EQ(d0[1], kUnreachable);
 }
 
-TEST(GraphAlgorithms, AllPairsMatchesSingleSource) {
-  const Digraph g = cycle(6);
-  const auto all = all_pairs_distances(g);
-  for (VertexId v = 0; v < 6; ++v)
-    EXPECT_EQ(all[static_cast<std::size_t>(v)], bfs_distances(g, v));
-}
-
 TEST(GraphAlgorithms, StrongConnectivity) {
   EXPECT_FALSE(is_strongly_connected(path4()));
   EXPECT_TRUE(is_strongly_connected(cycle(5)));

@@ -10,7 +10,8 @@
 //
 // No hidden O(n²): what a run requests up front must scale with the
 // instance (vertices × tokens, arcs), never with vertices squared.  The
-// same holds for the makespan lower bound every pipeline ends in.
+// same holds for the makespan lower bound every pipeline ends in, and
+// for the branch-and-bound search up to its first budget check.
 //
 // This file is compiled into its own test binary (ocd_alloc_tests) so
 // the replaced global allocator cannot perturb the main suite.
@@ -24,6 +25,7 @@
 
 #include "ocd/core/bounds.hpp"
 #include "ocd/core/scenario.hpp"
+#include "ocd/exact/bnb.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
@@ -188,6 +190,25 @@ TEST(AllocCount, MakespanBoundAllocatesNothingPerVertex) {
         << (bytes >> 10) << " KiB requested on " << n << " vertices";
   }
   EXPECT_EQ(calls[0], calls[1]);
+}
+
+TEST(AllocCount, BranchAndBoundNodeBudgetFiresBeforeQuadraticMemory) {
+  // One search node on a 4096-vertex broadcast: the call may finish or
+  // throw a budget error, but must not first request n² distances.
+  Rng rng(0xb0d5);
+  Digraph graph = topology::sparse_random_overlay(4096, 8.0, rng);
+  const core::Instance inst =
+      core::single_source_all_receivers(std::move(graph), 8, 0);
+  exact::BnbOptions options;
+  options.max_nodes = 1;
+  const std::uint64_t bytes_before = g_bytes.load(std::memory_order_relaxed);
+  try {
+    (void)exact::dfocd_feasible(inst, 64, options);
+  } catch (const Error&) {
+  }
+  const std::uint64_t bytes =
+      g_bytes.load(std::memory_order_relaxed) - bytes_before;
+  EXPECT_LT(bytes, std::uint64_t{8} << 20) << (bytes >> 10) << " KiB requested";
 }
 
 TEST(AllocCount, HarnessCountsAllocations) {

@@ -54,7 +54,9 @@ TEST(GossipState, AgeBoundedByDistanceAfterWarmup) {
   Digraph g = topology::random_overlay(15, rng);
   core::Instance inst(std::move(g), 1);
   inst.add_have(0, 0);
-  const auto dist = all_pairs_distances(inst.graph());
+  std::vector<std::vector<std::int32_t>> dist;  // dist[w][v]
+  for (VertexId w = 0; w < inst.num_vertices(); ++w)
+    dist.push_back(bfs_distances(inst.graph(), w));
   GossipState gossip(inst);
   const auto possession = initial_possession(inst);
 
