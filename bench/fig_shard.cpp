@@ -1,41 +1,28 @@
-// Vertex-sharded scaling sweep: the same broadcast instance run at
-// shards x {1, 2, 4} over both planner families (local "round-robin",
-// coordinated "bandwidth"), with the partitioner's cut statistics and
-// the barrier traffic accounting alongside the run metrics.  The point
-// of the figure is not speedup (on a small host the barrier protocol is
-// pure overhead) but the properties the shard runtime promises: every
-// row of a policy reports the same steps/bandwidth (bit-identity across
-// shard counts and partitions), the full-scale instance — a
-// million-vertex sparse overlay that would be impractical under the
-// O(n^2) generator — completes across 4 shards, and the coordinated
-// planner's ghost-delta frames ship a small fraction of what a full
-// per-barrier possession re-broadcast would cost (the delta_x column:
-// full-baseline bytes / actual bytes).
+// Vertex-sharded scaling sweep: the same broadcast instance run once
+// through sim::run and then through shard::run_sharded at shards x
+// {1, 2, 4} over both planner families (local "round-robin",
+// coordinated "bandwidth"), with the partitioner's cut statistics
+// alongside the run metrics.  Shards share memory: run_sharded is
+// sim::run with the plan phase fanned out over the shards on the
+// OCD_JOBS worker pool, so the sim::run row is the one-process baseline
+// each sharded row's run_s is read against (ROADMAP item 8's decision
+// rule).  Every row of a policy, the sim::run row included, must report
+// the same trajectory (bit-identity across shard counts and
+// partitions), and the full-scale instance — a million-vertex sparse
+// overlay that would be impractical under the O(n^2) generator —
+// completes at 4 shards.
 // Rows are emitted in a fixed (policy, shards) loop order, so the output
 // is diff-stable across runs.
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "ocd/core/scenario.hpp"
+#include "ocd/heuristics/factory.hpp"
 #include "ocd/shard/runtime.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
-
-namespace {
-
-std::int64_t varint_len(std::uint64_t v) {
-  std::int64_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ocd;
@@ -61,19 +48,8 @@ int main(int argc, char** argv) {
 
   const char* policies[] = {"round-robin", "bandwidth"};
 
-  // Full-replication baseline for the coordinated planner: without
-  // ghost-delta frames, every barrier would re-broadcast every owned
-  // possession row to every peer — vertex id + a full raw-encoded set
-  // (universe varint + tag byte + 8 bytes per word).  delta_x is that
-  // baseline divided by the bytes the runtime actually shipped.
-  const std::int64_t set_words = (num_tokens + 63) / 64;
-  const std::int64_t full_row_bytes = varint_len(
-      static_cast<std::uint64_t>(n - 1)) +
-      varint_len(static_cast<std::uint64_t>(num_tokens)) + 1 + 8 * set_words;
-
   Table table({"policy", "part", "shards", "cut_arcs", "cut_pct", "imb_pct",
-               "ghosts", "success", "steps", "bandwidth", "kb_per_step",
-               "delta_x", "part_ms", "run_s"});
+               "success", "steps", "bandwidth", "part_ms", "run_s"});
   table.set_precision(3);
 
   // Partition variants per shard count: the default greedy partition at
@@ -93,10 +69,25 @@ int main(int argc, char** argv) {
   // cut's reassignment is adoptable at every shard count.
   constexpr std::int32_t kCompareEps = 10;
 
+  sim::SimOptions sim_options;
+  sim_options.seed = 7;
+  sim_options.record_schedule = false;
+  sim_options.max_steps = 500'000;
+
   bool identical = true;
   for (const char* policy : policies) {
-    std::int64_t first_steps = -1;
-    std::int64_t first_bandwidth = -1;
+    // Bit-identity is per policy: every row of one planner, sharded or
+    // not, must report the same trajectory as its sim::run row.
+    Stopwatch reference_timer;
+    const auto reference =
+        sim::run(inst, *heuristics::make_policy(policy), sim_options);
+    const double reference_seconds = reference_timer.seconds();
+    table.add_row({std::string(policy), std::string("sim::run"),
+                   std::int64_t{1}, std::int64_t{0}, 0.0, 0.0,
+                   std::string(reference.success ? "yes" : "no"),
+                   reference.steps, reference.bandwidth, 0.0,
+                   reference_seconds});
+
     for (const PartitionCase& pc : partition_cases) {
       const std::int32_t shards = pc.shards;
       shard::PartitionOptions part_options;
@@ -110,37 +101,15 @@ int main(int argc, char** argv) {
 
       shard::ShardOptions options;
       options.num_shards = shards;
-      options.sim.seed = 7;
-      options.sim.record_schedule = false;
-      options.sim.max_steps = 500'000;
+      options.sim = sim_options;
       Stopwatch run_timer;
       const auto result = shard::run_sharded(inst, policy, options, part);
       const double run_seconds = run_timer.seconds();
 
-      // Bit-identity is per policy: every (shards, partition) row of
-      // one planner must report the same trajectory.
-      if (first_steps < 0) {
-        first_steps = result.steps;
-        first_bandwidth = result.bandwidth;
-      } else if (result.steps != first_steps ||
-                 result.bandwidth != first_bandwidth) {
+      if (result.steps != reference.steps ||
+          result.bandwidth != reference.bandwidth ||
+          result.stats.moves_per_step != reference.stats.moves_per_step)
         identical = false;
-      }
-      const double kb_per_step =
-          result.steps == 0
-              ? 0.0
-              : static_cast<double>(result.stats.shard_bytes_sent) /
-                    (1024.0 * static_cast<double>(result.steps));
-      const bool coordinated =
-          std::string_view(policy) == "bandwidth" && shards > 1;
-      const double delta_x =
-          coordinated && result.stats.shard_bytes_sent > 0
-              ? static_cast<double>(shards - 1) *
-                    static_cast<double>(n) *
-                    static_cast<double>(full_row_bytes) *
-                    static_cast<double>(result.steps) /
-                    static_cast<double>(result.stats.shard_bytes_sent)
-              : 0.0;
       // Achieved imbalance: largest ownership class over the perfect
       // n/k average, in percent (0 = perfectly balanced).
       const double imb_pct =
@@ -152,19 +121,19 @@ int main(int argc, char** argv) {
                      std::string(pc.flow ? "flow" : "greedy"), shards,
                      part.stats.cut_arcs,
                      100.0 * part.stats.cut_fraction(), imb_pct,
-                     part.stats.total_ghosts,
                      std::string(result.success ? "yes" : "no"),
-                     result.steps, result.bandwidth, kb_per_step,
-                     delta_x, 1000.0 * part_seconds, run_seconds});
+                     result.steps, result.bandwidth, 1000.0 * part_seconds,
+                     run_seconds});
     }
   }
 
   bench::emit(table, csv);
 
   // Partitioner refinement depth: the runtime's default single sweep vs
-  // a deeper budget, on the same overlay.  The reduction is the cut
-  // traffic the deeper refinement would save a deployment that can
-  // afford the extra partitioning time.  Reported at shard counts that
+  // a deeper budget, on the same overlay.  Shards share memory, so a
+  // smaller cut saves no traffic; these lines record partition quality
+  // only, for the question whether the refinement stages earn their
+  // partitioning time in run_s.  Reported at shard counts that
   // do not divide n: the balance bounds give refinement exactly
   // ceil(n/k) - floor(n/k) vertices of slack per shard, so when k | n
   // the bounds pin every class size and no sweep can move anything —
@@ -190,8 +159,9 @@ int main(int argc, char** argv) {
   // Greedy vs flow-refined partitions on the paper's structured
   // topology: transit-stub graphs have genuinely small separators (the
   // stub-transit attachment edges), which local greedy moves cannot
-  // reach but a min cut finds — the measured cut reduction is the
-  // barrier traffic the flow stage saves at the same balance slack.
+  // reach but a min cut finds.  The cut reduction prices no traffic
+  // (shards share memory); it is reported next to the extra
+  // partitioning time the flow stage costs.
   std::cout << "# greedy vs flow partitions, transit-stub overlay (eps="
             << kCompareEps << "):\n";
   {
@@ -230,12 +200,10 @@ int main(int argc, char** argv) {
 
   std::cout << "# bit-identity across rows (per policy): "
             << (identical ? "yes" : "NO — INVARIANT VIOLATED") << '\n'
-            << "# expected: steps/bandwidth identical on every row of a\n"
-               "# policy (flow-refined rows included — partitioning only\n"
-               "# moves ownership); the coordinated planner's delta_x\n"
-               "# stays well above 1 (ghost-delta frames beat a full\n"
-               "# per-barrier possession re-broadcast); the cut fraction\n"
-               "# stays well below the ~"
+            << "# expected: steps/bandwidth/moves per step identical on\n"
+               "# every row of a policy (the sim::run row and flow-refined\n"
+               "# rows included — partitioning only moves ownership); the\n"
+               "# cut fraction stays well below the ~"
             << 100.0 * (1.0 - 1.0 / 4.0)
             << "% a random 4-way assignment would pay.\n";
   return identical ? 0 : 1;

@@ -387,15 +387,16 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, random_reliable,
     ->Unit(benchmark::kMillisecond);
 
 // Sharded-runtime per-step cost: the same bounded-window workload as
-// BM_PlannerStepsPerSec, run through shard::run_sharded with the
-// in-process transport, so the snapshot prices the barrier protocol
-// (plan / apply / commit rounds + BinStream codec) against the
-// single-process planner at matched shard counts.  shards:1 isolates
-// the protocol's fixed overhead; shards:2/4 add the cross-shard
-// delivery traffic.  Outputs are bit-identical at every shard count,
-// only the wall clock may move.  Real time, not main-thread CPU time:
-// the in-process shards run partly on pool workers, whose CPU time the
-// main thread's clock misses, so CPU time would overstate shard wins.
+// BM_PlannerStepsPerSec, run through shard::run_sharded, so the
+// snapshot prices the parallel plan phase and the merge of the shard
+// plans against sim::run's single plan_step at matched shard counts.
+// shards:1 is sim::run behind the adapter (plan_step runs unsplit), so
+// it isolates the adapter's fixed overhead; shards:2/4 fan planning out
+// over the OCD_JOBS pool and add the per-step k-way merge.  Outputs are
+// bit-identical at every shard count, only the wall clock may move.
+// Real time, not main-thread CPU time: the shards plan partly on pool
+// workers, whose CPU time the main thread's clock misses, so CPU time
+// would overstate shard wins.
 void BM_ShardStep(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
@@ -430,8 +431,9 @@ BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
     ->Args({1000, 512, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-// Coordinated planning: shards > 1 adds the wave round (token-sliced
-// relay elections) on top of full possession replication.
+// Coordinated planning: shards > 1 splits the token-sliced relay
+// elections over the shards, then absorbs every slice after a pool
+// barrier before the owned arcs are filled.
 BENCHMARK_CAPTURE(BM_ShardStep, bandwidth, "bandwidth")
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})

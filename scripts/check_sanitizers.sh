@@ -49,15 +49,15 @@ done
 # full (policy x seed) grid of run_policy calls, so any shared mutable
 # state in the planners shows up here.  FaultSweep runs the lossy
 # fig_loss workload shape (fault models + reliable adapters) on the
-# same pool.  The vertex-shard runtime rides the same pool:
-# ShardDeterminism steps every shard as pool chunks (the two-mailbox
-# grids between phases are exactly the handoffs TSan must vet),
-# ShardCoordinated replays the coordinated planner's wave round (the
-# per-step token-sliced relay election that precedes plan) against
-# single-process runs with the same pool fan-out,
-# and ShardPartition/BinStream cover the partitioner and the message
-# codec (their data races would surface as corrupt frames, so they run
-# here AND in the ASan pass above); `Shard` selects every one of these
+# same pool.  The vertex-shard runtime rides the same pool, and its
+# concurrent regions are the plan fan-out — every shard plans from the
+# one shared step view into its own policy and plan — and bandwidth's
+# elect/absorb pair, where after the pool barrier every shard reads
+# its peers' elected slices in place: ShardDeterminism replays the
+# local planners (and every planner under OCD_JOBS in {1, 2, 8})
+# against single-process runs, ShardCoordinated replays the
+# coordinated planner's token-sliced elections, and ShardPartition
+# covers the partitioner; `Shard` selects every one of these
 # suites.  The flat-memory suites ride along: TokenMatrix
 # / SnapshotRing exercise the view kernels and snapshot ring
 # (view-lifetime bugs are ASan's bread and butter, caught in the pass
@@ -71,6 +71,6 @@ cmake --build --preset tsan -j "$(nproc)" --target ocd_tests ocd_alloc_tests
 
 export TSAN_OPTIONS="halt_on_error=1"
 OCD_JOBS=8 ctest --preset tsan -j "$(nproc)" \
-  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|Shard|BinStream}"
+  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|Shard}"
 
 echo "Sanitizer run clean."

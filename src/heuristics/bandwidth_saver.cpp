@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ocd/util/binstream.hpp"
-
 namespace ocd::heuristics {
 
 void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
@@ -27,10 +25,10 @@ void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
 // The per-token election: needy set, one-hop frontier, multi-source
 // BFS electing each needy node's nearest frontier vertex; needy nodes
 // and elected relays become the token's allowed receivers.  Reads only
-// step-start state and writes only allowed_ rows for `t`, so slicing
-// the token loop across shards reproduces the serial matrix exactly.
+// step-start state and writes only `t`'s bits, so slicing the token
+// loop across shards reproduces the serial matrix exactly.
 void BandwidthPolicy::score_token(TokenId t, const sim::StepView& view,
-                                  std::vector<VertexId>* receivers) {
+                                  util::TokenMatrix& into) {
   const Digraph& graph = view.graph();
   const core::Instance& inst = view.instance();
   const util::TokenMatrix& possession = view.global_possession();
@@ -43,10 +41,7 @@ void BandwidthPolicy::score_token(TokenId t, const sim::StepView& view,
       needy_.push_back(v);
   }
   if (needy_.empty()) return;
-  for (VertexId v : needy_) {
-    allowed_.row(static_cast<std::size_t>(v)).set(t);
-    if (receivers != nullptr) receivers->push_back(v);
-  }
+  for (VertexId v : needy_) into.row(static_cast<std::size_t>(v)).set(t);
 
   // One-hop-knowledge frontier: lacks t, has an in-neighbor holding t.
   std::fill(frontier_dist_.begin(), frontier_dist_.end(), -1);
@@ -83,8 +78,7 @@ void BandwidthPolicy::score_token(TokenId t, const sim::StepView& view,
   for (VertexId v : needy_) {
     if (frontier_dist_[static_cast<std::size_t>(v)] >= 0) {
       const VertexId relay = witness_[static_cast<std::size_t>(v)];
-      allowed_.row(static_cast<std::size_t>(relay)).set(t);
-      if (receivers != nullptr) receivers->push_back(relay);
+      into.row(static_cast<std::size_t>(relay)).set(t);
     }
   }
 }
@@ -136,7 +130,7 @@ void BandwidthPolicy::plan_step(const sim::StepView& view,
   // allowed[v]: tokens v may receive this turn (needs + elected relays).
   allowed_.clear();
   for (TokenId t = 0; t < view.num_tokens(); ++t)
-    score_token(t, view, nullptr);
+    score_token(t, view, allowed_);
 
   ranker_.assign_by_rarity(view.aggregate_holders(), nullptr);
   for (ArcId a = 0; a < view.graph().num_arcs(); ++a) fill_arc(a, view, plan);
@@ -151,87 +145,31 @@ void BandwidthPolicy::begin_coordination(const CoordinationSetup& setup) {
         setup.shard)
       owned_arcs_.push_back(a);
   }
-  receivers_.clear();
+  elected_.reset(allowed_.rows(), allowed_.universe_size());
 }
 
-// Scores the shard's token slice (t % num_shards == shard) directly
-// into allowed_ and encodes the elected receiver sets for the peers.
-// Wire format (everything delta-coded, ascending):
-//   varint slice_count; per token: varint token_delta (>= 1, from -1);
-//   varint receiver_count (>= 1); receiver vertex deltas.
-std::int64_t BandwidthPolicy::coord_prescore(const sim::StepView& view,
-                                             std::string& frame) {
-  allowed_.clear();
-  util::BinStream body;
-  std::int64_t slices = 0;
-  TokenId prev_token = -1;
+// Elects the shard's token slice (t % num_shards == shard) into
+// elected_, which peers read after the barrier.
+void BandwidthPolicy::coord_prescore(const sim::StepView& view) {
+  elected_.clear();
   for (TokenId t = coord_.shard; t < view.num_tokens();
-       t += coord_.num_shards) {
-    receivers_.clear();
-    score_token(t, view, &receivers_);
-    if (receivers_.empty()) continue;
-    std::sort(receivers_.begin(), receivers_.end());
-    receivers_.erase(std::unique(receivers_.begin(), receivers_.end()),
-                     receivers_.end());
-    body.put_varint(static_cast<std::uint64_t>(t - prev_token));
-    prev_token = t;
-    body.put_varint(static_cast<std::uint64_t>(receivers_.size()));
-    VertexId prev_v = -1;
-    for (const VertexId v : receivers_) {
-      body.put_varint(static_cast<std::uint64_t>(v - prev_v));
-      prev_v = v;
-    }
-    ++slices;
-  }
-  util::BinStream bs;
-  bs.put_varint(static_cast<std::uint64_t>(slices));
-  const std::string tail = std::move(body).take();
-  bs.put_bytes(tail.data(), tail.size());
-  frame = std::move(bs).take();
-  return slices;
+       t += coord_.num_shards)
+    score_token(t, view, elected_);
 }
 
-void BandwidthPolicy::coord_absorb(const sim::StepView& view,
-                                   std::span<const std::string> frames) {
-  const auto n = static_cast<std::int64_t>(view.graph().num_vertices());
-  const auto universe = static_cast<std::int64_t>(view.num_tokens());
-  for (std::int32_t p = 0; p < coord_.num_shards; ++p) {
-    if (p == coord_.shard) continue;
-    util::BinStream in(frames[static_cast<std::size_t>(p)]);
-    const std::uint64_t slices = in.get_varint("allow.slices");
-    in.require(slices <= static_cast<std::uint64_t>(universe), "allow.slices",
-               "more token slices than tokens");
-    TokenId prev_token = -1;
-    for (std::uint64_t i = 0; i < slices; ++i) {
-      const std::uint64_t td = in.get_varint("allow.token");
-      in.require(td >= 1 && prev_token + static_cast<std::int64_t>(td) <
-                                universe,
-                 "allow.token", "tokens must be increasing and in range");
-      const auto t =
-          static_cast<TokenId>(prev_token + static_cast<std::int64_t>(td));
-      prev_token = t;
-      in.require(t % coord_.num_shards == p, "allow.token",
-                 "token outside the sender's slice");
-      const std::uint64_t count = in.get_varint("allow.receivers");
-      in.require(count >= 1 && count <= static_cast<std::uint64_t>(n),
-                 "allow.receivers", "receiver count out of range");
-      VertexId prev_v = -1;
-      for (std::uint64_t j = 0; j < count; ++j) {
-        const std::uint64_t vd = in.get_varint("allow.vertex");
-        in.require(vd >= 1 && prev_v + static_cast<std::int64_t>(vd) < n,
-                   "allow.vertex",
-                   "receivers must be increasing and in range");
-        prev_v = static_cast<VertexId>(prev_v + static_cast<std::int64_t>(vd));
-        allowed_.row(static_cast<std::size_t>(prev_v)).set(t);
-      }
-    }
-    in.require(in.exhausted(), "allow.frame", "trailing bytes");
-  }
+// Each slice holds only its own tokens' bits, so their union is the
+// serial allowed_ matrix.
+void BandwidthPolicy::coord_absorb(
+    std::span<const util::TokenMatrix* const> slices) {
+  allowed_.clear();
+  for (const util::TokenMatrix* slice : slices)
+    for (std::size_t v = 0; v < allowed_.rows(); ++v)
+      allowed_.row(v) |= slice->row(v);
 }
 
 // The serial arc loop is arc-ascending, so the owned slice emitted
-// here concatenates across shards (sorted by arc id in the fragment
-// merge) into exactly the plan_step send order.
+// here merges across shards (by arc id) into exactly the plan_step
+// send order.
 void BandwidthPolicy::coord_emit(const sim::StepView& view,
                                  sim::StepPlan& plan) {
   ranker_.assign_by_rarity(view.aggregate_holders(), nullptr);

@@ -108,7 +108,7 @@ void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
 
 // Pass 2 — senders fulfil requests (token presence is guaranteed:
 // the stale view is a subset of current possession).  Arc-ascending,
-// so per-shard fragments concatenate back into the plan_step order.
+// so disjoint per-shard plans merge back into the plan_step order.
 void RarestRandomPolicy::emit_requests(const sim::StepView& view,
                                        sim::StepPlan& plan) {
   const Digraph& graph = view.graph();

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "ocd/heuristics/coordination.hpp"
@@ -36,24 +35,23 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
 
   // Sharded coordination (ocd/heuristics/coordination.hpp): the
   // per-token needy/frontier/witness elections are sliced by token
-  // (token t belongs to shard t % num_shards); each shard scores its
-  // slice, broadcasts the elected receiver sets, and the arc fill then
-  // runs per shard over its owned arcs against the merged allowed_
-  // matrix.  The election is deterministic per token, so the merge is
-  // exact.
+  // (token t belongs to shard t % num_shards); each shard elects its
+  // slice into elected_, absorbs every shard's slice into allowed_, and
+  // then fills its owned arcs against the merged matrix.  The election
+  // is deterministic per token, so the merge is exact.
   void begin_coordination(const CoordinationSetup& setup) override;
-  [[nodiscard]] std::int64_t coord_prescore(const sim::StepView& view,
-                                            std::string& frame) override;
-  void coord_absorb(const sim::StepView& view,
-                    std::span<const std::string> frames) override;
+  [[nodiscard]] const util::TokenMatrix& elected() const override {
+    return elected_;
+  }
+  void coord_prescore(const sim::StepView& view) override;
+  void coord_absorb(
+      std::span<const util::TokenMatrix* const> slices) override;
   void coord_emit(const sim::StepView& view, sim::StepPlan& plan) override;
 
  private:
-  /// The per-token election: fills allowed_ rows for token `t`.  When
-  /// `receivers` is non-null the vertices whose allowed_ bit was set
-  /// are also appended there (unsorted, may repeat).
+  /// The per-token election: sets token `t`'s bits in `into`'s rows.
   void score_token(TokenId t, const sim::StepView& view,
-                   std::vector<VertexId>* receivers);
+                   util::TokenMatrix& into);
   /// The per-arc capacity fill over the finished allowed_ matrix.
   void fill_arc(ArcId a, const sim::StepView& view, sim::StepPlan& plan);
 
@@ -74,8 +72,8 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
 
   // ---- sharded coordination state (idle in single-process runs) ----
   CoordinationSetup coord_{};
-  std::vector<ArcId> owned_arcs_;      ///< arcs with an owned tail
-  std::vector<VertexId> receivers_;    ///< per-token election scratch
+  util::TokenMatrix elected_;      ///< this shard's token slice
+  std::vector<ArcId> owned_arcs_;  ///< arcs with an owned tail
 };
 
 }  // namespace ocd::heuristics

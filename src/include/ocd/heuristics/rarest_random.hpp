@@ -39,7 +39,7 @@ class RarestRandomPolicy final : public sim::Policy {
   /// every shard, (b) a receiver's request subdivision reads and writes
   /// only its own in-arc budgets/rows (in-arc sets of distinct
   /// receivers are disjoint), and (c) emission is arc-ascending, so
-  /// disjoint per-shard fragments merge back into plan_step's order.
+  /// disjoint per-shard plans merge back into plan_step's order.
   void plan_shard(const sim::StepView& view, sim::StepPlan& plan,
                   std::span<const VertexId> owned) override;
 

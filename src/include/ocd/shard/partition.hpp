@@ -1,12 +1,11 @@
 // Vertex partitioning for the sharded runtime.
 //
-// A Partition splits the vertex set into `num_shards` ownership classes.
-// Each shard owns a contiguous-ish block of the overlay (BFS-grown, then
-// greedily refined to shrink the edge cut) and additionally *ghosts* the
-// vertices it can see but does not own: every non-owned endpoint of an
-// arc incident to an owned vertex.  Ghosts are the read-only possession
-// replicas the barrier protocol keeps fresh between steps, and the cut
-// arc table is exactly the traffic that must cross shard boundaries.
+// A Partition splits the vertex set into `num_shards` ownership classes,
+// stored once as the owning shard of every vertex.  Each shard owns a
+// contiguous-ish block of the overlay (BFS-grown, then greedily refined
+// to shrink the edge cut) and plans the sends of the vertices it owns
+// (ocd/shard/runtime.hpp).  Shards share memory, so the cut prices no
+// traffic; PartitionStats reports it as partition quality.
 //
 // The partitioner is deterministic and seedless: the same (graph,
 // options) always yields the same Partition.
@@ -38,13 +37,6 @@
 
 namespace ocd::shard {
 
-/// One arc whose endpoints live on different shards.
-struct CutArc {
-  ArcId arc = -1;
-  std::int32_t from_shard = -1;
-  std::int32_t to_shard = -1;
-};
-
 /// Edge-cut quality report, printed by bench/fig_shard and asserted
 /// loosely by tests (a partitioner regression shows up as a cut blowup).
 struct PartitionStats {
@@ -53,7 +45,6 @@ struct PartitionStats {
   std::int64_t cut_arcs = 0;        ///< arcs crossing shards
   std::int64_t min_owned = 0;       ///< smallest ownership class
   std::int64_t max_owned = 0;       ///< largest ownership class
-  std::int64_t total_ghosts = 0;    ///< sum of per-shard ghost counts
 
   [[nodiscard]] double cut_fraction() const noexcept {
     return total_arcs == 0
@@ -65,15 +56,8 @@ struct PartitionStats {
 
 struct Partition {
   std::int32_t num_shards = 1;
-  /// Owning shard per vertex.
+  /// Owning shard per vertex, each in [0, num_shards).
   std::vector<std::int32_t> shard_of;
-  /// Owned vertices per shard, ascending.
-  std::vector<std::vector<VertexId>> owned;
-  /// Ghost vertices per shard (non-owned endpoints of arcs incident to
-  /// owned vertices, either direction), ascending.
-  std::vector<std::vector<VertexId>> ghosts;
-  /// Cross-shard arcs, ascending arc id.
-  std::vector<CutArc> cut_arcs;
   PartitionStats stats;
 };
 

@@ -1,51 +1,46 @@
 // Vertex-sharded simulation runtime.
 //
-// run_sharded() replays the single-process simulator's synchronous
-// round loop across `num_shards` shards, each owning a block of the
-// vertex partition (ocd/shard/partition.hpp).  Per step, every shard:
+// run_sharded() is sim::run with its plan phase split over the shards
+// of a vertex partition (ocd/shard/partition.hpp).  The shards share
+// memory: each step they all read the one step-start StepView and plan
+// on the ocd::util worker pool (OCD_JOBS), each with its own policy
+// instance and its own StepPlan.  The shard plans are merged into
+// sim::run's plan, and everything after planning is sim::run's own
+// code — validation, fault loss, apply, satisfaction, aggregates, the
+// watchdog, stats and schedule recording — as in §3.1's single
+// synchronous round.  This is the LOCD model of §4.1: each vertex plans
+// from its own knowledge of the step-start state, so who plans a vertex
+// cannot change what it plans.
 //
-//   plan    — plans sends for its owned vertices only (via
-//             Policy::plan_shard on a shard-local StepView), validates
-//             them, applies the fault model's per-(step, arc) loss, and
-//             routes surviving cross-shard deliveries as BinStream
-//             messages to the destination's owner;
-//   apply   — merges inbound deliveries into its owned possession rows
-//             and prepares ghost updates for the shards that replicate
-//             its owned vertices;
-//   commit  — identical on every shard: folds the broadcast summaries
-//             (empty/idle flags, move/loss/useful counters, aggregate
-//             deltas, unsatisfied counts) into the replicated global
-//             decision state, so termination, the watchdog, and the
-//             aggregate vectors never need a coordinator.
-//
-// Bit-identity guarantee: for every supported planner the merged
-// schedule and RunStats are bit-for-bit identical to sim::run on the
-// same (instance, options), for every shard count — pinned by
-// tests/shard/determinism_test.cpp.  Two planner families:
+// Bit-identity guarantee: for every supported planner the schedule and
+// RunStats are bit-for-bit identical to sim::run on the same (instance,
+// options), for every shard count, partition and worker budget —
+// pinned by tests/shard/determinism_test.cpp.  Two planner families:
 //
 //   * Local planners (round-robin, random, local): per-vertex planning
-//     is independent (plan_shard contract), all randomness is derived
-//     per-(step, coordinate) rather than drawn from execution-order-
-//     dependent streams (util::derive_seed), and merges are keyed sums
-//     or deterministic sorts.
+//     is independent (Policy::plan_shard's contract), and all
+//     randomness is derived per-(step, coordinate) rather than drawn
+//     from execution-order-dependent streams (util::derive_seed).
 //
-//   * The coordinated planner (bandwidth): every shard fully
-//     replicates possession (every owned-vertex delta is broadcast as a
-//     ghost update), and the barrier gains a *wave round* before plan:
-//     each shard runs the per-token relay elections of its token slice
-//     and broadcasts the elected receivers, so every shard holds the
-//     whole step's election before it fills its owned arcs.  One round
-//     per step, exact by construction.  See
-//     ocd/heuristics/coordination.hpp and DESIGN.md "Sharded
-//     coordinated planning".
+//   * The coordinated planner (bandwidth): each shard runs the
+//     per-token relay elections of its token slice, then, after a pool
+//     barrier, absorbs every shard's slice and fills the arcs its
+//     vertices send on.  One election round per step, exact by
+//     construction.  See ocd/heuristics/coordination.hpp and DESIGN.md
+//     "Sharded coordinated planning".
+//
+// Every arc is planned by one shard only (its tail's owner; its head's
+// owner under "local"), so the shard plans merge back into plan_step's
+// send order with one linear k-way merge per step.
 //
 // Envelope: the "global" planner, staleness, stale aggregates, dynamics
 // models, completion overrides and adapter-wrapped policies
 // ("+reliable") are refused with ocd::Error before any partitioning;
 // run them with sim::run.  Global's greedy couples every pick to every
-// earlier one, and its sharded form never beat one process; the others
-// need state the barrier protocol does not replicate.  Fault models are
-// supported verbatim.
+// earlier one, and its sharded form never beat one process.  The others
+// stay outside the envelope the determinism suites pin: shard plans are
+// bound to the static capacities, and an adapter's plan_shard does not
+// split its plan_step.  Fault models are supported verbatim.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +53,9 @@
 
 namespace ocd::shard {
 
-/// How shards exchange messages.  There is one transport: every shard
-/// runs in this process, stepped as chunks of the ocd::util worker pool,
-/// with BinStream-encoded messages passed through in-memory mailboxes
-/// (ocd/shard/transport.hpp).  The enum and ShardOptions::transport
-/// remain so callers that name the transport keep compiling.
+/// How shards exchange data.  Shards share memory, so there is nothing
+/// to choose; the enum and ShardOptions::transport remain only because
+/// perfbench names them, until ROADMAP item 2's benchmark change.
 enum class TransportKind : std::uint8_t {
   kInProcess,
 };
@@ -77,9 +70,9 @@ struct ShardOptions {
   /// OCD_SHARD_BALANCE_EPS (validated, default 0 — the historical exact
   /// band).  A resolved ε > 0 also enables the flow-based min-cut
   /// refinement stage (shard/partition.hpp), trading a bounded
-  /// ownership imbalance for fewer cut arcs and hence less barrier
-  /// traffic.  The merged schedule is bit-identical either way —
-  /// partitioning only moves ownership, never planning decisions.
+  /// ownership imbalance for fewer cut arcs.  The merged schedule is
+  /// bit-identical either way — partitioning only moves ownership,
+  /// never planning decisions.
   std::int32_t balance_eps = -1;
   /// Simulator options; see the envelope note above for the supported
   /// subset.  faults (if any) must outlive the run.
@@ -94,13 +87,15 @@ std::int32_t resolve_num_shards(std::int32_t requested);
 /// shard constructs its own instance via heuristics::make_policy) over
 /// the instance, sharded.  Throws ocd::Error for unsupported planners
 /// and options, before partitioning.
-/// The result is bit-identical to sim::run for every shard count.
+/// The result is bit-identical to sim::run for every shard count; with
+/// one shard the planner's plan_step runs unsplit.
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options);
 
-/// As run_sharded with a precomputed partition (must match
-/// resolve_num_shards(options.num_shards) shards).
+/// As run_sharded with a precomputed partition: its num_shards must
+/// match resolve_num_shards(options.num_shards), and its shard_of must
+/// give every vertex a shard in [0, num_shards), else ocd::Error.
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options,

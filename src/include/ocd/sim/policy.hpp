@@ -108,15 +108,16 @@ class Policy {
 
   /// Plans one timestep for a subset of vertices — the sharded
   /// runtime's entry point.  `owned` is sorted ascending and lists the
-  /// vertices this shard decides for; the view may be shard-local (see
-  /// StepView::set_row_map) but must cover every owned vertex and its
-  /// neighbors.  The contract that makes sharding bit-identical: the
-  /// union of plan_shard over a partition of the vertex set must plan,
-  /// per vertex, exactly the sends plan_step would.  The default —
-  /// plan_vertex over `owned` in order — satisfies this for any policy
-  /// whose per-vertex decisions are independent; policies that override
-  /// plan_step with cross-vertex coordination must either override this
-  /// consistently or be refused by the shard runtime's envelope check.
+  /// vertices this shard decides for; the view is the whole step-start
+  /// view, which every shard reads concurrently, so plan_shard may
+  /// write only this policy's own state and `plan`.  The contract that
+  /// makes sharding bit-identical: the union of plan_shard over a
+  /// partition of the vertex set must plan, per vertex, exactly the
+  /// sends plan_step would.  The default — plan_vertex over `owned` in
+  /// order — satisfies this for any policy whose per-vertex decisions
+  /// are independent; policies that override plan_step with
+  /// cross-vertex coordination must either override this consistently
+  /// or be refused by the shard runtime's envelope check.
   virtual void plan_shard(const StepView& view, StepPlan& plan,
                           std::span<const VertexId> owned);
 

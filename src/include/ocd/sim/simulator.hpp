@@ -31,7 +31,9 @@
 // tests/sim/alloc_count_test.cpp).  Nothing a run allocates grows
 // quadratically in n (no policy reads hop distances, so none are
 // precomputed).  A run executes on the calling thread; concurrency
-// lives one level up, in bench sweeps and the shard runtime.
+// lives one level up, in bench sweeps, and inside one policy: the
+// shard runtime's (ocd/shard/runtime.hpp) plan_step fans planning out
+// over the worker pool and returns one merged plan.
 //
 // With a FaultModel installed the apply phase becomes lossy: validated
 // sends consume capacity, but tokens the model eats never mutate

@@ -38,15 +38,10 @@ struct RunStats {
   /// paper's introduction lists ("nodes contribute roughly in
   /// proportion to one another").
   std::vector<std::int64_t> sent_by_vertex;
-  /// Barrier traffic accounting, filled only by shard::run_sharded (all
-  /// zero for sim::run): frame bytes each worker handed the transport
-  /// and received from it, summed over shards and phases (wave, plan,
-  /// apply, init).
+  /// Always 0: shards share memory and exchange no messages.  The field
+  /// remains only because perfbench reads it (shard.bytes_per_step);
+  /// ROADMAP item 2's benchmark change removes both together.
   std::int64_t shard_bytes_sent = 0;
-  std::int64_t shard_bytes_received = 0;
-  /// Coordinated planning ("bandwidth", > 1 shard): summary entries
-  /// (elected token slices) the wave rounds shipped.
-  std::int64_t shard_summary_entries = 0;
   double wall_seconds = 0.0;
 
   [[nodiscard]] std::int64_t total_moves() const noexcept {

@@ -31,9 +31,11 @@ const char* to_string(KnowledgeClass k);
 /// Read-only window onto the simulation at the start of one timestep.
 ///
 /// Possession state is handed out as TokenSetView rows of the
-/// simulator's flat TokenMatrix; views borrow and are only valid while
-/// the StepView (and the matrices behind it) lives — policies must not
-/// retain them across steps.
+/// simulator's flat TokenMatrix, indexed by vertex id; views borrow and
+/// are only valid while the StepView (and the matrices behind it)
+/// lives — policies must not retain them across steps.  Nothing
+/// mutates a StepView or the state behind it while the policy plans,
+/// so the sharded runtime's shards all read the one view concurrently.
 class StepView {
  public:
   /// `aggregates` may be null for policies below kLocalAggregate — the
@@ -48,17 +50,6 @@ class StepView {
 
   [[nodiscard]] std::int64_t step() const noexcept { return step_; }
   [[nodiscard]] KnowledgeClass granted() const noexcept { return granted_; }
-
-  /// Sharded runtime: the possession matrices behind this view hold
-  /// only shard-local rows (owned vertices plus ghost neighbors), and
-  /// `row_map` translates a global vertex id into a matrix row (-1 for
-  /// vertices this shard cannot see).  own_possession/peer_possession
-  /// remap through it; whole-matrix access (global_possession) is
-  /// forbidden while a row map is active, since the matrix is not the
-  /// global state.  The span must outlive the view.
-  void set_row_map(std::span<const std::int32_t> row_map) noexcept {
-    row_map_ = row_map;
-  }
 
   /// Effective capacity of `arc` for this step.  Equals the static
   /// capacity unless a dynamics model is active (§6 changing network
@@ -92,7 +83,6 @@ class StepView {
 
  private:
   void require(KnowledgeClass needed) const;
-  [[nodiscard]] std::size_t row_of(VertexId v) const;
 
   const core::Instance& instance_;
   const util::TokenMatrix& possession_;
@@ -101,7 +91,6 @@ class StepView {
   KnowledgeClass granted_;
   std::int64_t step_;
   std::span<const std::int32_t> effective_capacity_;
-  std::span<const std::int32_t> row_map_;  ///< empty = rows are vertex ids
 };
 
 }  // namespace ocd::sim

@@ -3,9 +3,9 @@
 // are bit-identical for ANY worker count.
 //
 // Two callers fan out through it: the bench sweep grid (run_grid in
-// bench/bench_common.hpp, one experiment row per chunk) and in-process
-// shard stepping (src/shard/transport.cpp, one shard per chunk).  A
-// single sim::run never does — it runs on the calling thread.
+// bench/bench_common.hpp, one experiment row per chunk) and the sharded
+// plan phase (src/shard/runtime.cpp, one shard per chunk).  A plain
+// sim::run never does — it runs on the calling thread.
 //
 // The determinism contract both rely on:
 //  * Chunking is FIXED: the number of chunks and their boundaries are a
@@ -25,8 +25,8 @@
 // every primitive inline on the caller with no pool interaction at all:
 // the serial path is the jobs==1 special case of the same code.
 //
-// Nesting: a parallel_for issued from inside a pool worker (e.g. an
-// in-process sharded run inside a bench sweep row) runs inline and
+// Nesting: a parallel_for issued from inside a pool worker (e.g. a
+// sharded run inside a bench sweep row) runs inline and
 // serially on that worker.  The two levels therefore share one budget
 // instead of multiplying, and the pool cannot deadlock on itself.
 //

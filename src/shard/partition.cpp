@@ -441,46 +441,18 @@ Partition partition_vertices(const Digraph& graph,
         refiner.refine_pair(a, b);
   }
 
-  // Ownership lists (ascending by construction).
-  part.owned.assign(static_cast<std::size_t>(num_shards), {});
-  for (std::size_t s = 0; s < sizes.size(); ++s)
-    part.owned[s].reserve(static_cast<std::size_t>(sizes[s]));
-  for (VertexId v = 0; v < n; ++v)
-    part.owned[static_cast<std::size_t>(part.shard_of[static_cast<std::size_t>(v)])]
-        .push_back(v);
-
-  // Cut arcs (ascending arc id) and ghost flags: a cross arc makes each
-  // endpoint a ghost of the other endpoint's shard.
-  std::vector<std::vector<char>> ghost_flag(
-      static_cast<std::size_t>(num_shards),
-      std::vector<char>(static_cast<std::size_t>(n), 0));
   for (ArcId a = 0; a < graph.num_arcs(); ++a) {
     const Arc& arc = graph.arc(a);
-    const std::int32_t sf = part.shard_of[static_cast<std::size_t>(arc.from)];
-    const std::int32_t st = part.shard_of[static_cast<std::size_t>(arc.to)];
-    if (sf == st) continue;
-    part.cut_arcs.push_back({a, sf, st});
-    ghost_flag[static_cast<std::size_t>(st)][static_cast<std::size_t>(
-        arc.from)] = 1;
-    ghost_flag[static_cast<std::size_t>(sf)][static_cast<std::size_t>(
-        arc.to)] = 1;
+    if (part.shard_of[static_cast<std::size_t>(arc.from)] !=
+        part.shard_of[static_cast<std::size_t>(arc.to)])
+      ++part.stats.cut_arcs;
   }
-  part.ghosts.assign(static_cast<std::size_t>(num_shards), {});
-  for (std::size_t s = 0; s < part.ghosts.size(); ++s) {
-    for (VertexId v = 0; v < n; ++v)
-      if (ghost_flag[s][static_cast<std::size_t>(v)])
-        part.ghosts[s].push_back(v);
-  }
-
   part.stats.num_shards = num_shards;
   part.stats.total_arcs = graph.num_arcs();
-  part.stats.cut_arcs = static_cast<std::int64_t>(part.cut_arcs.size());
   part.stats.min_owned = n == 0 ? 0 : *std::min_element(sizes.begin(),
                                                         sizes.end());
   part.stats.max_owned = n == 0 ? 0 : *std::max_element(sizes.begin(),
                                                         sizes.end());
-  for (const auto& g : part.ghosts)
-    part.stats.total_ghosts += static_cast<std::int64_t>(g.size());
   return part;
 }
 

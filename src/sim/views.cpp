@@ -46,17 +46,8 @@ std::int32_t StepView::num_tokens() const noexcept {
   return instance_.num_tokens();
 }
 
-std::size_t StepView::row_of(VertexId v) const {
-  if (row_map_.empty()) return static_cast<std::size_t>(v);
-  OCD_EXPECTS(v >= 0 && static_cast<std::size_t>(v) < row_map_.size());
-  const std::int32_t row = row_map_[static_cast<std::size_t>(v)];
-  OCD_ASSERT_MSG(row >= 0,
-                 "vertex is neither owned by nor a ghost of this shard");
-  return static_cast<std::size_t>(row);
-}
-
 TokenSetView StepView::own_possession(VertexId v) const {
-  return possession_.row(row_of(v));
+  return possession_.row(static_cast<std::size_t>(v));
 }
 
 const TokenSet& StepView::own_want(VertexId v) const {
@@ -68,7 +59,7 @@ TokenSetView StepView::peer_possession(VertexId self,
   require(KnowledgeClass::kLocalPeers);
   OCD_EXPECTS(instance_.graph().has_arc(self, neighbor) ||
               instance_.graph().has_arc(neighbor, self));
-  return stale_possession_.row(row_of(neighbor));
+  return stale_possession_.row(static_cast<std::size_t>(neighbor));
 }
 
 std::span<const std::int32_t> StepView::aggregate_holders() const {
@@ -87,8 +78,6 @@ std::span<const std::int32_t> StepView::aggregate_need() const {
 
 const util::TokenMatrix& StepView::global_possession() const {
   require(KnowledgeClass::kGlobal);
-  OCD_ASSERT_MSG(row_map_.empty(),
-                 "global possession is unavailable on a shard-local view");
   return possession_;
 }
 

@@ -1,11 +1,12 @@
 // Sharded coordinated planning: the "bandwidth" planner needs the
-// whole possession map to decide, so the sharded runtime replicates
-// possession on every shard and inserts one wave round (the token-sliced
-// relay elections) before each plan phase.  The contract is unchanged
-// from the local planners: the merged schedule and RunStats are
-// bit-for-bit identical to sim::run for every shard count and any
-// fault model.  ("global" is refused by the runtime; ShardDeterminism
-// pins the refusal.)
+// whole possession map to decide, so every shard reads the shared step
+// view, elects its token slice of the relay elections, and after a pool
+// barrier absorbs every shard's slice before filling its owned arcs.
+// The contract is unchanged from the local planners: the merged
+// schedule and RunStats are bit-for-bit identical to sim::run for every
+// shard count, BFS-grown or striped partition, and any fault model.
+// ("global" is refused by the runtime; ShardDeterminism pins the
+// refusal.)
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,6 +25,17 @@ namespace {
 
 constexpr std::int32_t kShardCounts[] = {1, 2, 4};
 constexpr const char* kCoordinatedPolicies[] = {"bandwidth"};
+/// Striped partitions interleave the shards' arcs on every merge.
+constexpr std::int32_t kStripedShardCounts[] = {2, 3};
+
+Partition striped_partition(std::int32_t num_vertices,
+                            std::int32_t num_shards) {
+  Partition part;
+  part.num_shards = num_shards;
+  for (VertexId v = 0; v < num_vertices; ++v)
+    part.shard_of.push_back(v % num_shards);
+  return part;
+}
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
                                   std::uint64_t seed) {
@@ -94,6 +106,16 @@ sim::RunResult run_with(const core::Instance& inst, const char* policy_name,
   return run_sharded(inst, policy_name, options);
 }
 
+sim::RunResult run_striped(const core::Instance& inst,
+                           const char* policy_name, std::int32_t shards,
+                           const sim::SimOptions& sim) {
+  ShardOptions options;
+  options.num_shards = shards;
+  options.sim = sim;
+  return run_sharded(inst, policy_name, options,
+                     striped_partition(inst.num_vertices(), shards));
+}
+
 TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
   for (const auto& make_inst :
        {std::function<core::Instance()>(
@@ -112,6 +134,13 @@ TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
             run_with(inst, policy_name, shards, options);
         expect_same_run(result, reference,
                         std::string(policy_name) + " shards=" +
+                            std::to_string(shards));
+      }
+      for (std::int32_t shards : kStripedShardCounts) {
+        const sim::RunResult result =
+            run_striped(inst, policy_name, shards, options);
+        expect_same_run(result, reference,
+                        std::string(policy_name) + " striped shards=" +
                             std::to_string(shards));
       }
     }
@@ -139,30 +168,17 @@ TEST(ShardCoordinated, MatchesSingleProcessUnderUniformLoss) {
                       std::string(policy_name) + "/uniform shards=" +
                           std::to_string(shards));
     }
+    for (std::int32_t shards : kStripedShardCounts) {
+      faults::UniformLoss sharded_model(0.3);
+      sim::SimOptions sharded = options;
+      sharded.faults = &sharded_model;
+      const sim::RunResult result =
+          run_striped(inst, policy_name, shards, sharded);
+      expect_same_run(result, reference,
+                      std::string(policy_name) + "/uniform striped shards=" +
+                          std::to_string(shards));
+    }
   }
-}
-
-TEST(ShardCoordinated, ReportsBarrierTrafficCounters) {
-  const core::Instance inst = broadcast_instance(32, 16, 13);
-  sim::SimOptions options;
-  options.max_steps = 400;
-  // Single process: no barrier, all counters stay zero.
-  const sim::RunResult reference = reference_run(inst, "bandwidth", options);
-  EXPECT_EQ(reference.stats.shard_bytes_sent, 0);
-  EXPECT_EQ(reference.stats.shard_bytes_received, 0);
-  EXPECT_EQ(reference.stats.shard_summary_entries, 0);
-  // One shard: no peers, still no traffic.
-  const sim::RunResult solo = run_with(inst, "bandwidth", 1, options);
-  EXPECT_EQ(solo.stats.shard_bytes_sent, 0);
-  EXPECT_EQ(solo.stats.shard_bytes_received, 0);
-  // Two shards: every frame is counted on both ends of the star, and
-  // the wave summaries contribute entries.
-  const sim::RunResult sharded = run_with(inst, "bandwidth", 2, options);
-  EXPECT_GT(sharded.stats.shard_bytes_sent, 0);
-  EXPECT_EQ(sharded.stats.shard_bytes_sent,
-            sharded.stats.shard_bytes_received)
-      << "a 2-shard star delivers every byte it sends";
-  EXPECT_GT(sharded.stats.shard_summary_entries, 0);
 }
 
 TEST(ShardCoordinated, ScheduleRecordingCanBeDisabled) {

@@ -1,9 +1,9 @@
 // Shard-count invariance: the vertex-sharded runtime must reproduce
 // sim::run bit-for-bit — schedules, step counts, loss traces, per-vertex
 // completion and upload series — for every supported policy, every shard
-// count in {1, 2, 3, 4}, every fault model, and any OCD_JOBS budget.  This
-// is the contract that makes sharding an execution detail instead of a
-// semantics change.
+// count in {1, 2, 3, 4}, BFS-grown and striped partitions, every fault
+// model, and any OCD_JOBS budget.  This is the contract that makes
+// sharding an execution detail instead of a semantics change.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,6 +26,19 @@ namespace {
 
 constexpr std::int32_t kShardCounts[] = {1, 2, 3, 4};
 constexpr const char* kPolicies[] = {"round-robin", "random", "local"};
+/// Striped partitions put consecutive vertices on different shards, so
+/// the plan merge switches shards at every sender and interleaves arc
+/// ids finely.
+constexpr std::int32_t kStripedShardCounts[] = {2, 3};
+
+Partition striped_partition(std::int32_t num_vertices,
+                            std::int32_t num_shards) {
+  Partition part;
+  part.num_shards = num_shards;
+  for (VertexId v = 0; v < num_vertices; ++v)
+    part.shard_of.push_back(v % num_shards);
+  return part;
+}
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
                                   std::uint64_t seed) {
@@ -117,6 +130,17 @@ TEST(ShardDeterminism, MatchesSingleProcessForEveryShardCount) {
                         std::string(policy_name) + " shards=" +
                             std::to_string(shards));
       }
+      for (std::int32_t shards : kStripedShardCounts) {
+        ShardOptions sharded;
+        sharded.num_shards = shards;
+        sharded.sim = options;
+        const sim::RunResult result =
+            run_sharded(inst, policy_name, sharded,
+                        striped_partition(inst.num_vertices(), shards));
+        expect_same_run(result, reference,
+                        std::string(policy_name) + " striped shards=" +
+                            std::to_string(shards));
+      }
     }
   }
 }
@@ -165,6 +189,19 @@ TEST(ShardDeterminism, MatchesSingleProcessUnderFaults) {
                         std::string(policy_name) + "/" + c.label +
                             " shards=" + std::to_string(shards));
       }
+      for (std::int32_t shards : kStripedShardCounts) {
+        const auto sharded_model = c.make();
+        ShardOptions sharded;
+        sharded.num_shards = shards;
+        sharded.sim = options;
+        sharded.sim.faults = sharded_model.get();
+        const sim::RunResult result =
+            run_sharded(inst, policy_name, sharded,
+                        striped_partition(inst.num_vertices(), shards));
+        expect_same_run(result, reference,
+                        std::string(policy_name) + "/" + c.label +
+                            " striped shards=" + std::to_string(shards));
+      }
     }
   }
 }
@@ -173,14 +210,20 @@ TEST(ShardDeterminism, InvariantUnderWorkerBudget) {
   const core::Instance inst = broadcast_instance(36, 20, 3);
   sim::SimOptions options;
   options.max_steps = 400;
-  const sim::RunResult reference = reference_run(inst, "local", options);
-  for (const unsigned jobs : {1u, 2u, 8u}) {
-    util::set_parallel_jobs(jobs);
-    ShardOptions sharded;
-    sharded.num_shards = 4;
-    sharded.sim = options;
-    const sim::RunResult result = run_sharded(inst, "local", sharded);
-    expect_same_run(result, reference, "jobs=" + std::to_string(jobs));
+  for (const char* policy_name :
+       {"round-robin", "random", "local", "bandwidth"}) {
+    const sim::RunResult reference =
+        reference_run(inst, policy_name, options);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+      util::set_parallel_jobs(jobs);
+      ShardOptions sharded;
+      sharded.num_shards = 4;
+      sharded.sim = options;
+      const sim::RunResult result = run_sharded(inst, policy_name, sharded);
+      expect_same_run(result, reference,
+                      std::string(policy_name) +
+                          " jobs=" + std::to_string(jobs));
+    }
   }
   util::set_parallel_jobs(0);  // restore the environment default
 }
@@ -352,6 +395,27 @@ TEST(ShardDeterminism, AcceptsPrecomputedPartition) {
   mismatched.num_shards = 2;
   EXPECT_THROW(run_sharded(inst, "round-robin", mismatched, partition),
                Error);
+
+  // shard_of is the one record of ownership; a map that does not give
+  // every vertex a shard in [0, num_shards) is refused before the run.
+  const auto expect_refused = [&](const Partition& bad, const char* label) {
+    try {
+      (void)run_sharded(inst, "round-robin", options, bad);
+      ADD_FAILURE() << label << " was not refused";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard_of"), std::string::npos)
+          << label << ": " << e.what();
+    }
+  };
+  Partition short_map = partition;
+  short_map.shard_of.pop_back();
+  expect_refused(short_map, "shard_of shorter than the vertex count");
+  Partition negative = partition;
+  negative.shard_of[5] = -1;
+  expect_refused(negative, "shard_of value -1");
+  Partition past_end = partition;
+  past_end.shard_of[5] = 4;
+  expect_refused(past_end, "shard_of value num_shards");
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Partitioner contract: deterministic, covering, balanced, with a
-// consistent cut/ghost table — everything the barrier protocol and the
-// sub-instance extractor assume.
+// Partitioner contract: deterministic, covering, balanced, with an
+// exact cut count — everything the sharded plan phase and fig_shard's
+// cut columns assume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
+#include <vector>
 
 #include "ocd/shard/partition.hpp"
 #include "ocd/topology/random_graph.hpp"
@@ -20,23 +20,36 @@ Digraph overlay(std::int32_t n, std::uint64_t seed) {
   return topology::random_overlay(n, rng);
 }
 
+/// Ownership class sizes, from the one ownership map.
+std::vector<std::int64_t> class_sizes(const Partition& part) {
+  std::vector<std::int64_t> sizes(static_cast<std::size_t>(part.num_shards),
+                                  0);
+  for (std::int32_t s : part.shard_of) ++sizes[static_cast<std::size_t>(s)];
+  return sizes;
+}
+
+std::int64_t crossing_arcs(const Digraph& g, const Partition& part) {
+  std::int64_t cut = 0;
+  for (ArcId a = 0; a < g.num_arcs(); ++a) {
+    const Arc& arc = g.arc(a);
+    if (part.shard_of[static_cast<std::size_t>(arc.from)] !=
+        part.shard_of[static_cast<std::size_t>(arc.to)])
+      ++cut;
+  }
+  return cut;
+}
+
 TEST(ShardPartition, CoversEveryVertexExactlyOnce) {
   const Digraph g = overlay(50, 3);
   for (std::int32_t shards : {1, 2, 4, 7}) {
     const Partition part = partition_vertices(g, shards);
     ASSERT_EQ(part.num_shards, shards);
     ASSERT_EQ(part.shard_of.size(), static_cast<std::size_t>(50));
-    std::vector<char> seen(50, 0);
-    for (std::int32_t s = 0; s < shards; ++s) {
-      const auto& owned = part.owned[static_cast<std::size_t>(s)];
-      EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end())) << shards;
-      for (VertexId v : owned) {
-        EXPECT_EQ(part.shard_of[static_cast<std::size_t>(v)], s);
-        EXPECT_EQ(seen[static_cast<std::size_t>(v)], 0);
-        seen[static_cast<std::size_t>(v)] = 1;
-      }
+    for (std::int32_t s : part.shard_of) {
+      EXPECT_GE(s, 0) << shards;
+      EXPECT_LT(s, shards) << shards;
     }
-    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 50);
+    for (std::int64_t size : class_sizes(part)) EXPECT_GT(size, 0) << shards;
   }
 }
 
@@ -46,9 +59,9 @@ TEST(ShardPartition, BalancesOwnershipWithinOneVertex) {
     const Partition part = partition_vertices(g, shards);
     const std::int64_t lo = 53 / shards;
     const std::int64_t hi = (53 + shards - 1) / shards;
-    for (const auto& owned : part.owned) {
-      EXPECT_GE(static_cast<std::int64_t>(owned.size()), lo) << shards;
-      EXPECT_LE(static_cast<std::int64_t>(owned.size()), hi) << shards;
+    for (std::int64_t size : class_sizes(part)) {
+      EXPECT_GE(size, lo) << shards;
+      EXPECT_LE(size, hi) << shards;
     }
     EXPECT_GE(part.stats.min_owned, lo);
     EXPECT_LE(part.stats.max_owned, hi);
@@ -58,62 +71,19 @@ TEST(ShardPartition, BalancesOwnershipWithinOneVertex) {
 TEST(ShardPartition, CutTableListsExactlyTheCrossingArcs) {
   const Digraph g = overlay(40, 5);
   const Partition part = partition_vertices(g, 4);
-  std::set<ArcId> cut;
-  for (const CutArc& c : part.cut_arcs) {
-    const Arc& arc = g.arc(c.arc);
-    EXPECT_EQ(c.from_shard, part.shard_of[static_cast<std::size_t>(arc.from)]);
-    EXPECT_EQ(c.to_shard, part.shard_of[static_cast<std::size_t>(arc.to)]);
-    EXPECT_NE(c.from_shard, c.to_shard);
-    cut.insert(c.arc);
-  }
-  // Ascending and duplicate-free.
-  EXPECT_EQ(cut.size(), part.cut_arcs.size());
-  for (std::size_t i = 1; i < part.cut_arcs.size(); ++i)
-    EXPECT_LT(part.cut_arcs[i - 1].arc, part.cut_arcs[i].arc);
-  // Exactness: every arc is cut iff its endpoints differ.
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const Arc& arc = g.arc(a);
-    const bool crossing =
-        part.shard_of[static_cast<std::size_t>(arc.from)] !=
-        part.shard_of[static_cast<std::size_t>(arc.to)];
-    EXPECT_EQ(cut.count(a) == 1, crossing) << "arc " << a;
-  }
-  EXPECT_EQ(part.stats.cut_arcs,
-            static_cast<std::int64_t>(part.cut_arcs.size()));
+  // Exactness: the count is the number of arcs whose endpoints differ.
+  EXPECT_EQ(part.stats.cut_arcs, crossing_arcs(g, part));
+  EXPECT_GT(part.stats.cut_arcs, 0);
   EXPECT_EQ(part.stats.total_arcs, g.num_arcs());
   EXPECT_GE(part.stats.cut_fraction(), 0.0);
   EXPECT_LE(part.stats.cut_fraction(), 1.0);
 }
 
-TEST(ShardPartition, GhostsAreTheNonOwnedEndpointsOfIncidentArcs) {
-  const Digraph g = overlay(40, 5);
-  const Partition part = partition_vertices(g, 4);
-  std::int64_t total_ghosts = 0;
-  for (std::int32_t s = 0; s < 4; ++s) {
-    const auto& ghosts = part.ghosts[static_cast<std::size_t>(s)];
-    EXPECT_TRUE(std::is_sorted(ghosts.begin(), ghosts.end()));
-    total_ghosts += static_cast<std::int64_t>(ghosts.size());
-    std::set<VertexId> expected;
-    for (const CutArc& c : part.cut_arcs) {
-      const Arc& arc = g.arc(c.arc);
-      if (c.to_shard == s) expected.insert(arc.from);
-      if (c.from_shard == s) expected.insert(arc.to);
-    }
-    EXPECT_EQ(std::vector<VertexId>(expected.begin(), expected.end()),
-              ghosts)
-        << "shard " << s;
-    for (VertexId v : ghosts)
-      EXPECT_NE(part.shard_of[static_cast<std::size_t>(v)], s);
-  }
-  EXPECT_EQ(part.stats.total_ghosts, total_ghosts);
-}
-
 TEST(ShardPartition, SingleShardHasNoCutAndNoGhosts) {
   const Digraph g = overlay(20, 1);
   const Partition part = partition_vertices(g, 1);
-  EXPECT_TRUE(part.cut_arcs.empty());
-  EXPECT_TRUE(part.ghosts[0].empty());
-  EXPECT_EQ(part.owned[0].size(), static_cast<std::size_t>(20));
+  EXPECT_EQ(part.stats.cut_arcs, 0);
+  EXPECT_EQ(part.shard_of, std::vector<std::int32_t>(20, 0));
   EXPECT_EQ(part.stats.cut_fraction(), 0.0);
 }
 
@@ -122,11 +92,7 @@ TEST(ShardPartition, DeterministicAcrossCalls) {
   const Partition a = partition_vertices(g, 4);
   const Partition b = partition_vertices(g, 4);
   EXPECT_EQ(a.shard_of, b.shard_of);
-  EXPECT_EQ(a.owned, b.owned);
-  EXPECT_EQ(a.ghosts, b.ghosts);
-  ASSERT_EQ(a.cut_arcs.size(), b.cut_arcs.size());
-  for (std::size_t i = 0; i < a.cut_arcs.size(); ++i)
-    EXPECT_EQ(a.cut_arcs[i].arc, b.cut_arcs[i].arc);
+  EXPECT_EQ(a.stats.cut_arcs, b.stats.cut_arcs);
 }
 
 TEST(ShardPartition, RefinementKeepsTheCutBelowRandomAssignment) {
@@ -234,16 +200,15 @@ void expect_valid_partition(const Digraph& g, const Partition& part,
                             std::int32_t shards, std::int64_t lo_band,
                             std::int64_t hi_band) {
   ASSERT_EQ(part.num_shards, shards);
-  std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const auto& owned : part.owned) {
-    EXPECT_GE(static_cast<std::int64_t>(owned.size()), lo_band);
-    EXPECT_LE(static_cast<std::int64_t>(owned.size()), hi_band);
-    for (VertexId v : owned) {
-      EXPECT_EQ(seen[static_cast<std::size_t>(v)], 0);
-      seen[static_cast<std::size_t>(v)] = 1;
-    }
+  ASSERT_EQ(part.shard_of.size(), static_cast<std::size_t>(g.num_vertices()));
+  for (std::int32_t s : part.shard_of) {
+    ASSERT_GE(s, 0);
+    ASSERT_LT(s, shards);
   }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), g.num_vertices());
+  for (std::int64_t size : class_sizes(part)) {
+    EXPECT_GE(size, lo_band);
+    EXPECT_LE(size, hi_band);
+  }
 }
 
 PartitionOptions flow_options(std::int32_t shards, std::int32_t eps,
@@ -320,34 +285,11 @@ TEST(ShardPartitionFlow, StrictlyBeatsGreedyOnPinnedConfigurations) {
 }
 
 TEST(ShardPartitionFlow, CutAndGhostTablesStayConsistent) {
+  // The flow stage moves labels pair by pair; the final count must
+  // still be exact.
   const Digraph g = transit_stub_overlay(120, 5);
   const Partition part = partition_vertices(g, flow_options(4, 10, true));
-  std::set<ArcId> cut;
-  for (const CutArc& c : part.cut_arcs) {
-    const Arc& arc = g.arc(c.arc);
-    EXPECT_EQ(c.from_shard, part.shard_of[static_cast<std::size_t>(arc.from)]);
-    EXPECT_EQ(c.to_shard, part.shard_of[static_cast<std::size_t>(arc.to)]);
-    EXPECT_NE(c.from_shard, c.to_shard);
-    cut.insert(c.arc);
-  }
-  EXPECT_EQ(cut.size(), part.cut_arcs.size());
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const Arc& arc = g.arc(a);
-    const bool crossing = part.shard_of[static_cast<std::size_t>(arc.from)] !=
-                          part.shard_of[static_cast<std::size_t>(arc.to)];
-    EXPECT_EQ(cut.count(a) == 1, crossing) << "arc " << a;
-  }
-  for (std::int32_t s = 0; s < 4; ++s) {
-    std::set<VertexId> expected;
-    for (const CutArc& c : part.cut_arcs) {
-      const Arc& arc = g.arc(c.arc);
-      if (c.to_shard == s) expected.insert(arc.from);
-      if (c.from_shard == s) expected.insert(arc.to);
-    }
-    EXPECT_EQ(std::vector<VertexId>(expected.begin(), expected.end()),
-              part.ghosts[static_cast<std::size_t>(s)])
-        << "shard " << s;
-  }
+  EXPECT_EQ(part.stats.cut_arcs, crossing_arcs(g, part));
 }
 
 TEST(ShardPartitionFlow, DeterministicAcrossCalls) {
