@@ -431,9 +431,12 @@ BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
     ->Args({1000, 512, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-// Coordinated planning: shards > 1 splits the token-sliced relay
-// elections over the shards, then absorbs every slice after a pool
-// barrier before the owned arcs are filled.
+// Coordinated planning: shards > 1 splits the relay election's word
+// pass over the shards by 64-token word (8 words here, so 4 / 2 per
+// shard at 2 / 4 shards), then absorbs every slice after a pool barrier
+// before the owned arcs are filled.  On this broadcast no token passes
+// the R ∩ F filter, so no relay BFS runs and the election is a few
+// word operations per arc; the fill dominates.
 BENCHMARK_CAPTURE(BM_ShardStep, bandwidth, "bandwidth")
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})

@@ -56,7 +56,9 @@ done
 # its peers' elected slices in place: ShardDeterminism replays the
 # local planners (and every planner under OCD_JOBS in {1, 2, 8})
 # against single-process runs, ShardCoordinated replays the
-# coordinated planner's token-sliced elections, and ShardPartition
+# coordinated planner's word-sliced elections (each shard writes its
+# own frontier matrix, filter words and BFS scratch while its peers
+# read the same possession rows), and ShardPartition
 # covers the partitioner; `Shard` selects every one of these
 # suites.  The flat-memory suites ride along: TokenMatrix
 # / SnapshotRing exercise the view kernels and snapshot ring

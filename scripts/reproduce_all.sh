@@ -64,12 +64,14 @@ build-bench/bench/micro_benchmarks \
 
 # The regression gate refuses debug-build snapshots and insists the
 # full planner grid is present — every family at the large 1000v/512t
-# point, and `global` on the sparse 20k-vertex 8-token instance — so a
-# silently dropped benchmark cannot pass unnoticed (a baseline recorded
-# before the sparse rows existed fails that --require).  The
-# /shards:N gates are --require-any: --allow-undersized-host keeps
-# this gate usable on small CI boxes, where presence is still enforced
-# but the vacuous contention comparison is skipped.  The scalar
+# point, and `global` and `bandwidth` on the sparse 20k-vertex 8-token
+# instance (the wave loop's and the word-parallel relay election's
+# scaling checks) — so a silently dropped benchmark cannot pass
+# unnoticed (a baseline recorded before the sparse rows existed fails
+# that --require).  The /shards:N gates are --require-any:
+# --allow-undersized-host keeps this gate usable on small CI boxes,
+# where presence is still enforced but the vacuous contention
+# comparison is skipped.  The scalar
 # token-kernel families are likewise required unconditionally; the
 # avx2 families only where this host can run them (elsewhere they are
 # SkipWithError rows, which compare_bench.py excludes).
@@ -89,6 +91,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/round_robin/1000/512' \
     --require 'PlannerStepsPerSec/bandwidth/1000/512' \
     --require 'PlannerStepsPerSec/global_sparse/20000/8' \
+    --require 'PlannerStepsPerSec/bandwidth_sparse/20000/8' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

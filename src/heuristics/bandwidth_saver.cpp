@@ -1,92 +1,113 @@
 #include "ocd/heuristics/bandwidth_saver.hpp"
 
-#include <algorithm>
-
 namespace ocd::heuristics {
 
 void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
   const auto n = static_cast<std::size_t>(instance.graph().num_vertices());
   const auto universe = static_cast<std::size_t>(instance.num_tokens());
   allowed_.reset(n, universe);
-  frontier_dist_.assign(n, -1);
+  front_.reset(n, universe);
+  spare_front_.assign(allowed_.words_per_row(), 0);
+  far_need_.assign(allowed_.words_per_row(), 0);
   witness_.assign(n, 0);
-  needy_.clear();
-  needy_.reserve(n);
   bfs_.clear();
   bfs_.reserve(n);
   candidates_ = TokenSet(universe);
-  ranked_cand_ = TokenSet(universe);
-  ranked_want_ = TokenSet(universe);
-  ranked_needs_ = TokenSet(universe);
-  ranked_flood_ = TokenSet(universe);
+  needs_ = TokenSet(universe);
+  ranked_ = TokenSet(universe);
   batch_ = TokenSet(universe);
 }
 
-// The per-token election: needy set, one-hop frontier, multi-source
-// BFS electing each needy node's nearest frontier vertex; needy nodes
-// and elected relays become the token's allowed receivers.  Reads only
-// step-start state and writes only `t`'s bits, so slicing the token
-// loop across shards reproduces the serial matrix exactly.
-void BandwidthPolicy::score_token(TokenId t, const sim::StepView& view,
-                                  util::TokenMatrix& into) {
+// The word pass: needs into `into`, frontiers into front_, and the
+// R / F filters, over the slice's words only; then the relay BFS for
+// the tokens of R ∩ F.  Reads only step-start state and writes only the
+// slice's words, so slicing the words across shards reproduces the
+// serial matrix exactly.
+void BandwidthPolicy::elect(const sim::StepView& view, util::TokenMatrix& into,
+                            std::size_t first_word, std::size_t word_stride) {
   const Digraph& graph = view.graph();
   const core::Instance& inst = view.instance();
   const util::TokenMatrix& possession = view.global_possession();
-
-  // Needy vertices for t.
-  needy_.clear();
+  const std::size_t words = possession.words_per_row();
+  if (first_word >= words) return;
+  for (std::size_t wi = first_word; wi < words; wi += word_stride)
+    spare_front_[wi] = far_need_[wi] = 0;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (inst.want(v).test(t) &&
-        !possession.row(static_cast<std::size_t>(v)).test(t))
-      needy_.push_back(v);
-  }
-  if (needy_.empty()) return;
-  for (VertexId v : needy_) into.row(static_cast<std::size_t>(v)).set(t);
-
-  // One-hop-knowledge frontier: lacks t, has an in-neighbor holding t.
-  std::fill(frontier_dist_.begin(), frontier_dist_.end(), -1);
-  bfs_.clear();
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (possession.row(static_cast<std::size_t>(v)).test(t)) continue;
+    const auto row = static_cast<std::size_t>(v);
+    const TokenSetView have = possession.row(row);
+    const TokenSetView want = inst.want(v);
+    std::uint64_t* need = into.row(row).mutable_words();
+    std::uint64_t* front = front_.row(row).mutable_words();
+    for (std::size_t wi = first_word; wi < words; wi += word_stride)
+      front[wi] = 0;
     for (ArcId a : graph.in_arcs(v)) {
-      if (possession.row(static_cast<std::size_t>(graph.arc(a).from))
-              .test(t)) {
-        frontier_dist_[static_cast<std::size_t>(v)] = 0;
-        witness_[static_cast<std::size_t>(v)] = v;
-        bfs_.push_back(v);
-        break;
-      }
+      const TokenSetView from =
+          possession.row(static_cast<std::size_t>(graph.arc(a).from));
+      for (std::size_t wi = first_word; wi < words; wi += word_stride)
+        front[wi] |= from.word(wi);
+    }
+    for (std::size_t wi = first_word; wi < words; wi += word_stride) {
+      need[wi] = want.word(wi) & ~have.word(wi);
+      front[wi] &= ~have.word(wi);
+      spare_front_[wi] |= front[wi] & ~need[wi];
+      far_need_[wi] |= need[wi] & ~front[wi];
     }
   }
-  if (bfs_.empty()) return;  // everyone reachable already holds t
+  for (std::size_t wi = first_word; wi < words; wi += word_stride) {
+    for (std::uint64_t w = spare_front_[wi] & far_need_[wi]; w != 0;
+         w &= w - 1) {
+      elect_relays(static_cast<TokenId>(
+                       wi * 64 + static_cast<std::size_t>(__builtin_ctzll(w))),
+                   graph, into);
+    }
+  }
+}
 
-  // Multi-source BFS electing, for every vertex, its nearest frontier
-  // vertex (ties broken by BFS order — deterministic).
+// Multi-source BFS from t's frontier in ascending vertex id, electing
+// for every vertex its nearest frontier vertex (ties broken by BFS
+// order — deterministic).  A discovered vertex (distance >= 1) is not
+// in the frontier, so it is never a witness and its bit t in `into` is
+// still its need bit; its witness is final on discovery, so the relay
+// bit is set right then.  The BFS stops once every needy vertex outside
+// the frontier is discovered; the rest of it could set no bit.
+void BandwidthPolicy::elect_relays(TokenId t, const Digraph& graph,
+                                   util::TokenMatrix& into) {
+  const auto wi = static_cast<std::size_t>(t) / 64;
+  const std::uint64_t bit = 1ULL << (static_cast<unsigned>(t) % 64);
+  bfs_.clear();
+  std::int32_t far_needy = 0;  // undiscovered needy vertices off the frontier
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const auto row = static_cast<std::size_t>(v);
+    if ((front_.row(row).word(wi) & bit) != 0) {
+      witness_[row] = v;
+      bfs_.push_back(v);
+    } else {
+      witness_[row] = -1;  // not discovered yet
+      if ((into.row(row).word(wi) & bit) != 0) ++far_needy;
+    }
+  }
   for (std::size_t head = 0; head < bfs_.size(); ++head) {
     const VertexId u = bfs_[head];
     for (ArcId a : graph.out_arcs(u)) {
       const VertexId w = graph.arc(a).to;
-      if (frontier_dist_[static_cast<std::size_t>(w)] < 0) {
-        frontier_dist_[static_cast<std::size_t>(w)] =
-            frontier_dist_[static_cast<std::size_t>(u)] + 1;
-        witness_[static_cast<std::size_t>(w)] =
-            witness_[static_cast<std::size_t>(u)];
-        bfs_.push_back(w);
+      const auto row = static_cast<std::size_t>(w);
+      if (witness_[row] >= 0) continue;
+      witness_[row] = witness_[static_cast<std::size_t>(u)];
+      bfs_.push_back(w);
+      if ((into.row(row).word(wi) & bit) != 0) {
+        into.row(static_cast<std::size_t>(witness_[row])).set(t);
+        if (--far_needy == 0) return;
       }
-    }
-  }
-  for (VertexId v : needy_) {
-    if (frontier_dist_[static_cast<std::size_t>(v)] >= 0) {
-      const VertexId relay = witness_[static_cast<std::size_t>(v)];
-      into.row(static_cast<std::size_t>(relay)).set(t);
     }
   }
 }
 
 // The per-arc capacity fill over the finished allowed_ matrix: direct
-// needs before relay tokens, rarest first inside each class.  The fill
-// is a masked-word iteration over rank-space sets (ocd/util/rarity.hpp)
-// rather than a scan of the full rarity order per arc.
+// needs before relay tokens, rarest first inside each class.  Each
+// class is a masked-word iteration over its rank-space set
+// (ocd/util/rarity.hpp) rather than a scan of the full rarity order per
+// arc, and only the tokens the arc may send are rank-converted: the
+// needs, then the flood remainder only if the needs leave room.
 void BandwidthPolicy::fill_arc(ArcId a, const sim::StepView& view,
                                sim::StepPlan& plan) {
   const core::Instance& inst = view.instance();
@@ -103,22 +124,21 @@ void BandwidthPolicy::fill_arc(ArcId a, const sim::StepView& view,
     plan.send(a, candidates_);
     return;
   }
-  ranker_.to_ranks_into(candidates_, ranked_cand_);
-  ranker_.to_ranks_into(inst.want(arc.to), ranked_want_);
-  ranked_needs_.assign(ranked_cand_);
-  ranked_needs_ &= ranked_want_;
+  needs_.assign(candidates_);
+  needs_ &= inst.want(arc.to);
+  candidates_ -= needs_;  // the flood remainder
   batch_.clear();
   std::size_t filled = 0;
   const auto take = [&](TokenId r) {
     batch_.set(ranker_.token_at(r));
     return ++filled < capacity;
   };
-  TokenSet::for_each_in_intersection(ranked_cand_, ranked_needs_, take);
-  if (filled < capacity) {
-    ranked_flood_.assign(ranked_cand_);
-    ranked_flood_ -= ranked_needs_;
-    TokenSet::for_each_in_intersection(ranked_cand_, ranked_flood_, take);
-  }
+  // False once the capacity is filled.
+  const auto take_rarest = [&](TokenSetView tokens) {
+    ranker_.to_ranks_into(tokens, ranked_);
+    return TokenSet::for_each_in_intersection(ranked_, ranked_, take);
+  };
+  if (take_rarest(needs_)) take_rarest(candidates_);
   plan.send(a, batch_);
 }
 
@@ -128,9 +148,7 @@ void BandwidthPolicy::fill_arc(ArcId a, const sim::StepView& view,
 void BandwidthPolicy::plan_step(const sim::StepView& view,
                                 sim::StepPlan& plan) {
   // allowed[v]: tokens v may receive this turn (needs + elected relays).
-  allowed_.clear();
-  for (TokenId t = 0; t < view.num_tokens(); ++t)
-    score_token(t, view, allowed_);
+  elect(view, allowed_, 0, 1);
 
   ranker_.assign_by_rarity(view.aggregate_holders(), nullptr);
   for (ArcId a = 0; a < view.graph().num_arcs(); ++a) fill_arc(a, view, plan);
@@ -148,16 +166,15 @@ void BandwidthPolicy::begin_coordination(const CoordinationSetup& setup) {
   elected_.reset(allowed_.rows(), allowed_.universe_size());
 }
 
-// Elects the shard's token slice (t % num_shards == shard) into
-// elected_, which peers read after the barrier.
+// Elects the shard's word slice (w % num_shards == shard) into
+// elected_, which peers read after the barrier.  elected_'s other words
+// stay zero from begin_coordination.
 void BandwidthPolicy::coord_prescore(const sim::StepView& view) {
-  elected_.clear();
-  for (TokenId t = coord_.shard; t < view.num_tokens();
-       t += coord_.num_shards)
-    score_token(t, view, elected_);
+  elect(view, elected_, static_cast<std::size_t>(coord_.shard),
+        static_cast<std::size_t>(coord_.num_shards));
 }
 
-// Each slice holds only its own tokens' bits, so their union is the
+// Each slice holds only its own words' bits, so their union is the
 // serial allowed_ matrix.
 void BandwidthPolicy::coord_absorb(
     std::span<const util::TokenMatrix* const> slices) {

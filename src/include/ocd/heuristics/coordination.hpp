@@ -10,9 +10,13 @@
 // same decision — so the merged schedule stays bit-identical to the
 // single-process planner.
 //
-// Bandwidth is the one implementer: its per-token relay election is
-// sliced by token, one election round per step, and the slices are
-// exact, so the merge never needs a fallback.  Global is not sharded
+// Bandwidth is the one implementer: its relay election is sliced by
+// 64-token word (word w belongs to shard w % num_shards), one election
+// round per step.  Each shard runs the word pass over its words — needs,
+// one-hop frontiers and the R ∩ F filter, O((n + m) · W / k) word
+// operations — and the relay BFS only for its filtered tokens.  A
+// token's election writes only that token's bits, so the slices are
+// exact and the merge never needs a fallback.  Global is not sharded
 // (shard::run_sharded refuses it): its greedy couples every pick to
 // every earlier one, and no summary of it beat one shard.
 #pragma once

@@ -22,12 +22,14 @@
 //     randomness is derived per-(step, coordinate) rather than drawn
 //     from execution-order-dependent streams (util::derive_seed).
 //
-//   * The coordinated planner (bandwidth): each shard runs the
-//     per-token relay elections of its token slice, then, after a pool
-//     barrier, absorbs every shard's slice and fills the arcs its
-//     vertices send on.  One election round per step, exact by
-//     construction.  See ocd/heuristics/coordination.hpp and DESIGN.md
-//     "Sharded coordinated planning".
+//   * The coordinated planner (bandwidth): each shard runs the relay
+//     election over its slice of 64-token words (a word pass over every
+//     vertex, then a relay BFS only for the tokens where a relay can
+//     add a bit), then, after a pool barrier, absorbs every shard's
+//     slice and fills the arcs its vertices send on.  One election
+//     round per step, exact by construction.  See
+//     ocd/heuristics/coordination.hpp and DESIGN.md "Sharded
+//     coordinated planning".
 //
 // Every arc is planned by one shard only (its tail's owner; its head's
 // owner under "local"), so the shard plans merge back into plan_step's

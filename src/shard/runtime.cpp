@@ -84,8 +84,10 @@ std::vector<std::vector<VertexId>> owned_vertices(const Partition& partition,
 ///
 /// Per step the shards plan on the ocd::util pool: local planners call
 /// plan_shard over their owned vertices; the coordinated planner
-/// (bandwidth) elects its token slice, and after the pool barrier every
-/// shard absorbs all slices and fills the arcs its vertices send on.
+/// (bandwidth) elects its slice of 64-token words (shard s takes words
+/// s, s + k, ...; a shard past the last word elects nothing), and after
+/// the pool barrier every shard absorbs all slices and fills the arcs
+/// its vertices send on.
 /// Each arc is planned by exactly one shard — its tail's owner, or its
 /// head's owner under "local" — so the shard plans merge back into
 /// plan_step's send order with a linear k-way merge: plan_vertex

@@ -8,7 +8,10 @@
 // useful/redundant split, per-step moves, completion steps, upload
 // counts, and the full recorded schedule — across policies, seeds and
 // staleness levels.  GlobalWaveLoopFuzz drives the wave loop through
-// the few-token sparse regime where nearly every pass ends early.
+// the few-token sparse regime where nearly every pass ends early, and
+// BandwidthElectionFuzz drives the word-parallel relay election through
+// partial wants on multi-word universes, where its R ∩ F filter, early
+// BFS exit and run-to-the-end BFS all fire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -529,33 +532,112 @@ std::vector<FuzzCase> wave_loop_fuzz_cases(std::uint64_t seed) {
   return out;
 }
 
+/// Runs `reused` against a fresh `Reference` on every case, without and
+/// with link churn, at staleness 0 and at 2 with stale aggregates.
+template <typename Reference>
+void expect_fuzz_matches_reference(
+    sim::Policy& reused, const std::vector<FuzzCase>& cases,
+    std::uint64_t seed, std::int64_t max_steps = sim::SimOptions{}.max_steps) {
+  for (const FuzzCase& fc : cases) {
+    for (const bool churn : {false, true}) {
+      for (const std::int32_t staleness : {0, 2}) {
+        // Link churn takes arcs down for whole steps, so some start a
+        // step at capacity 0.
+        dynamics::LinkChurn link_churn(0.2, 2);
+        sim::SimOptions options;
+        options.seed = seed;
+        options.max_steps = max_steps;
+        options.staleness = staleness;
+        options.stale_aggregates = staleness > 0;
+        if (churn) options.dynamics = &link_churn;
+        Reference reference;
+        const sim::RunResult expected =
+            sim::run(fc.instance, reference, options);
+        const sim::RunResult actual = sim::run(fc.instance, reused, options);
+        expect_identical(actual, expected,
+                         fc.label + (churn ? "/churn" : "") + "/stale" +
+                             std::to_string(staleness) + "/seed" +
+                             std::to_string(seed));
+      }
+    }
+  }
+}
+
 TEST(PlannerReference, GlobalWaveLoopFuzz) {
   // One policy object serves every run, so a sleep stamp leaking from
   // one run into the next would show up as a diverging schedule.
   auto reused = make_policy("global");
   for (const std::uint64_t seed : {0x6f63'6401ULL, 0x6f63'6402ULL}) {
-    for (const FuzzCase& fc : wave_loop_fuzz_cases(seed)) {
-      for (const bool churn : {false, true}) {
-        for (const std::int32_t staleness : {0, 2}) {
-          // Link churn takes arcs down for whole steps, so some start a
-          // step at capacity 0.
-          dynamics::LinkChurn link_churn(0.2, 2);
-          sim::SimOptions options;
-          options.seed = seed;
-          options.staleness = staleness;
-          options.stale_aggregates = staleness > 0;
-          if (churn) options.dynamics = &link_churn;
-          ReferenceGlobalGreedy reference;
-          const sim::RunResult expected =
-              sim::run(fc.instance, reference, options);
-          const sim::RunResult actual = sim::run(fc.instance, *reused, options);
-          expect_identical(actual, expected,
-                           fc.label + (churn ? "/churn" : "") + "/stale" +
-                               std::to_string(staleness) + "/seed" +
-                               std::to_string(seed));
-        }
-      }
+    expect_fuzz_matches_reference<ReferenceGlobalGreedy>(
+        *reused, wave_loop_fuzz_cases(seed), seed);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Election fuzz: BandwidthPolicy's word pass, R ∩ F filter and early
+// BFS exit against ReferenceBandwidthSaver.  The fixed instances above
+// run the relay BFS only on one-word universes, and their multi-word
+// instances are broadcasts, where no token passes the filter.
+// ---------------------------------------------------------------------
+
+/// Seeded partial-want instances for the election fuzz: universes of
+/// 63–65 and 127–130 tokens, around the one-, two- and three-word
+/// edges, each under one source with a random receiver set (density
+/// 0.1–0.5) and, where the universe splits into 2–7 equal files, under
+/// files from random senders, alternating dense and sparse overlays.
+/// A sparse overlay with no connectivity backbone leaves some needy
+/// vertices unreachable, so their tokens' BFS runs to the end.
+std::vector<FuzzCase> election_fuzz_cases(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto overlay = [&](bool sparse) {
+    if (!sparse)
+      return topology::random_overlay(
+          static_cast<std::int32_t>(rng.uniform_int(12, 24)), rng);
+    return topology::sparse_random_overlay(
+        static_cast<std::int32_t>(rng.uniform_int(40, 90)),
+        static_cast<double>(rng.uniform_int(3, 6)), rng);
+  };
+  std::vector<FuzzCase> out;
+  bool sparse = false;
+  for (const std::int32_t universe : {63, 64, 65, 127, 128, 129, 130}) {
+    const std::string name = "universe" + std::to_string(universe);
+    std::int32_t files = 2;
+    while (files <= 7 && universe % files != 0) ++files;
+    if (files <= 7) {
+      out.push_back({name + "/senders",
+                     core::subdivided_files_random_senders(
+                         overlay(sparse), universe, files, rng)});
     }
+    sparse = !sparse;
+    const double density = 0.1 + 0.4 * rng.uniform_real();
+    out.push_back({name + "/density",
+                   core::single_source_receiver_density(
+                       overlay(sparse), universe, 0, density, rng)
+                       .instance});
+  }
+  {
+    topology::RandomGraphOptions graph_options;
+    graph_options.force_connected = false;
+    Digraph g = topology::sparse_random_overlay(
+        static_cast<std::int32_t>(rng.uniform_int(50, 80)), 1.5,
+        graph_options, rng);
+    out.push_back({"disconnected",
+                   core::single_source_receiver_density(std::move(g), 65, 0,
+                                                        0.3, rng)
+                       .instance});
+  }
+  return out;
+}
+
+TEST(PlannerReference, BandwidthElectionFuzz) {
+  // One policy object serves every run, so scratch sized for one
+  // universe or graph and reused on the next would show up as a
+  // diverging schedule.  The disconnected case's unreachable wants keep
+  // a churned run going until max_steps.
+  auto reused = make_policy("bandwidth");
+  for (const std::uint64_t seed : {0x6f63'6411ULL, 0x6f63'6412ULL}) {
+    expect_fuzz_matches_reference<ReferenceBandwidthSaver>(
+        *reused, election_fuzz_cases(seed), seed, /*max_steps=*/300);
   }
 }
 

@@ -1,7 +1,8 @@
 // Sharded coordinated planning: the "bandwidth" planner needs the
 // whole possession map to decide, so every shard reads the shared step
-// view, elects its token slice of the relay elections, and after a pool
-// barrier absorbs every shard's slice before filling its owned arcs.
+// view, elects its 64-token word slice of the relay elections, and
+// after a pool barrier absorbs every shard's slice before filling its
+// owned arcs.
 // The contract is unchanged from the local planners: the merged
 // schedule and RunStats are bit-for-bit identical to sim::run for every
 // shard count, BFS-grown or striped partition, and any fault model.
@@ -42,6 +43,17 @@ core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
   Rng rng(seed);
   Digraph g = topology::random_overlay(n, rng);
   return core::single_source_all_receivers(std::move(g), tokens, 0);
+}
+
+/// Files from random senders over a three-word universe: partial wants
+/// make relays matter, and the word slices split unevenly — 2 + 1 words
+/// at 2 shards, one each at 3, and one shard with none at 4.
+core::Instance files_instance(std::int32_t n, std::int32_t tokens,
+                              std::int32_t files, std::uint64_t seed) {
+  Rng rng(seed);
+  Digraph g = topology::random_overlay(n, rng);
+  return core::subdivided_files_random_senders(std::move(g), tokens, files,
+                                               rng);
 }
 
 core::Instance scattered_instance(std::int32_t n, std::int32_t tokens,
@@ -121,7 +133,9 @@ TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
        {std::function<core::Instance()>(
             [] { return broadcast_instance(40, 24, 7); }),
         std::function<core::Instance()>(
-            [] { return scattered_instance(30, 12, 11); })}) {
+            [] { return scattered_instance(30, 12, 11); }),
+        std::function<core::Instance()>(
+            [] { return files_instance(40, 150, 3, 13); })}) {
     const core::Instance inst = make_inst();
     for (const char* policy_name : kCoordinatedPolicies) {
       sim::SimOptions options;

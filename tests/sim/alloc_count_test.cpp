@@ -105,7 +105,8 @@ TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
   constexpr std::int64_t kShort = 6;
   constexpr std::int64_t kLong = 16;
 
-  for (const char* name : {"global", "local", "random", "round-robin"}) {
+  for (const char* name :
+       {"global", "local", "random", "round-robin", "bandwidth"}) {
     SCOPED_TRACE(name);
     const auto policy = heuristics::make_policy(name);
     Simulator simulator;
