@@ -358,7 +358,9 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_sparse, "bandwidth", true)
 // Fault path: the same bounded-window workload with 20% uniform loss
 // and the reliable-transfer adapter in the loop, so the snapshot in
 // BENCH_planner.json also guards the lossy apply phase and the
-// adapter's ack/retransmit bookkeeping.
+// adapter's ack/retransmit bookkeeping.  `global` and `bandwidth` are
+// the inner planners that dominate perfbench's lossy-swarm pass.  Real
+// time for at least 2 s, like the loss-free rows.
 void BM_PlannerStepsPerSecLossy(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
@@ -384,6 +386,22 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, random_reliable,
                   "random+reliable")
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, global_reliable,
+                  "global+reliable")
+    ->Args({200, 128})
+    ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, bandwidth_reliable,
+                  "bandwidth+reliable")
+    ->Args({200, 128})
+    ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Sharded-runtime per-step cost: the same bounded-window workload as

@@ -66,9 +66,11 @@ build-bench/bench/micro_benchmarks \
 # full planner grid is present — every family at the large 1000v/512t
 # point, and `global` and `bandwidth` on the sparse 20k-vertex 8-token
 # instance (the wave loop's and the word-parallel relay election's
-# scaling checks) — so a silently dropped benchmark cannot pass
-# unnoticed (a baseline recorded before the sparse rows existed fails
-# that --require).  The /shards:N gates are --require-any:
+# scaling checks), and `random+reliable` under 20% loss at 1000v/512t
+# (the reliable adapter's in-flight table) — so a silently dropped
+# benchmark cannot pass unnoticed (a baseline recorded before the
+# sparse rows existed fails that --require).  The /shards:N gates are
+# --require-any:
 # --allow-undersized-host keeps this gate usable on small CI boxes,
 # where presence is still enforced but the vacuous contention
 # comparison is skipped.  The scalar
@@ -92,6 +94,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/bandwidth/1000/512' \
     --require 'PlannerStepsPerSec/global_sparse/20000/8' \
     --require 'PlannerStepsPerSec/bandwidth_sparse/20000/8' \
+    --require 'PlannerStepsPerSecLossy/random_reliable/1000/512' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

@@ -15,12 +15,23 @@
 // exceed that lag or every send is retransmitted at least once (wasted
 // bandwidth, never incorrect — a retransmission of a delivered token is
 // simply redundant).
+//
+// The in-flight table is one flat vector of {arc, token, retry_at,
+// backoff} entries, sorted by (arc, token) with no key twice.  Each
+// step makes one walk over it before the inner policy plans: one peer
+// snapshot read per run of entries on an arc acknowledges, the acked
+// entries are compacted out, and due entries are retransmitted in
+// (arc, token) order within the arc's budget.  The inner plan is then
+// trimmed to what is left of each budget; its slots are sorted by arc,
+// tokens already in flight on the arc are dropped from the new timers
+// (a duplicate key keeps its first send's timer), and the new entries
+// are merged into the table from the back.  A step thus costs
+// O(in-flight + arcs sent on), and once the table and the per-step
+// scratch have reached their peak size it allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ocd/sim/policy.hpp"
@@ -57,6 +68,8 @@ class ReliableAdapter final : public sim::Policy {
 
  private:
   struct InFlight {
+    ArcId arc = 0;
+    TokenId token = 0;
     std::int64_t retry_at = 0;  ///< next step eligible for retransmission
     std::int32_t backoff = 0;   ///< current timeout (doubles per retry)
   };
@@ -65,9 +78,9 @@ class ReliableAdapter final : public sim::Policy {
   std::string name_;
   std::int32_t base_timeout_;
   std::int32_t max_backoff_;
-  /// Ordered by (arc, token) so capacity contention resolves
-  /// deterministically.
-  std::map<std::pair<ArcId, TokenId>, InFlight> inflight_;
+  /// Sorted by (arc, token), unique keys, so capacity contention
+  /// resolves deterministically.
+  std::vector<InFlight> inflight_;
   std::int64_t retransmissions_ = 0;
   std::int64_t trimmed_moves_ = 0;
   // Per-step scratch, reused across steps (sized at reset).  Budgets are
@@ -76,9 +89,11 @@ class ReliableAdapter final : public sim::Policy {
   sim::StepPlan scratch_;
   std::vector<std::int32_t> budget_remaining_;
   std::vector<char> budget_touched_;
-  util::TokenMatrix planned_;  ///< per-arc tokens already on the wire
+  util::TokenMatrix planned_;  ///< per-arc tokens retransmitted this step
   std::vector<ArcId> touched_arcs_;
-  TokenSet fresh_;
+  /// (arc << 32 | slot) for the scratch_ slots that reached the wire
+  /// this step; sorted, it orders the new timers for the merge.
+  std::vector<std::uint64_t> sent_slots_;
 };
 
 }  // namespace ocd::faults

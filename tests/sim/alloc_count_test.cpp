@@ -3,10 +3,11 @@
 //
 // Zero-allocation steady state: once the Simulator's arena and a
 // policy's scratch are warm, additional simulation steps must not touch
-// the heap.  Two truncated runs of the same deterministic trajectory
-// (same instance, policy object, simulator, and seed) that differ only
-// in max_steps are compared; the extra steps of the longer run must
-// contribute zero allocations.
+// the heap, under loss with the reliable adapter in the loop too.  Two
+// truncated runs of the same deterministic trajectory (same instance,
+// policy object, simulator, and seed) that differ only in max_steps are
+// compared; the extra steps of the longer run must contribute zero
+// allocations.
 //
 // No hidden O(n²): what a run requests up front must scale with the
 // instance (vertices × tokens, arcs), never with vertices squared.  The
@@ -21,11 +22,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 #include <vector>
 
 #include "ocd/core/bounds.hpp"
 #include "ocd/core/scenario.hpp"
 #include "ocd/exact/bnb.hpp"
+#include "ocd/faults/model.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
@@ -105,19 +108,28 @@ TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
   constexpr std::int64_t kShort = 6;
   constexpr std::int64_t kLong = 16;
 
+  // The "+reliable" runs lose 20% of their transfers, so the adapter's
+  // in-flight table acks, retransmits and merges new timers every step;
+  // it must have grown to its peak along the warm run.
   for (const char* name :
-       {"global", "local", "random", "round-robin", "bandwidth"}) {
+       {"global", "local", "random", "round-robin", "bandwidth",
+        "global+reliable", "local+reliable", "random+reliable",
+        "round-robin+reliable", "bandwidth+reliable"}) {
     SCOPED_TRACE(name);
+    const bool reliable = std::string_view(name).ends_with("+reliable");
     const auto policy = heuristics::make_policy(name);
+    faults::UniformLoss loss(0.2);
     Simulator simulator;
     SimOptions options;
     options.seed = 17;
     options.record_schedule = false;
+    if (reliable) options.faults = &loss;
 
     // Warm run: sizes the simulator arena and the policy scratch along
     // the exact trajectory the measured runs will replay.
     options.max_steps = kLong;
-    (void)simulator.run(inst, *policy, options);
+    const RunResult warm = simulator.run(inst, *policy, options);
+    if (reliable) EXPECT_GT(warm.stats.retransmissions, 0);
 
     std::int64_t short_steps = 0;
     std::int64_t long_steps = 0;
