@@ -19,7 +19,9 @@
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
 #include "ocd/util/parallel.hpp"
+#include "ocd/util/rarity.hpp"
 #include "ocd/util/simd.hpp"
+#include "ocd/util/token_matrix.hpp"
 
 #include <cstring>
 #include <thread>
@@ -144,6 +146,49 @@ OCD_TOKEN_KERNEL_BENCH(is_subset);
 OCD_TOKEN_KERNEL_BENCH(intersects);
 OCD_TOKEN_KERNEL_BENCH(fresh_union_apply);
 #undef OCD_TOKEN_KERNEL_BENCH
+
+// A whole possession matrix into rank space: one bit scatter per held
+// token (`per_row`, RarityRanker::to_ranks_into on each row) against
+// the bit-block transpose (`matrix`), with 3 of 4 tokens held.  300 x
+// 512 is perfbench lossy-swarm's shape, 20000 x 8 fig_shard's few-token
+// instance, where 56 of every 64 token columns of a block are empty.
+// items/sec counts rows.
+void BM_RankRows(benchmark::State& state, bool matrix) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto universe = static_cast<std::size_t>(state.range(1));
+  Rng rng(37);
+  util::TokenMatrix in(rows, universe);
+  for (std::size_t v = 0; v < rows; ++v)
+    for (std::size_t t = 0; t < universe; ++t)
+      if (rng.below(4) != 0) in.row(v).set(static_cast<TokenId>(t));
+  std::vector<std::int32_t> holders(universe);
+  for (auto& h : holders) h = static_cast<std::int32_t>(rng.below(rows));
+  RarityRanker ranker;
+  ranker.assign_by_rarity(holders, &rng);
+  util::TokenMatrix out(rows, universe);
+  for (auto _ : state) {
+    if (matrix) {
+      ranker.to_ranks_into(in, out);
+    } else {
+      for (std::size_t v = 0; v < rows; ++v)
+        ranker.to_ranks_into(in.row(v), out.row(v));
+    }
+    benchmark::DoNotOptimize(out.mutable_words());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK_CAPTURE(BM_RankRows, per_row, false)
+    ->Args({300, 512})
+    ->Args({20000, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RankRows, matrix, true)
+    ->Args({300, 512})
+    ->Args({20000, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RandomOverlay(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));

@@ -58,7 +58,7 @@ done
 # scripts/compare_bench.py.
 echo "== micro_benchmarks (planner + token kernels + shard steps) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='PlannerStepsPerSec|TokenKernel|ShardStep|Partition' \
+  --benchmark_filter='PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|Partition' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
@@ -66,11 +66,13 @@ build-bench/bench/micro_benchmarks \
 # full planner grid is present — every family at the large 1000v/512t
 # point, and `global` and `bandwidth` on the sparse 20k-vertex 8-token
 # instance (the wave loop's and the word-parallel relay election's
-# scaling checks), and `random+reliable` under 20% loss at 1000v/512t
-# (the reliable adapter's in-flight table) — so a silently dropped
-# benchmark cannot pass unnoticed (a baseline recorded before the
-# sparse rows existed fails that --require).  The /shards:N gates are
-# --require-any:
+# scaling checks), `random+reliable` and `global+reliable` under 20%
+# loss at 1000v/512t (the reliable adapter's in-flight table, and
+# `global`'s rank-space conversion under it), and both rank
+# conversions (per-row scatter and bit-block transpose) at 300x512 and
+# 20000x8 — so a silently dropped benchmark cannot pass unnoticed (a
+# baseline recorded before a row existed fails that --require).  The
+# /shards:N gates are --require-any:
 # --allow-undersized-host keeps this gate usable on small CI boxes,
 # where presence is still enforced but the vacuous contention
 # comparison is skipped.  The scalar
@@ -95,6 +97,11 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/global_sparse/20000/8' \
     --require 'PlannerStepsPerSec/bandwidth_sparse/20000/8' \
     --require 'PlannerStepsPerSecLossy/random_reliable/1000/512' \
+    --require 'PlannerStepsPerSecLossy/global_reliable/1000/512' \
+    --require 'RankRows/per_row/300/512' \
+    --require 'RankRows/per_row/20000/8' \
+    --require 'RankRows/matrix/300/512' \
+    --require 'RankRows/matrix/20000/8' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

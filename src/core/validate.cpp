@@ -21,9 +21,11 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
     possession[static_cast<std::size_t>(v)] = inst.have(v);
   if (keep_trace) trace.push_back(possession);
 
+  // Each step's sends are checked against start-of-step possession,
+  // then applied in place.  Possession only grows, so this is the
+  // simultaneous-delivery rule without a copy of every set.
   for (std::size_t i = 0; i < schedule.steps().size(); ++i) {
     const Timestep& step = schedule.steps()[i];
-    std::vector<TokenSet> next = possession;
     for (const ArcSend& send : step.sends()) {
       if (send.arc < 0 || send.arc >= inst.graph().num_arcs()) {
         std::ostringstream msg;
@@ -57,9 +59,10 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
         on_violation(msg.str());
         return std::nullopt;
       }
-      next[static_cast<std::size_t>(arc.to)] |= send.tokens;
     }
-    possession = std::move(next);
+    for (const ArcSend& send : step.sends())
+      possession[static_cast<std::size_t>(inst.graph().arc(send.arc).to)] |=
+          send.tokens;
     if (keep_trace) trace.push_back(possession);
   }
 

@@ -43,12 +43,18 @@ ArcScan scan_arc(const std::uint64_t* cand_w, const std::uint64_t* out_w,
 void GlobalGreedyPolicy::reset(const core::Instance& instance,
                                std::uint64_t seed) {
   rng_ = Rng(seed);
+  instance_ = &instance;
   const auto n = static_cast<std::size_t>(instance.graph().num_vertices());
   const auto universe = static_cast<std::size_t>(instance.num_tokens());
   const auto num_arcs = static_cast<std::size_t>(instance.graph().num_arcs());
   ranked_poss_.reset(n, universe);
   candidates_.reset(num_arcs, universe);
+  // outstanding_ stages the token-space wants for their one transpose;
+  // every step overwrites it in rank space.
   outstanding_.reset(n, universe);
+  for (std::size_t vi = 0; vi < n; ++vi)
+    outstanding_.assign_row(vi, instance.want(static_cast<VertexId>(vi)));
+  RarityRanker::to_columns(outstanding_, want_columns_);
   remaining_.assign(num_arcs, 0);
   grant_count_.assign(universe, 0);
   full_ = TokenSet::full(universe);
@@ -81,17 +87,16 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
 void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
                                    sim::StepPlan& plan) {
   const Digraph& graph = view.graph();
-  const core::Instance& inst = view.instance();
   const util::TokenMatrix& possession = view.global_possession();
   const auto n = static_cast<std::size_t>(graph.num_vertices());
   const auto num_arcs = static_cast<std::size_t>(graph.num_arcs());
   const auto universe = static_cast<std::size_t>(view.num_tokens());
+  OCD_EXPECTS(&view.instance() == instance_);  // whose wants reset() took
 
-  // Possession permuted once per step; every other rank-space set is a
-  // word-parallel combination of these.
+  // Possession permuted once per step, as one matrix; every other
+  // rank-space set is a word-parallel combination of it and the wants.
   ranker_.assign_by_rarity(view.aggregate_holders(), &rng_);
-  for (std::size_t vi = 0; vi < n; ++vi)
-    ranker_.to_ranks_into(possession.row(vi), ranked_poss_.row(vi));
+  ranker_.to_ranks_into(possession, ranked_poss_);
 
   // Per-arc candidates (tail has, head lacks) and remaining capacity;
   // the arcs that have both form the pick list, in arc-id order.
@@ -107,12 +112,11 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
   }
   if (active_.empty()) return;
 
-  // Outstanding wants per vertex, fixed at step start.
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    MutableTokenSetView out = outstanding_.row(vi);
-    ranker_.to_ranks_into(inst.want(static_cast<VertexId>(vi)), out);
-    out -= ranked_poss_.row(vi);
-  }
+  // Outstanding wants per vertex, fixed at step start: the want columns
+  // read back in this step's rank order, less ranked possession.
+  ranker_.columns_to_ranks(want_columns_, outstanding_);
+  for (std::size_t vi = 0; vi < n; ++vi)
+    outstanding_.row(vi) -= ranked_poss_.row(vi);
 
   // wave_ok holds the ranks whose grant count is still <= wave; ranks
   // pushed over the cap park in `capped` until the next wave relaxes it.

@@ -9,6 +9,12 @@
 // token to a vertex that does not have it and has not been granted it
 // by another arc this step, so no capacity is wasted on duplicates.
 // Wanted deliveries are assigned before pure diversity floods.
+//
+// Picks run in rank space (ocd/util/rarity.hpp).  Each step converts
+// the whole possession matrix there by bit-block transposes, with no
+// work per held token.  Wants are fixed for a run, so reset()
+// transposes them into token columns once; a step reads those columns
+// back in the step's rank order and subtracts ranked possession.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +40,10 @@ class GlobalGreedyPolicy final : public sim::Policy {
 
  private:
   Rng rng_{1};
+  /// The instance reset() saw; want_columns_ belong to it.
+  const core::Instance* instance_ = nullptr;
+  /// Token columns of every vertex's want set (RarityRanker::to_columns).
+  std::vector<std::uint64_t> want_columns_;
   // Planner scratch, sized once in reset() and rewritten in place each
   // step so steady-state planning does not allocate.
   RarityRanker ranker_;

@@ -9,12 +9,28 @@
 // token sets into *rank space* — bit r of a ranked set is the token at
 // priority rank r — where a pick is a word-parallel first-set-bit over
 // masked words and a capacity-bounded fill is a masked-word iteration.
+//
+// Building the order is a stable LSD radix sort over only the key bytes
+// that vary, so it reproduces the historic shuffle-then-stable-sort
+// order (and rng consumption) at a few passes over the universe.
+//
+// A single set moves into rank space bit by bit (to_ranks_into on a
+// view: one scatter per member).  A whole TokenMatrix moves in O(rows *
+// words) word operations with no work per set bit: each 64-row block is
+// transposed by 64x64 bit-block transposes into token *columns* (word t
+// of a block says which of its 64 rows hold token t), the columns are
+// read back in rank order, and the result is transposed back.  The
+// columns depend only on the matrix, not on the order, so a caller
+// whose rows are fixed for a run (GlobalGreedy's wants) builds them
+// once with to_columns and re-ranks them each step with
+// columns_to_ranks.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "ocd/util/rng.hpp"
+#include "ocd/util/token_matrix.hpp"
 #include "ocd/util/token_set.hpp"
 
 namespace ocd {
@@ -30,11 +46,11 @@ class RarityRanker {
   /// must be a permutation of 0..m-1.
   void assign(std::vector<TokenId> order);
 
-  /// Priority by ascending holder count.  When `rng` is non-null the
-  /// ties are broken by a random shuffle applied before the stable
-  /// sort — the exact shuffle-then-stable-sort sequence the heuristics
-  /// have always used, so rng consumption is unchanged; with a null
-  /// `rng` ties keep token-id order.
+  /// Priority by ascending holder count (every count >= 0).  When `rng`
+  /// is non-null the ties are broken by a random shuffle applied before
+  /// the stable sort — the exact shuffle-then-stable-sort sequence the
+  /// heuristics have always used, so rng consumption is unchanged; with
+  /// a null `rng` ties keep token-id order.
   void assign_by_rarity(std::span<const std::int32_t> holders, Rng* rng);
 
   /// Tokens somebody still needs (need > 0) first, then ascending
@@ -71,6 +87,24 @@ class RarityRanker {
   void to_ranks_into(TokenSetView tokens, MutableTokenSetView out) const;
   void to_tokens_into(TokenSetView ranked, MutableTokenSetView out) const;
 
+  /// Whole-matrix to_ranks_into: out.row(v) = to_ranks(rows.row(v)) for
+  /// every row, by to_columns then columns_to_ranks.  `out` must have
+  /// the shape of `rows`.  The columns live in the ranker's scratch, so
+  /// only a larger shape than any before allocates.
+  void to_ranks_into(const util::TokenMatrix& rows, util::TokenMatrix& out);
+
+  /// The token columns of `rows`: for each block b of 64 rows and each
+  /// token t < universe, bit i of columns[b * universe + t] says whether
+  /// row 64b + i holds t.  Rows past the last are zero.
+  static void to_columns(const util::TokenMatrix& rows,
+                         std::vector<std::uint64_t>& columns);
+
+  /// Reads to_columns(rows) back in rank order and transposes it into
+  /// `out`, which then equals to_ranks_into(rows, out)'s result; `out`
+  /// gives the shape.  Allocation-free.
+  void columns_to_ranks(std::span<const std::uint64_t> columns,
+                        util::TokenMatrix& out) const;
+
  private:
   /// Rebuilds rank_ from order_, validating the permutation.
   void rebuild_rank();
@@ -81,9 +115,13 @@ class RarityRanker {
   std::vector<TokenId> rank_;   ///< token -> rank
   // Per-rebuild scratch, reused across steps so assign_by_* never
   // allocates in steady state.  keys_ packs (sort key << 32 | position)
-  // so an in-place std::sort reproduces the stable_sort order exactly.
+  // so sorting the words reproduces the stable_sort order exactly;
+  // radix_keys_ is the radix sort's other buffer.
   std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> radix_keys_;
   std::vector<TokenId> scratch_order_;
+  /// The whole-matrix conversion's token columns.
+  std::vector<std::uint64_t> columns_;
 };
 
 /// The shared pick: rarest token (lowest rank) present in both ranked

@@ -79,6 +79,11 @@ class TokenMatrix {
   [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
     return words_;
   }
+  /// Raw row-major words (row r starts at r * words_per_row()) for
+  /// whole-matrix kernels, which must keep every row's tail bits zero.
+  [[nodiscard]] std::uint64_t* mutable_words() noexcept {
+    return words_.data();
+  }
 
  private:
   std::size_t rows_ = 0;

@@ -499,7 +499,12 @@ struct FuzzCase {
 ///    early stop rarely or never fires;
 ///  * files from random senders, where a rank can stay uncapped with no
 ///    arc left to carry it, so about half the waves end because every
-///    listed arc is asleep rather than by the early stop.
+///    listed arc is asleep rather than by the early stop;
+///  * a file swarm from random senders on 65–200 vertices over 130–192
+///    tokens, the one case with both more than 64 vertices and more
+///    than one word per row, so the whole-matrix rank conversion runs
+///    across a partial 64-vertex block and a partial last rank word.
+///    It comes last so that the earlier cases keep their draws.
 std::vector<FuzzCase> wave_loop_fuzz_cases(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<FuzzCase> out;
@@ -528,6 +533,17 @@ std::vector<FuzzCase> wave_loop_fuzz_cases(std::uint64_t seed) {
     out.push_back({"senders" + std::to_string(n),
                    core::subdivided_files_random_senders(
                        std::move(g), 6 * files, files, rng)});
+  }
+  {
+    const auto n = static_cast<std::int32_t>(rng.uniform_int(65, 200));
+    Digraph g = topology::sparse_random_overlay(n, 4.0, rng);
+    const auto files = static_cast<std::int32_t>(rng.uniform_int(2, 4));
+    const auto per_file = static_cast<std::int32_t>(
+        rng.uniform_int((130 + files - 1) / files, 192 / files));
+    out.push_back({"blocks" + std::to_string(n) + "x" +
+                       std::to_string(files * per_file),
+                   core::subdivided_files_random_senders(
+                       std::move(g), files * per_file, files, rng)});
   }
   return out;
 }
