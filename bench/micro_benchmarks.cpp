@@ -272,9 +272,12 @@ BENCHMARK_CAPTURE(BM_PolicyFullRun, global, "global");
 // The policy runs a bounded window of steps per iteration so the figure
 // isolates per-step cost rather than time-to-completion.  The ISSUE-1
 // target: >= 3x steps/sec on 1000 vertices x 512 tokens with a
-// local-only policy versus the seed implementation.
+// local-only policy versus the seed implementation.  The `_recorded`
+// capture records the schedule (sim::run's default) and frees it each
+// iteration, so recording's cost per step is the gap to the unrecorded
+// row of the same planner.
 void BM_SimulatorStepsPerSec(benchmark::State& state, const char* name,
-                             std::int32_t staleness) {
+                             std::int32_t staleness, bool record) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
   Rng rng(29);
@@ -283,7 +286,7 @@ void BM_SimulatorStepsPerSec(benchmark::State& state, const char* name,
   auto policy = heuristics::make_policy(name);
   sim::SimOptions options;
   options.seed = 7;
-  options.record_schedule = false;
+  options.record_schedule = record;
   options.staleness = staleness;
   options.max_steps = 24;  // bounded window: measures steps, not runs
   std::int64_t steps = 0;
@@ -294,15 +297,23 @@ void BM_SimulatorStepsPerSec(benchmark::State& state, const char* name,
   }
   state.SetItemsProcessed(steps);  // items/sec == simulated steps/sec
 }
-BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin, "round-robin", 0)
+BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin, "round-robin", 0,
+                  false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, local, "local", 0)
+BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin_recorded,
+                  "round-robin", 0, true)
+    ->Args({200, 128})
+    ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, local, "local", 0, false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
+BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4, false)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);

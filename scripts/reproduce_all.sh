@@ -53,21 +53,23 @@ for bench in build-bench/bench/*; do
   "$bench" | tee "results/${name}.txt"
 done
 
-# Planner-kernel, token-kernel, and shard-step micro-benchmarks:
-# human-readable console output plus a machine-readable snapshot for
-# scripts/compare_bench.py.
-echo "== micro_benchmarks (planner + token kernels + shard steps) =="
+# Recorded simulator-step, planner-kernel, token-kernel, and
+# shard-step micro-benchmarks: human-readable console output plus a
+# machine-readable snapshot for scripts/compare_bench.py.
+echo "== micro_benchmarks (recording + planner + token kernels + shard steps) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|Partition' \
+  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|Partition' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
 # The regression gate refuses debug-build snapshots and insists the
-# full planner grid is present — every family at the large 1000v/512t
-# point, and `global` and `bandwidth` on the sparse 20k-vertex 8-token
-# instance (the wave loop's and the word-parallel relay election's
-# scaling checks), `random+reliable` and `global+reliable` under 20%
-# loss at 1000v/512t (the reliable adapter's in-flight table, and
+# full planner grid is present — recorded round-robin simulation (the
+# schedule-recording path) and every planner family at the large
+# 1000v/512t point, and `global` and `bandwidth` on the sparse
+# 20k-vertex 8-token instance (the wave loop's and the word-parallel
+# relay election's scaling checks), `random+reliable` and
+# `global+reliable` under 20% loss at 1000v/512t (the reliable
+# adapter's in-flight table, and
 # `global`'s rank-space conversion under it), and both rank
 # conversions (per-row scatter and bit-block transpose) at 300x512 and
 # 20000x8 — so a silently dropped benchmark cannot pass unnoticed (a
@@ -89,6 +91,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
   python3 scripts/compare_bench.py "${OCD_BENCH_BASELINE}" \
     results/BENCH_planner.json \
     --allow-undersized-host \
+    --require 'SimulatorStepsPerSec/round_robin_recorded/1000/512' \
     --require 'PlannerStepsPerSec/global/1000/512' \
     --require 'PlannerStepsPerSec/local/1000/512' \
     --require 'PlannerStepsPerSec/random/1000/512' \

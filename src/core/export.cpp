@@ -1,5 +1,6 @@
 #include "ocd/core/export.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 namespace ocd::core {
@@ -46,19 +47,17 @@ void write_step_dot(const Instance& inst, const Schedule& schedule,
   out << "digraph ocd_step" << step_index
       << " {\n  rankdir=LR;\n  node [shape=circle];\n";
   write_vertices(inst, out, options);
+  const SendRange sends = step.sends();
   for (ArcId a = 0; a < inst.graph().num_arcs(); ++a) {
     const Arc& arc = inst.graph().arc(a);
-    const ArcSend* active = nullptr;
-    for (const ArcSend& send : step.sends()) {
-      if (send.arc == a && !send.tokens.empty()) {
-        active = &send;
-        break;
-      }
-    }
+    const auto active =
+        std::find_if(sends.begin(), sends.end(), [a](const ArcSend& send) {
+          return send.arc == a && !send.tokens.empty();
+        });
     out << "  v" << arc.from << " -> v" << arc.to;
-    if (active != nullptr) {
+    if (active != sends.end()) {
       out << " [penwidth=2.5, color=black, label=\""
-          << active->tokens.to_string() << '"' << "]";
+          << (*active).tokens.to_string() << '"' << "]";
     } else {
       out << " [color=gray70";
       if (options.show_capacities)

@@ -26,7 +26,7 @@ Schedule drop_duplicate_deliveries(const Instance& inst,
     for (const ArcSend& send : step.sends()) {
       const Arc& arc = inst.graph().arc(send.arc);
       const auto to = static_cast<std::size_t>(arc.to);
-      TokenSet useful = send.tokens;
+      TokenSet useful(send.tokens);
       useful -= possession[to];
       useful -= granted[to];
       granted[to] |= useful;
@@ -62,7 +62,8 @@ Schedule drop_unused_deliveries(const Instance& inst,
     Timestep kept;
     for (const ArcSend& send : step.sends()) {
       const Arc& arc = inst.graph().arc(send.arc);
-      TokenSet useful = send.tokens & needed[static_cast<std::size_t>(arc.to)];
+      TokenSet useful(send.tokens);
+      useful &= needed[static_cast<std::size_t>(arc.to)];
       if (useful.empty()) continue;
       // The sender needed to possess these tokens; if it does not hold
       // them initially, earlier deliveries to it must be retained.

@@ -1,48 +1,90 @@
 #include "ocd/core/schedule.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 namespace ocd::core {
 
-void Timestep::add(ArcId arc, const TokenSet& tokens) {
+static_assert(std::ranges::random_access_range<SendRange> &&
+              std::ranges::sized_range<SendRange>);
+static_assert(std::ranges::random_access_range<MutableSendRange> &&
+              std::ranges::sized_range<MutableSendRange>);
+
+void Timestep::add(ArcId arc, TokenSetView tokens) {
   OCD_EXPECTS(arc >= 0);
   if (tokens.empty()) return;
-  for (ArcSend& send : sends_) {
+  for (const MutableArcSend send : sends()) {
     if (send.arc == arc) {
       send.tokens |= tokens;
       return;
     }
   }
-  sends_.push_back(ArcSend{arc, tokens});
+  append(arc, tokens);
 }
 
 void Timestep::add(ArcId arc, TokenId token, std::size_t universe) {
   OCD_EXPECTS(arc >= 0);
-  for (ArcSend& send : sends_) {
+  for (const MutableArcSend send : sends()) {
     if (send.arc == arc) {
       send.tokens.set(token);
       return;
     }
   }
-  TokenSet s(universe);
-  s.set(token);
-  sends_.push_back(ArcSend{arc, std::move(s)});
+  append(arc, universe).tokens.set(token);
 }
 
 std::int64_t Timestep::moves() const noexcept {
   std::int64_t total = 0;
-  for (const ArcSend& send : sends_)
+  for (const ArcSend send : sends())
     total += static_cast<std::int64_t>(send.tokens.count());
   return total;
 }
 
 bool Timestep::empty() const noexcept {
-  return std::all_of(sends_.begin(), sends_.end(),
-                     [](const ArcSend& s) { return s.tokens.empty(); });
+  const auto used = static_cast<std::ptrdiff_t>(arcs_.size() * words_per_row_);
+  return std::none_of(words_.begin(), words_.begin() + used,
+                      [](std::uint64_t w) { return w != 0; });
+}
+
+template <typename Keep>
+void Timestep::keep_if(Keep&& keep) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < arcs_.size(); ++i) {
+    const ArcSend send = sends()[i];
+    if (!keep(send)) continue;
+    if (kept != i) {
+      arcs_[kept] = arcs_[i];
+      std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(
+                                       i * words_per_row_),
+                  words_per_row_,
+                  words_.begin() + static_cast<std::ptrdiff_t>(
+                                       kept * words_per_row_));
+    }
+    ++kept;
+  }
+  arcs_.resize(kept);
+  words_.resize(kept * words_per_row_);
 }
 
 void Timestep::compact() {
-  std::erase_if(sends_, [](const ArcSend& s) { return s.tokens.empty(); });
+  keep_if([](const ArcSend& s) { return !s.tokens.empty(); });
+}
+
+void Timestep::erase(ArcId arc) {
+  keep_if([arc](const ArcSend& s) { return s.arc != arc; });
+}
+
+void Timestep::clear() noexcept { arcs_.clear(); }
+
+Timestep Timestep::nonempty_copy() const {
+  std::size_t kept = 0;
+  for (const ArcSend send : sends()) kept += send.tokens.empty() ? 0 : 1;
+  Timestep out;
+  out.arcs_.reserve(kept);
+  out.words_.resize(kept * words_per_row_);
+  for (const ArcSend send : sends())
+    if (!send.tokens.empty()) out.append(send.arc, send.tokens);
+  return out;
 }
 
 std::int64_t Schedule::bandwidth() const noexcept {

@@ -23,7 +23,11 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
 
   // Each step's sends are checked against start-of-step possession,
   // then applied in place.  Possession only grows, so this is the
-  // simultaneous-delivery rule without a copy of every set.
+  // simultaneous-delivery rule without a copy of every set.  Capacity
+  // is charged per arc, so sends that share an arc (Timestep::append
+  // does not union) cannot jointly exceed it.
+  std::vector<std::size_t> load(
+      static_cast<std::size_t>(inst.graph().num_arcs()), 0);
   for (std::size_t i = 0; i < schedule.steps().size(); ++i) {
     const Timestep& step = schedule.steps()[i];
     for (const ArcSend& send : step.sends()) {
@@ -41,10 +45,12 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
         on_violation(msg.str());
         return std::nullopt;
       }
-      if (send.tokens.count() > static_cast<std::size_t>(arc.capacity)) {
+      std::size_t& sent = load[static_cast<std::size_t>(send.arc)];
+      sent += send.tokens.count();
+      if (sent > static_cast<std::size_t>(arc.capacity)) {
         std::ostringstream msg;
         msg << "timestep " << i << ": capacity exceeded on arc (" << arc.from
-            << "," << arc.to << "): sent " << send.tokens.count()
+            << "," << arc.to << "): sent " << sent
             << " > c = " << arc.capacity;
         on_violation(msg.str());
         return std::nullopt;
@@ -54,15 +60,18 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
         std::ostringstream msg;
         msg << "timestep " << i << ": possession violated on arc ("
             << arc.from << "," << arc.to << "): sender lacks "
-            << (send.tokens - possession[static_cast<std::size_t>(arc.from)])
+            << (TokenSet(send.tokens) -
+                possession[static_cast<std::size_t>(arc.from)])
                    .to_string();
         on_violation(msg.str());
         return std::nullopt;
       }
     }
-    for (const ArcSend& send : step.sends())
+    for (const ArcSend& send : step.sends()) {
+      load[static_cast<std::size_t>(send.arc)] = 0;
       possession[static_cast<std::size_t>(inst.graph().arc(send.arc).to)] |=
           send.tokens;
+    }
     if (keep_trace) trace.push_back(possession);
   }
 

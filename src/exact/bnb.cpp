@@ -237,7 +237,7 @@ class Searcher {
       if (enumerate(possession, remaining, steps, choices, index + 1, plan))
         return true;
       // Remove this arc's tokens again (plan is shared across siblings).
-      remove_arc(plan, choice.arc);
+      plan.erase(choice.arc);
 
       // Next combination.
       std::int32_t i = k - 1;
@@ -250,12 +250,6 @@ class Searcher {
         pick[static_cast<std::size_t>(j)] = pick[static_cast<std::size_t>(j - 1)] + 1;
     }
     return false;
-  }
-
-  static void remove_arc(core::Timestep& plan, ArcId arc) {
-    auto& sends = plan.sends();
-    std::erase_if(sends,
-                  [arc](const core::ArcSend& s) { return s.arc == arc; });
   }
 
   const core::Instance& inst_;

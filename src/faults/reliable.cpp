@@ -129,7 +129,7 @@ void ReliableAdapter::plan_step(const StepView& view, StepPlan& plan) {
   const auto sends = scratch_.sends();
   sent_slots_.clear();
   for (std::size_t s = 0; s < sends.size(); ++s) {
-    core::ArcSend& send = sends[s];
+    const core::MutableArcSend send = sends[s];
     if (send.tokens.empty()) continue;
     std::int32_t& remaining = budget_for(send.arc);
     send.tokens -= planned_.row(static_cast<std::size_t>(send.arc));
@@ -154,7 +154,7 @@ void ReliableAdapter::plan_step(const StepView& view, StepPlan& plan) {
   std::size_t added = 0;
   auto run = inflight_.begin();
   for (const std::uint64_t key : sent_slots_) {
-    core::ArcSend& send = sends[static_cast<std::uint32_t>(key)];
+    const core::MutableArcSend send = sends[static_cast<std::uint32_t>(key)];
     run = std::lower_bound(
         run, inflight_.end(), send.arc,
         [](const InFlight& e, ArcId arc) { return e.arc < arc; });
@@ -166,7 +166,7 @@ void ReliableAdapter::plan_step(const StepView& view, StepPlan& plan) {
   inflight_.resize(read + added);
   std::size_t write = inflight_.size();
   for (std::size_t k = sent_slots_.size(); k-- > 0;) {
-    const core::ArcSend& send =
+    const core::ArcSend send =
         sends[static_cast<std::uint32_t>(sent_slots_[k])];
     const ArcId arc = send.arc;
     while (read > 0 && inflight_[read - 1].arc > arc)

@@ -47,7 +47,6 @@ class GroupConstrainedPolicy final : public Policy {
   // Per-step scratch, reused across steps (sized at reset).
   StepPlan scratch_;
   std::vector<std::int32_t> remaining_;
-  TokenSet trimmed_;
   std::vector<TokenId> pool_;
   std::vector<std::size_t> chosen_;
 };

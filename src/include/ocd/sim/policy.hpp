@@ -20,11 +20,13 @@ struct RunStats;
 /// validates them against capacity and possession afterwards, so a
 /// buggy policy is caught rather than silently corrupting a run.
 ///
-/// A StepPlan is an arena: its send slots (TokenSet storage included)
-/// and arc-slot index persist across steps.  The simulator constructs
-/// one plan per run and calls rebind() each step, which clears the
-/// previous step's sends in O(sends) without freeing anything, so the
-/// steady-state planning loop performs no heap allocation.
+/// A StepPlan is an arena in core::Timestep's flat layout: one
+/// Timestep pool (an arc id and a block of words per send, in
+/// first-touch arc order) plus an arc -> slot index, both reused across
+/// steps.  The simulator constructs one plan per run and calls rebind()
+/// each step, which clears the previous step's sends in O(sends)
+/// without freeing anything, so the steady-state planning loop performs
+/// no heap allocation and no send owns one.
 class StepPlan {
  public:
   StepPlan() = default;
@@ -35,12 +37,13 @@ class StepPlan {
            std::span<const std::int32_t> effective_capacity);
 
   /// Re-targets the plan at (graph, effective_capacity) and clears it
-  /// for a new step.  All storage — send pool, bitsets, arc index — is
+  /// for a new step.  All storage — send pool and arc index — is
   /// reused; only a first-time bind (or a larger graph) allocates.
   void rebind(const Digraph& graph,
               std::span<const std::int32_t> effective_capacity);
 
-  /// Adds tokens to an arc's send set.
+  /// Adds tokens to an arc's send set.  Every send of a step shares one
+  /// universe.
   void send(ArcId arc, TokenSetView tokens);
   void send(ArcId arc, TokenId token, std::size_t universe);
 
@@ -54,32 +57,29 @@ class StepPlan {
   void mark_idle() noexcept { idle_ = true; }
   [[nodiscard]] bool idle_marked() const noexcept { return idle_; }
 
-  [[nodiscard]] bool empty() const noexcept { return used_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return pool_.sends().empty(); }
 
-  /// The planned sends, in first-touch arc order.  The spans borrow the
-  /// pool: valid until the next rebind().  The mutable overload lets
-  /// the simulator trim lost tokens in place before recording.
-  [[nodiscard]] std::span<const core::ArcSend> sends() const noexcept {
-    return {pool_.data(), used_};
+  /// The planned sends, in first-touch arc order.  The views borrow the
+  /// pool: valid until the next send() to a fresh arc or rebind().  The
+  /// mutable overload lets the simulator and the adapters trim tokens
+  /// in place.
+  [[nodiscard]] core::SendRange sends() const noexcept {
+    return pool_.sends();
   }
-  [[nodiscard]] std::span<core::ArcSend> sends() noexcept {
-    return {pool_.data(), used_};
+  [[nodiscard]] core::MutableSendRange sends() noexcept {
+    return pool_.sends();
   }
 
-  /// Copies the planned sends out as an owning Timestep (allocates;
-  /// used by schedule recording and adapter-style callers, not by the
-  /// simulator hot loop).  Empty send sets are skipped.
-  [[nodiscard]] core::Timestep take() const;
+  /// Copies the planned sends out as an owning Timestep of exact size
+  /// (two allocations; schedule recording and adapter-style callers,
+  /// not the simulator hot loop).  Empty send sets are skipped.
+  [[nodiscard]] core::Timestep take() const { return pool_.nonempty_copy(); }
 
  private:
-  core::ArcSend& acquire_slot(ArcId arc);
-
   const Digraph* graph_ = nullptr;
   std::span<const std::int32_t> effective_capacity_;
-  /// Persistent send pool; the first used_ entries are this step's plan.
-  /// Slots beyond used_ hold retired TokenSet storage awaiting reuse.
-  std::vector<core::ArcSend> pool_;
-  std::size_t used_ = 0;
+  /// This step's sends; the storage persists across rebind().
+  core::Timestep pool_;
   /// arc -> index into pool_, -1 when absent.  Keeps send() and
   /// remaining_capacity() O(1) instead of scanning the send list — the
   /// scan is quadratic for policies that touch every arc each step.

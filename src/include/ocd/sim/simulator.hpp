@@ -21,14 +21,20 @@
 //  * zero-staleness snapshot views alias the live possession matrix.
 // On every exit path, `stats.moves_per_step.size() == steps` holds.
 //
-// Memory layout (ISSUE 4): all per-vertex possession state lives in one
+// Memory layout: all per-vertex possession state lives in one
 // row-major util::TokenMatrix; policies receive TokenSetView rows, the
 // staleness buffer is a fixed ring of matrices copied in place, and the
 // per-step working set (StepPlan send pool, capacity/load arrays,
 // delivery scratch) is a SimScratch arena owned by the Simulator and
-// cleared — never reallocated — each step.  With schedule recording
-// off, a steady-state step performs zero heap allocations (asserted by
-// tests/sim/alloc_count_test.cpp).  Nothing a run allocates grows
+// cleared — never reallocated — each step.  Sends are stored flat (an
+// arc id and a block of words each, see ocd/core/schedule.hpp) in the
+// plan pool and in the recorded schedule alike, so no send owns an
+// allocation.  With schedule recording off, a steady-state step
+// performs zero heap allocations (asserted by
+// tests/sim/alloc_count_test.cpp); recording one costs two, an arc
+// array and a word block sized exactly to the step's surviving sends,
+// however many sends it carries (tests/sim/record_alloc_test.cpp),
+// plus the schedule's amortised growth.  Nothing a run allocates grows
 // quadratically in n (no policy reads hop distances, so none are
 // precomputed).  A run executes on the calling thread; concurrency
 // lives one level up, in bench sweeps, and inside one policy: the
@@ -142,6 +148,7 @@ struct SimScratch {
   std::vector<std::int32_t> effective_capacity;
   std::vector<std::int32_t> arc_load;
   TokenSet fresh;  ///< delivery scratch: tokens new to the receiver
+  TokenSet sent;   ///< fault scratch: the send lost() is asked about
   TokenSet lost;   ///< fault scratch: tokens the channel ate
   std::vector<VertexId> touched;
   std::vector<char> touched_flag;
@@ -171,8 +178,7 @@ RunResult run(const core::Instance& instance, Policy& policy,
 /// c(u,v) even if each fits individually.  `arc_load` is caller-owned
 /// scratch of size num_arcs that must be all-zero on entry; it is
 /// restored to all-zero before returning or throwing.
-void validate_sends(const core::Instance& instance,
-                    std::span<const core::ArcSend> sends,
+void validate_sends(const core::Instance& instance, core::SendRange sends,
                     std::span<const std::int32_t> effective_capacity,
                     const util::TokenMatrix& possession,
                     std::span<std::int32_t> arc_load,

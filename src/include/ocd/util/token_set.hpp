@@ -339,6 +339,9 @@ class MutableTokenSetView : public TokenSetView {
     return n;
   }
 
+  /// Keep only the first k members (lowest ids); no-op when count() <= k.
+  void truncate(std::size_t k) const;
+
   [[nodiscard]] std::uint64_t* mutable_words() const noexcept { return mut(); }
 
  private:

@@ -192,7 +192,7 @@ class ShardedPolicy final : public sim::Policy {
     const auto head_key = [&](std::size_t s) {
       const auto sends = shards_[s].plan.sends();
       if (cursor_[s] == sends.size()) return kDone;
-      const core::ArcSend& send = sends[cursor_[s]];
+      const core::ArcSend send = sends[cursor_[s]];
       return by_arc_ ? send.arc : graph.arc(send.arc).from;
     };
     bool idle = false;
@@ -206,7 +206,7 @@ class ShardedPolicy final : public sim::Policy {
       for (std::size_t s = 1; s < shards_.size(); ++s)
         if (key_[s] < key_[best]) best = s;
       if (key_[best] == kDone) break;
-      const core::ArcSend& send = shards_[best].plan.sends()[cursor_[best]++];
+      const core::ArcSend send = shards_[best].plan.sends()[cursor_[best]++];
       plan.send(send.arc, send.tokens);
       key_[best] = head_key(best);
     }

@@ -27,7 +27,6 @@ void GroupConstrainedPolicy::reset(const core::Instance& inst,
     }
   }
   remaining_.assign(groups_.size(), 0);
-  trimmed_ = TokenSet(static_cast<std::size_t>(inst.num_tokens()));
   pool_.clear();
   pool_.reserve(static_cast<std::size_t>(inst.num_tokens()));
   chosen_.clear();
@@ -42,32 +41,32 @@ void GroupConstrainedPolicy::plan_step(const StepView& view, StepPlan& plan) {
   for (std::size_t g = 0; g < groups_.size(); ++g)
     remaining_[g] = groups_[g].capacity;
 
-  for (const core::ArcSend& send : scratch_.sends()) {
-    if (send.tokens.empty()) continue;
+  // Each send is trimmed in place in the scratch plan, then forwarded.
+  for (const core::MutableArcSend send : scratch_.sends()) {
+    const auto planned = static_cast<std::int64_t>(send.tokens.count());
+    if (planned == 0) continue;
     // Allowance across every group this arc belongs to.
-    auto allowed = static_cast<std::int64_t>(send.tokens.count());
+    std::int64_t allowed = planned;
     for (std::int32_t g : arc_groups_[static_cast<std::size_t>(send.arc)])
       allowed = std::min<std::int64_t>(
           allowed, remaining_[static_cast<std::size_t>(g)]);
     if (allowed <= 0) {
-      dropped_moves_ += static_cast<std::int64_t>(send.tokens.count());
+      dropped_moves_ += planned;
       continue;
     }
-    trimmed_.assign(send.tokens);
-    if (static_cast<std::size_t>(allowed) < trimmed_.count()) {
+    if (allowed < planned) {
       // Random survivors: a congested link drops arbitrary packets.
-      trimmed_.to_vector_into(pool_);
-      trimmed_.clear();
+      send.tokens.to_vector_into(pool_);
+      send.tokens.clear();
       rng_.sample_indices_into(pool_.size(), static_cast<std::size_t>(allowed),
                                chosen_);
-      for (std::size_t index : chosen_) trimmed_.set(pool_[index]);
+      for (std::size_t index : chosen_) send.tokens.set(pool_[index]);
     }
-    dropped_moves_ += static_cast<std::int64_t>(send.tokens.count()) -
-                      static_cast<std::int64_t>(trimmed_.count());
+    dropped_moves_ += planned - allowed;
     for (std::int32_t g : arc_groups_[static_cast<std::size_t>(send.arc)])
       remaining_[static_cast<std::size_t>(g)] -=
-          static_cast<std::int32_t>(trimmed_.count());
-    plan.send(send.arc, trimmed_);
+          static_cast<std::int32_t>(allowed);
+    plan.send(send.arc, send.tokens);
   }
 }
 

@@ -22,49 +22,37 @@ void StepPlan::rebind(const Digraph& graph,
     arc_slot_.assign(num_arcs, -1);
   } else {
     // Same graph: undo only the slots the previous step touched.
-    for (std::size_t i = 0; i < used_; ++i)
-      arc_slot_[static_cast<std::size_t>(pool_[i].arc)] = -1;
+    for (const core::ArcSend send : pool_.sends())
+      arc_slot_[static_cast<std::size_t>(send.arc)] = -1;
   }
+  pool_.clear();
   effective_capacity_ = effective_capacity;
-  used_ = 0;
   idle_ = false;
-}
-
-core::ArcSend& StepPlan::acquire_slot(ArcId arc) {
-  arc_slot_[static_cast<std::size_t>(arc)] = static_cast<std::int32_t>(used_);
-  if (used_ == pool_.size()) pool_.emplace_back();
-  core::ArcSend& slot = pool_[used_++];
-  slot.arc = arc;
-  return slot;
 }
 
 void StepPlan::send(ArcId arc, TokenSetView tokens) {
   OCD_EXPECTS(graph_ != nullptr);
   OCD_EXPECTS(arc >= 0 && arc < graph_->num_arcs());
   if (tokens.empty()) return;
-  const std::int32_t slot = arc_slot_[static_cast<std::size_t>(arc)];
+  std::int32_t& slot = arc_slot_[static_cast<std::size_t>(arc)];
   if (slot >= 0) {
-    pool_[static_cast<std::size_t>(slot)].tokens |= tokens;
+    pool_.sends()[static_cast<std::size_t>(slot)].tokens |= tokens;
     return;
   }
-  acquire_slot(arc).tokens.assign(tokens);  // reuses the slot's storage
+  slot = static_cast<std::int32_t>(pool_.sends().size());
+  pool_.append(arc, tokens);
 }
 
 void StepPlan::send(ArcId arc, TokenId token, std::size_t universe) {
   OCD_EXPECTS(graph_ != nullptr);
   OCD_EXPECTS(arc >= 0 && arc < graph_->num_arcs());
-  const std::int32_t slot = arc_slot_[static_cast<std::size_t>(arc)];
+  std::int32_t& slot = arc_slot_[static_cast<std::size_t>(arc)];
   if (slot >= 0) {
-    pool_[static_cast<std::size_t>(slot)].tokens.set(token);
+    pool_.sends()[static_cast<std::size_t>(slot)].tokens.set(token);
     return;
   }
-  core::ArcSend& fresh = acquire_slot(arc);
-  if (fresh.tokens.universe_size() != universe) {
-    fresh.tokens = TokenSet(universe);
-  } else {
-    fresh.tokens.clear();
-  }
-  fresh.tokens.set(token);
+  slot = static_cast<std::int32_t>(pool_.sends().size());
+  pool_.append(arc, universe).tokens.set(token);
 }
 
 std::int32_t StepPlan::remaining_capacity(ArcId arc) const {
@@ -78,16 +66,7 @@ std::int32_t StepPlan::remaining_capacity(ArcId arc) const {
   if (slot < 0) return capacity;
   return capacity -
          static_cast<std::int32_t>(
-             pool_[static_cast<std::size_t>(slot)].tokens.count());
-}
-
-core::Timestep StepPlan::take() const {
-  core::Timestep step;
-  for (const core::ArcSend& send : sends()) {
-    if (send.tokens.empty()) continue;
-    step.sends().push_back(send);
-  }
-  return step;
+             pool_.sends()[static_cast<std::size_t>(slot)].tokens.count());
 }
 
 void Policy::reset(const core::Instance&, std::uint64_t) {}

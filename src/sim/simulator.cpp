@@ -62,8 +62,7 @@ bool vertex_satisfied(const core::Instance& inst, const SimOptions& options,
 
 }  // namespace
 
-void validate_sends(const core::Instance& inst,
-                    std::span<const core::ArcSend> sends,
+void validate_sends(const core::Instance& inst, core::SendRange sends,
                     std::span<const std::int32_t> effective_capacity,
                     const util::TokenMatrix& possession,
                     std::span<std::int32_t> arc_load,
@@ -164,11 +163,13 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
   // Per-step scratch, cleared between steps instead of reallocated.
   scratch_.arc_load.assign(num_arcs, 0);
   scratch_.fresh = TokenSet(m);
+  scratch_.sent = TokenSet(m);
   scratch_.lost = TokenSet(m);
   scratch_.touched.clear();
   scratch_.touched.reserve(n);
   scratch_.touched_flag.assign(n, 0);
   TokenSet& fresh = scratch_.fresh;
+  TokenSet& sent = scratch_.sent;
   TokenSet& lost = scratch_.lost;
 
   std::int64_t step = 0;
@@ -215,15 +216,18 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     std::int64_t step_moves = 0;
     std::int64_t step_lost = 0;
     std::int64_t step_useful = 0;
-    for (core::ArcSend& send : plan.sends()) {
+    for (const core::MutableArcSend send : plan.sends()) {
       const Arc& arc = inst.graph().arc(send.arc);
       const auto count = static_cast<std::int64_t>(send.tokens.count());
       step_moves += count;
       result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] += count;
       if (faulted) {
+        // The model reads an owning copy of the slot (same universe
+        // every step, so the copy reuses `sent`'s storage).
+        sent.assign(send.tokens);
         lost.clear();
-        options.faults->lost(step, send.arc, send.tokens, lost);
-        lost &= send.tokens;  // a model may only lose what was sent
+        options.faults->lost(step, send.arc, sent, lost);
+        lost &= sent;  // a model may only lose what was sent
         const auto lost_count = static_cast<std::int64_t>(lost.count());
         if (lost_count > 0) {
           step_lost += lost_count;
@@ -254,14 +258,10 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     result.stats.lost_per_step.push_back(step_lost);
     result.stats.lost_moves += step_lost;
     if (options.record_schedule) {
-      // Copy the surviving sends out of the plan pool; loss trimming may
-      // have emptied some, which are dropped (the former compact()).
-      core::Timestep timestep;
-      for (const core::ArcSend& send : plan.sends()) {
-        if (send.tokens.empty()) continue;
-        timestep.sends().push_back(send);
-      }
-      result.schedule.append(std::move(timestep));
+      // Copy the surviving sends out of the plan pool into one
+      // exact-size Timestep; loss trimming may have emptied some, which
+      // are dropped (the former compact()).
+      result.schedule.append(plan.take());
     }
 
     ++step;

@@ -24,29 +24,32 @@ TokenSet TokenSet::of(std::size_t universe,
   return s;
 }
 
-void TokenSet::truncate(std::size_t k) {
+void MutableTokenSetView::truncate(std::size_t k) const {
+  std::uint64_t* words = mut();
   std::size_t seen = 0;
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+  for (std::size_t wi = 0, e = num_words(); wi < e; ++wi) {
     const auto in_word =
-        static_cast<std::size_t>(__builtin_popcountll(words_[wi]));
+        static_cast<std::size_t>(__builtin_popcountll(words[wi]));
     if (seen + in_word <= k) {
       seen += in_word;
       continue;
     }
     // Keep only the lowest (k - seen) bits of this word, zero the rest.
-    std::uint64_t w = words_[wi];
+    std::uint64_t w = words[wi];
     std::uint64_t kept = 0;
     for (std::size_t need = k - seen; need > 0; --need) {
       const std::uint64_t lowest = w & (~w + 1);
       kept |= lowest;
       w &= w - 1;
     }
-    words_[wi] = kept;
-    for (std::size_t wj = wi + 1; wj < words_.size(); ++wj) words_[wj] = 0;
-    TokenSetView(*this).assert_tail_zero();
+    words[wi] = kept;
+    for (std::size_t wj = wi + 1; wj < e; ++wj) words[wj] = 0;
+    assert_tail_zero();
     return;
   }
 }
+
+void TokenSet::truncate(std::size_t k) { MutableTokenSetView(*this).truncate(k); }
 
 std::string TokenSetView::to_string() const {
   std::ostringstream out;

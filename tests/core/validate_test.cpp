@@ -135,6 +135,41 @@ TEST(Validate, PossessionTraceThrowsOnInvalid) {
   EXPECT_THROW(possession_trace(inst, s), Error);
 }
 
+TEST(Validate, CapacityIsChargedPerArcAcrossSends) {
+  // Two sends on one arc (a raw append does not union them) that fit
+  // alone but together exceed c = 2.
+  Digraph g(2);
+  g.add_arc(0, 1, 2);
+  Instance inst(std::move(g), 4);
+  for (TokenId t = 0; t < 4; ++t) {
+    inst.add_have(0, t);
+    inst.add_want(1, t);
+  }
+  Schedule split;
+  Timestep a;
+  a.append(0, TokenSet::of(4, {0, 1}));
+  a.append(0, TokenSet::of(4, {2, 3}));
+  split.append(std::move(a));
+  const auto result = validate(inst, split);
+  EXPECT_FALSE(result.valid);
+  EXPECT_NE(result.violation.find("capacity exceeded on arc (0,1): sent 4"),
+            std::string::npos)
+      << result.violation;
+
+  // The charge starts over each step.
+  Schedule staggered;
+  Timestep b;
+  b.append(0, TokenSet::of(4, {0}));
+  b.append(0, TokenSet::of(4, {1}));
+  staggered.append(std::move(b));
+  Timestep c;
+  c.append(0, TokenSet::of(4, {2, 3}));
+  staggered.append(std::move(c));
+  const auto ok = validate(inst, staggered);
+  EXPECT_TRUE(ok.valid) << ok.violation;
+  EXPECT_TRUE(ok.successful);
+}
+
 TEST(Validate, DuplicateDeliverySameStepIsValid) {
   Digraph g(3);
   g.add_arc(0, 2, 1);

@@ -5,6 +5,8 @@
 // truth the rest of the library leans on.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ocd/core/scenario.hpp"
 #include "ocd/core/validate.hpp"
 #include "ocd/heuristics/factory.hpp"
@@ -41,13 +43,13 @@ TEST_P(MutationFuzz, OverfillingAnArcIsCaught) {
   for (int attempt = 0; attempt < 200; ++attempt) {
     auto& step = steps[rng.below(steps.size())];
     if (step.sends().empty()) continue;
-    auto& send = step.sends()[rng.below(step.sends().size())];
+    const auto send = step.sends()[rng.below(step.sends().size())];
     const Arc& arc = fixture.instance.graph().arc(send.arc);
     // Fill the send with every token: exceeds capacity unless the arc
     // is enormous.
     if (fixture.instance.num_tokens() <= arc.capacity) continue;
-    send.tokens = TokenSet::full(
-        static_cast<std::size_t>(fixture.instance.num_tokens()));
+    send.tokens.assign(TokenSet::full(
+        static_cast<std::size_t>(fixture.instance.num_tokens())));
     const auto result = validate(fixture.instance, fixture.schedule);
     // Either capacity or possession must trip (the sender may also lack
     // some of the injected tokens).
@@ -96,8 +98,11 @@ TEST_P(MutationFuzz, DeletingADeliveryBreaksSuccessNotValidity) {
 TEST_P(MutationFuzz, ReorderingWithinAStepIsHarmless) {
   auto fixture = make_fixture(GetParam());
   for (auto& step : fixture.schedule.steps()) {
-    auto& sends = step.sends();
-    std::reverse(sends.begin(), sends.end());
+    Timestep reversed;
+    const SendRange sends = std::as_const(step).sends();
+    for (std::size_t i = sends.size(); i-- > 0;)
+      reversed.append(sends[i].arc, sends[i].tokens);
+    step = std::move(reversed);
   }
   const auto result = validate(fixture.instance, fixture.schedule);
   EXPECT_TRUE(result.valid);

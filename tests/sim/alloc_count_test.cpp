@@ -77,13 +77,11 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
-namespace ocd::sim {
-namespace {
-
+namespace ocd::testing_alloc {
 /// Fig-2-style broadcast, slowed down with unit-ish capacities so a
 /// truncated run is guaranteed to still be mid-flight: with in-degree
 /// ~2 ln n and capacity at most 2, draining 256 tokens into any vertex
-/// needs well over 20 steps.
+/// needs well over 20 steps.  Shared with sim/record_alloc_test.cpp.
 core::Instance slow_fig2_instance() {
   Rng rng(0xa110c);
   topology::RandomGraphOptions options;
@@ -91,6 +89,12 @@ core::Instance slow_fig2_instance() {
   Digraph graph = topology::random_overlay(64, options, rng);
   return core::single_source_all_receivers(std::move(graph), 256, 0);
 }
+}  // namespace ocd::testing_alloc
+
+namespace ocd::sim {
+namespace {
+
+using testing_alloc::slow_fig2_instance;
 
 std::uint64_t allocations_during(Simulator& simulator,
                                  const core::Instance& inst, Policy& policy,
@@ -129,7 +133,9 @@ TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
     // the exact trajectory the measured runs will replay.
     options.max_steps = kLong;
     const RunResult warm = simulator.run(inst, *policy, options);
-    if (reliable) EXPECT_GT(warm.stats.retransmissions, 0);
+    if (reliable) {
+      EXPECT_GT(warm.stats.retransmissions, 0);
+    }
 
     std::int64_t short_steps = 0;
     std::int64_t long_steps = 0;

@@ -117,7 +117,7 @@ RunResult reference_run(const core::Instance& inst, Policy& policy,
       step_moves += count;
       result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] += count;
       const auto to = static_cast<std::size_t>(arc.to);
-      TokenSet fresh = send.tokens;
+      TokenSet fresh(send.tokens);
       fresh -= possession[to];
       fresh -= granted[to];
       granted[to] |= fresh;

@@ -215,8 +215,8 @@ TEST(Simulator, CapacityIsAggregatedPerArc) {
   std::vector<std::int32_t> arc_load{0};
 
   core::Timestep split;
-  split.sends().push_back(core::ArcSend{0, TokenSet::of(4, {0, 1})});
-  split.sends().push_back(core::ArcSend{0, TokenSet::of(4, {2, 3})});
+  split.append(0, TokenSet::of(4, {0, 1}));
+  split.append(0, TokenSet::of(4, {2, 3}));
   EXPECT_THROW(validate_sends(inst, split.sends(), capacity, possession,
                               arc_load, "split", 0),
                Error);
@@ -224,14 +224,14 @@ TEST(Simulator, CapacityIsAggregatedPerArc) {
   EXPECT_EQ(arc_load[0], 0);
 
   core::Timestep fits;
-  fits.sends().push_back(core::ArcSend{0, TokenSet::of(4, {0})});
-  fits.sends().push_back(core::ArcSend{0, TokenSet::of(4, {1})});
+  fits.append(0, TokenSet::of(4, {0}));
+  fits.append(0, TokenSet::of(4, {1}));
   EXPECT_NO_THROW(validate_sends(inst, fits.sends(), capacity, possession,
                                  arc_load, "split", 0));
   EXPECT_EQ(arc_load[0], 0);
 
   core::Timestep ghost;
-  ghost.sends().push_back(core::ArcSend{0, TokenSet::of(4, {0})});
+  ghost.append(0, TokenSet::of(4, {0}));
   util::TokenMatrix empty_handed;
   empty_handed.reset(2, 4);
   EXPECT_THROW(validate_sends(inst, ghost.sends(), capacity, empty_handed,
