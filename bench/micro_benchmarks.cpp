@@ -275,7 +275,9 @@ BENCHMARK_CAPTURE(BM_PolicyFullRun, global, "global");
 // local-only policy versus the seed implementation.  The `_recorded`
 // capture records the schedule (sim::run's default) and frees it each
 // iteration, so recording's cost per step is the gap to the unrecorded
-// row of the same planner.
+// row of the same planner.  Every row runs in real time for at least
+// 2 s: under the default 0.5 s CPU-time minimum, six runs of one build
+// read round_robin/1000/512 at 36-49 ms per 24 steps.
 void BM_SimulatorStepsPerSec(benchmark::State& state, const char* name,
                              std::int32_t staleness, bool record) {
   const auto n = static_cast<std::int32_t>(state.range(0));
@@ -301,6 +303,8 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin, "round-robin", 0,
                   false)
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin_recorded,
                   "round-robin", 0, true)
@@ -312,10 +316,14 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, round_robin_recorded,
 BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, local, "local", 0, false)
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4, false)
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Per-policy planning throughput (steps/sec) on a fixed workload.  A
@@ -331,15 +339,38 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4, false)
 // differed by ~50%.  The `_sparse` rows run fig_shard's instance
 // (sparse_random_overlay(n, 8.0) from its graph seed, 8 tokens at
 // vertex 0): the few-token regime, where `global`'s duplication cap
-// relaxes every few grants.
+// relaxes every few grants.  Every other row is a broadcast, on which
+// `bandwidth` never runs its relay BFS; `bandwidth_swarm` runs
+// perfbench lossy-swarm's instance shape without the loss (a
+// transit-stub overlay, 16 files from random senders), where it runs
+// one BFS per distinct frontier column every step.
+enum class Shape { kDense, kSparse, kSwarm };
+
+core::Instance planner_instance(Shape shape, std::int32_t n,
+                                std::int32_t tokens) {
+  Rng rng(shape == Shape::kSparse ? 0x5a4d'0001 : 29);
+  switch (shape) {
+    case Shape::kSparse:
+      return core::single_source_all_receivers(
+          topology::sparse_random_overlay(n, 8.0, rng), tokens, 0);
+    case Shape::kSwarm: {
+      Digraph g = topology::transit_stub(
+          topology::transit_stub_options_for_size(n), rng);
+      return core::subdivided_files_random_senders(std::move(g), tokens, 16,
+                                                   rng);
+    }
+    case Shape::kDense:
+      break;
+  }
+  return core::single_source_all_receivers(topology::random_overlay(n, rng),
+                                           tokens, 0);
+}
+
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name,
-                           bool sparse) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const auto tokens = static_cast<std::int32_t>(state.range(1));
-  Rng rng(sparse ? 0x5a4d'0001 : 29);
-  Digraph g = sparse ? topology::sparse_random_overlay(n, 8.0, rng)
-                     : topology::random_overlay(n, rng);
-  const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
+                           Shape shape) {
+  const auto inst =
+      planner_instance(shape, static_cast<std::int32_t>(state.range(0)),
+                       static_cast<std::int32_t>(state.range(1)));
   auto policy = heuristics::make_policy(name);
   sim::SimOptions options;
   options.seed = 7;
@@ -354,59 +385,71 @@ void BM_PlannerStepsPerSec(benchmark::State& state, const char* name,
   }
   state.SetItemsProcessed(steps);  // items/sec == planned steps/sec
 }
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global", false)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local", false)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random", false)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin", false)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin",
+                  Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth", false)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global_sparse, "global", true)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global_sparse, "global",
+                  Shape::kSparse)
     ->Args({20000, 8})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local_sparse, "local", true)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local_sparse, "local",
+                  Shape::kSparse)
     ->Args({20000, 8})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random_sparse, "random", true)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random_sparse, "random",
+                  Shape::kSparse)
     ->Args({20000, 8})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin_sparse, "round-robin",
-                  true)
+                  Shape::kSparse)
     ->Args({20000, 8})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_sparse, "bandwidth", true)
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_sparse, "bandwidth",
+                  Shape::kSparse)
     ->Args({20000, 8})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_swarm, "bandwidth",
+                  Shape::kSwarm)
+    ->Args({300, 512})
+    ->Args({2000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -67,7 +67,9 @@ build-bench/bench/micro_benchmarks \
 # schedule-recording path) and every planner family at the large
 # 1000v/512t point, and `global` and `bandwidth` on the sparse
 # 20k-vertex 8-token instance (the wave loop's and the word-parallel
-# relay election's scaling checks), `random+reliable` and
+# relay election's scaling checks), `bandwidth` on lossy-swarm's
+# 300-vertex file-swarm shape (the only planner row whose relay BFS
+# runs: one BFS per distinct frontier column), `random+reliable` and
 # `global+reliable` under 20% loss at 1000v/512t (the reliable
 # adapter's in-flight table, and
 # `global`'s rank-space conversion under it), and both rank
@@ -99,6 +101,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/bandwidth/1000/512' \
     --require 'PlannerStepsPerSec/global_sparse/20000/8' \
     --require 'PlannerStepsPerSec/bandwidth_sparse/20000/8' \
+    --require 'PlannerStepsPerSec/bandwidth_swarm/300/512' \
     --require 'PlannerStepsPerSecLossy/random_reliable/1000/512' \
     --require 'PlannerStepsPerSecLossy/global_reliable/1000/512' \
     --require 'RankRows/per_row/300/512' \

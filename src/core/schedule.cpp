@@ -76,14 +76,23 @@ void Timestep::erase(ArcId arc) {
 
 void Timestep::clear() noexcept { arcs_.clear(); }
 
+// Reserves the exact size and copies each kept send's words in, so no
+// word is zero-filled only to be overwritten.
 Timestep Timestep::nonempty_copy() const {
   std::size_t kept = 0;
   for (const ArcSend send : sends()) kept += send.tokens.empty() ? 0 : 1;
   Timestep out;
+  if (kept == 0) return out;
+  out.universe_ = universe_;
+  out.words_per_row_ = words_per_row_;
   out.arcs_.reserve(kept);
-  out.words_.resize(kept * words_per_row_);
-  for (const ArcSend send : sends())
-    if (!send.tokens.empty()) out.append(send.arc, send.tokens);
+  out.words_.reserve(kept * words_per_row_);
+  for (const ArcSend send : sends()) {
+    if (send.tokens.empty()) continue;
+    out.arcs_.push_back(send.arc);
+    const std::uint64_t* words = send.tokens.words_data();
+    out.words_.insert(out.words_.end(), words, words + words_per_row_);
+  }
   return out;
 }
 

@@ -1,14 +1,23 @@
 #include "ocd/heuristics/bandwidth_saver.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+
 namespace ocd::heuristics {
 
 void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
   const auto n = static_cast<std::size_t>(instance.graph().num_vertices());
   const auto universe = static_cast<std::size_t>(instance.num_tokens());
+  const std::size_t blocks = (n + 63) / 64;
   allowed_.reset(n, universe);
   front_.reset(n, universe);
   spare_front_.assign(allowed_.words_per_row(), 0);
   far_need_.assign(allowed_.words_per_row(), 0);
+  front_columns_.assign(64 * blocks, 0);
+  need_columns_.assign(64 * blocks, 0);
+  far_column_.assign(blocks, 0);
+  seen_.assign(blocks, 0);
   witness_.assign(n, 0);
   bfs_.clear();
   bfs_.reserve(n);
@@ -18,11 +27,24 @@ void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
   batch_ = TokenSet(universe);
 }
 
+namespace {
+
+/// A hash of a vertex column, so that grouping compares whole columns
+/// only on a hash match.
+std::uint64_t column_hash(std::span<const std::uint64_t> column) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t w : column)
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL + (h >> 29);
+  return h;
+}
+
+}  // namespace
+
 // The word pass: needs into `into`, frontiers into front_, and the
-// R / F filters, over the slice's words only; then the relay BFS for
-// the tokens of R ∩ F.  Reads only step-start state and writes only the
-// slice's words, so slicing the words across shards reproduces the
-// serial matrix exactly.
+// R / F filters, over the slice's words only; then, for each word with
+// R ∩ F tokens, one relay BFS per distinct frontier column among them.
+// Reads only step-start state and writes only the slice's words, so
+// slicing the words across shards reproduces the serial matrix exactly.
 void BandwidthPolicy::elect(const sim::StepView& view, util::TokenMatrix& into,
                             std::size_t first_word, std::size_t word_stride) {
   const Digraph& graph = view.graph();
@@ -53,49 +75,98 @@ void BandwidthPolicy::elect(const sim::StepView& view, util::TokenMatrix& into,
       far_need_[wi] |= need[wi] & ~front[wi];
     }
   }
+  const std::size_t blocks =
+      (static_cast<std::size_t>(graph.num_vertices()) + 63) / 64;
+  const auto column = [&](const std::vector<std::uint64_t>& columns,
+                          unsigned j) {
+    return std::span<const std::uint64_t>(columns).subspan(j * blocks, blocks);
+  };
   for (std::size_t wi = first_word; wi < words; wi += word_stride) {
-    for (std::uint64_t w = spare_front_[wi] & far_need_[wi]; w != 0;
-         w &= w - 1) {
-      elect_relays(static_cast<TokenId>(
-                       wi * 64 + static_cast<std::size_t>(__builtin_ctzll(w))),
-                   graph, into);
+    const std::uint64_t relay_tokens = spare_front_[wi] & far_need_[wi];
+    if (relay_tokens == 0) continue;
+    RarityRanker::word_columns(front_, wi, front_columns_);
+    RarityRanker::word_columns(into, wi, need_columns_);
+    // Groups of equal frontier column: the bit of group g's first token
+    // (first[g]), the column's hash and the group's token bits.
+    std::array<unsigned, 64> first{};
+    std::array<std::uint64_t, 64> hash{};
+    std::array<std::uint64_t, 64> members{};
+    std::size_t groups = 0;
+    for (std::uint64_t rest = relay_tokens; rest != 0; rest &= rest - 1) {
+      const auto j = static_cast<unsigned>(__builtin_ctzll(rest));
+      const auto frontier = column(front_columns_, j);
+      const std::uint64_t h = column_hash(frontier);
+      std::size_t g = 0;
+      while (g < groups &&
+             (hash[g] != h ||
+              !std::ranges::equal(frontier, column(front_columns_, first[g]))))
+        ++g;
+      if (g == groups) {
+        first[g] = j;
+        hash[g] = h;
+        members[g] = 0;
+        ++groups;
+      }
+      members[g] |= 1ULL << j;
     }
+    for (std::size_t g = 0; g < groups; ++g)
+      elect_relays(wi, column(front_columns_, first[g]), members[g], graph,
+                   into);
   }
 }
 
-// Multi-source BFS from t's frontier in ascending vertex id, electing
-// for every vertex its nearest frontier vertex (ties broken by BFS
-// order — deterministic).  A discovered vertex (distance >= 1) is not
-// in the frontier, so it is never a witness and its bit t in `into` is
-// still its need bit; its witness is final on discovery, so the relay
-// bit is set right then.  The BFS stops once every needy vertex outside
-// the frontier is discovered; the rest of it could set no bit.
-void BandwidthPolicy::elect_relays(TokenId t, const Digraph& graph,
+// One multi-source BFS from a frontier column shared by the tokens
+// `members` of word wi, sources in ascending vertex id.  Each vertex
+// is discovered once, from the first queued in-neighbour, and takes
+// that neighbour's witness; the queue stays sorted by witness id at
+// every level, so a vertex's witness is the lowest-id frontier vertex
+// at minimum distance, which depends on the frontier set alone.  The
+// BFS each member token would run alone is therefore a prefix of this
+// one.  A discovered vertex (distance >= 1) is off the frontier, so its
+// members' bits in `into` are still need bits and no relay bit; each
+// needy one elects its witness for the tokens it needs, at once.  The
+// BFS stops once every needy vertex off the frontier, for any member,
+// is discovered; the rest of it could set no bit.
+void BandwidthPolicy::elect_relays(std::size_t wi,
+                                   std::span<const std::uint64_t> frontier,
+                                   std::uint64_t members, const Digraph& graph,
                                    util::TokenMatrix& into) {
-  const auto wi = static_cast<std::size_t>(t) / 64;
-  const std::uint64_t bit = 1ULL << (static_cast<unsigned>(t) % 64);
+  const std::size_t blocks = frontier.size();
+  std::int64_t far_needy = 0;  // undiscovered needy vertices off the frontier
+  std::fill(far_column_.begin(), far_column_.end(), 0);
+  for (std::uint64_t rest = members; rest != 0; rest &= rest - 1) {
+    const std::uint64_t* need =
+        need_columns_.data() +
+        static_cast<std::size_t>(__builtin_ctzll(rest)) * blocks;
+    for (std::size_t b = 0; b < blocks; ++b) far_column_[b] |= need[b];
+  }
   bfs_.clear();
-  std::int32_t far_needy = 0;  // undiscovered needy vertices off the frontier
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const auto row = static_cast<std::size_t>(v);
-    if ((front_.row(row).word(wi) & bit) != 0) {
-      witness_[row] = v;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    far_column_[b] &= ~frontier[b];
+    far_needy += std::popcount(far_column_[b]);
+    seen_[b] = frontier[b];
+    for (std::uint64_t rest = frontier[b]; rest != 0; rest &= rest - 1) {
+      const auto v = static_cast<VertexId>(
+          64 * b + static_cast<std::size_t>(__builtin_ctzll(rest)));
+      witness_[static_cast<std::size_t>(v)] = v;
       bfs_.push_back(v);
-    } else {
-      witness_[row] = -1;  // not discovered yet
-      if ((into.row(row).word(wi) & bit) != 0) ++far_needy;
     }
   }
+  const std::size_t wpr = into.words_per_row();
+  std::uint64_t* words = into.mutable_words();
   for (std::size_t head = 0; head < bfs_.size(); ++head) {
     const VertexId u = bfs_[head];
+    const VertexId x = witness_[static_cast<std::size_t>(u)];
     for (ArcId a : graph.out_arcs(u)) {
-      const VertexId w = graph.arc(a).to;
-      const auto row = static_cast<std::size_t>(w);
-      if (witness_[row] >= 0) continue;
-      witness_[row] = witness_[static_cast<std::size_t>(u)];
-      bfs_.push_back(w);
-      if ((into.row(row).word(wi) & bit) != 0) {
-        into.row(static_cast<std::size_t>(witness_[row])).set(t);
+      const auto w = static_cast<std::size_t>(graph.arc(a).to);
+      const std::uint64_t bit = 1ULL << (w % 64);
+      if ((seen_[w / 64] & bit) != 0) continue;
+      seen_[w / 64] |= bit;
+      witness_[w] = x;
+      bfs_.push_back(static_cast<VertexId>(w));
+      if ((far_column_[w / 64] & bit) != 0) {
+        words[static_cast<std::size_t>(x) * wpr + wi] |=
+            words[w * wpr + wi] & members;
         if (--far_needy == 0) return;
       }
     }

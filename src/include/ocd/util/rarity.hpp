@@ -23,7 +23,9 @@
 // columns depend only on the matrix, not on the order, so a caller
 // whose rows are fixed for a run (GlobalGreedy's wants) builds them
 // once with to_columns and re-ranks them each step with
-// columns_to_ranks.
+// columns_to_ranks.  word_columns transposes a single row word the same
+// way, into one vertex column per bit of that word (Bandwidth's relay
+// election groups its tokens by frontier column).
 #pragma once
 
 #include <span>
@@ -98,6 +100,14 @@ class RarityRanker {
   /// row 64b + i holds t.  Rows past the last are zero.
   static void to_columns(const util::TokenMatrix& rows,
                          std::vector<std::uint64_t>& columns);
+
+  /// The vertex columns of one row word, by the same transposes: with
+  /// blocks = ceil(rows / 64), bit i of columns[j * blocks + b] says
+  /// whether row 64b + i has bit j of its word `word` set, so bit j's
+  /// column is `blocks` consecutive words in vertex order.  Rows past
+  /// the last are zero.  `columns` must hold 64 * blocks words.
+  static void word_columns(const util::TokenMatrix& rows, std::size_t word,
+                           std::span<std::uint64_t> columns);
 
   /// Reads to_columns(rows) back in rank order and transposes it into
   /// `out`, which then equals to_ranks_into(rows, out)'s result; `out`

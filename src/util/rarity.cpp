@@ -35,6 +35,20 @@ void transpose64(std::uint64_t* a) {
   transpose_stage<1, 0x5555555555555555ULL>(a);
 }
 
+/// Loads word `w` of the 64 rows of `rows` from row `first` on into
+/// `block` (rows past the last read as zero) and transposes it: bit i
+/// of block[j] is bit j of row first + i's word w.
+void load_column_block(const util::TokenMatrix& rows, std::size_t first,
+                       std::size_t w, std::array<std::uint64_t, 64>& block) {
+  const std::size_t wpr = rows.words_per_row();
+  const std::size_t height = std::min<std::size_t>(64, rows.rows() - first);
+  const std::uint64_t* in = rows.words().data() + first * wpr + w;
+  for (std::size_t i = 0; i < height; ++i) block[i] = in[i * wpr];
+  std::fill(block.begin() + static_cast<std::ptrdiff_t>(height), block.end(),
+            0);
+  transpose64(block.data());
+}
+
 }  // namespace
 
 void RarityRanker::assign(std::vector<TokenId> order) {
@@ -157,21 +171,28 @@ void RarityRanker::to_ranks_into(const util::TokenMatrix& rows,
 void RarityRanker::to_columns(const util::TokenMatrix& rows,
                               std::vector<std::uint64_t>& columns) {
   const std::size_t universe = rows.universe_size();
-  const std::size_t wpr = rows.words_per_row();
   columns.resize((rows.rows() + 63) / 64 * universe);
   std::array<std::uint64_t, 64> block{};
   for (std::size_t first = 0; first < rows.rows(); first += 64) {
-    const std::size_t height = std::min<std::size_t>(64, rows.rows() - first);
-    const std::uint64_t* in = rows.words().data() + first * wpr;
     std::uint64_t* col = columns.data() + first / 64 * universe;
-    for (std::size_t w = 0; w < wpr; ++w) {
-      for (std::size_t i = 0; i < height; ++i) block[i] = in[i * wpr + w];
-      std::fill(block.begin() + static_cast<std::ptrdiff_t>(height),
-                block.end(), 0);  // the last block's missing rows
-      transpose64(block.data());
+    for (std::size_t w = 0; w < rows.words_per_row(); ++w) {
+      load_column_block(rows, first, w, block);
       const std::size_t width = std::min<std::size_t>(64, universe - 64 * w);
       std::copy_n(block.begin(), width, col + 64 * w);
     }
+  }
+}
+
+void RarityRanker::word_columns(const util::TokenMatrix& rows,
+                                std::size_t word,
+                                std::span<std::uint64_t> columns) {
+  OCD_EXPECTS(word < rows.words_per_row());
+  const std::size_t blocks = (rows.rows() + 63) / 64;
+  OCD_EXPECTS(columns.size() == 64 * blocks);
+  std::array<std::uint64_t, 64> block{};
+  for (std::size_t b = 0; b < blocks; ++b) {
+    load_column_block(rows, 64 * b, word, block);
+    for (std::size_t j = 0; j < 64; ++j) columns[j * blocks + b] = block[j];
   }
 }
 

@@ -74,12 +74,15 @@ TEST(BandwidthPolicy, UsesRelaysWhenNecessary) {
 }
 
 TEST(BandwidthPolicy, ElectsSingleRelayAmongEquivalentPaths) {
-  // Diamond: 0 -> {1, 2} -> 3; only one relay should receive the token.
+  // Diamond: 0 -> {1, 2} -> 3; only one relay should receive the token,
+  // and it is vertex 1: the lowest-id frontier vertex at minimum
+  // distance.  Vertex 2's arcs come first, so an election that followed
+  // arc order (or sources in descending id) would pick vertex 2.
   Digraph g(4);
-  g.add_arc(0, 1, 1);
   g.add_arc(0, 2, 1);
-  g.add_arc(1, 3, 1);
   g.add_arc(2, 3, 1);
+  const ArcId relay_arc = g.add_arc(0, 1, 1);
+  g.add_arc(1, 3, 1);
   core::Instance inst(std::move(g), 1);
   inst.add_have(0, 0);
   inst.add_want(3, 0);
@@ -87,6 +90,8 @@ TEST(BandwidthPolicy, ElectsSingleRelayAmongEquivalentPaths) {
   const auto result = sim::run(inst, policy);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.bandwidth, 2);  // one relay + one delivery
+  ASSERT_EQ(result.schedule.steps().front().sends().size(), 1U);
+  EXPECT_EQ(result.schedule.steps().front().sends()[0].arc, relay_arc);
 }
 
 TEST(BandwidthPolicy, PrunedBandwidthCloseToRaw) {

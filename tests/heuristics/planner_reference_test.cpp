@@ -11,7 +11,9 @@
 // the few-token sparse regime where nearly every pass ends early, and
 // BandwidthElectionFuzz drives the word-parallel relay election through
 // partial wants on multi-word universes, where its R ∩ F filter, early
-// BFS exit and run-to-the-end BFS all fire.
+// BFS exit and run-to-the-end BFS all fire, and through file swarms
+// across 64-vertex block edges and under loss, where its grouping of
+// tokens by frontier column shares one BFS among many tokens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 
 #include "ocd/core/scenario.hpp"
 #include "ocd/dynamics/model.hpp"
+#include "ocd/faults/model.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
@@ -489,6 +492,7 @@ TEST(PlannerReference, MaxStepsExhaustion) {
 struct FuzzCase {
   std::string label;
   core::Instance instance;
+  double loss_rate = 0.0;  ///< UniformLoss on every transfer when > 0
 };
 
 /// Seeded instances for the wave-loop fuzz:
@@ -566,6 +570,8 @@ void expect_fuzz_matches_reference(
         options.staleness = staleness;
         options.stale_aggregates = staleness > 0;
         if (churn) options.dynamics = &link_churn;
+        faults::UniformLoss loss(fc.loss_rate);
+        if (fc.loss_rate > 0.0) options.faults = &loss;
         Reference reference;
         const sim::RunResult expected =
             sim::run(fc.instance, reference, options);
@@ -603,6 +609,18 @@ TEST(PlannerReference, GlobalWaveLoopFuzz) {
 /// files from random senders, alternating dense and sparse overlays.
 /// A sparse overlay with no connectivity backbone leaves some needy
 /// vertices unreachable, so their tokens' BFS runs to the end.
+///
+/// The election groups a word's R ∩ F tokens by frontier column and
+/// runs one BFS per group, so the later cases aim at the grouping:
+///  * files from random senders on sparse overlays of 63, 64, 65, 128
+///    and 129 vertices, whose vertex columns end just before, at and
+///    just past a 64-row block edge;
+///  * a lossy-swarm-shaped instance (a 300-vertex transit-stub, 512
+///    tokens in 16 files from random senders), where a file's tokens
+///    mostly share a frontier but not their needy sets.
+/// These come last, so that the earlier cases keep their draws.  Every
+/// case then runs once more under 10% uniform loss, which drifts a
+/// file's tokens apart so that their frontiers differ.
 std::vector<FuzzCase> election_fuzz_cases(std::uint64_t seed) {
   Rng rng(seed);
   const auto overlay = [&](bool sparse) {
@@ -642,6 +660,30 @@ std::vector<FuzzCase> election_fuzz_cases(std::uint64_t seed) {
                                                         0.3, rng)
                        .instance});
   }
+  for (const std::int32_t n : {63, 64, 65, 128, 129}) {
+    Digraph g = topology::sparse_random_overlay(
+        n, static_cast<double>(rng.uniform_int(3, 6)), rng);
+    const auto files = static_cast<std::int32_t>(rng.uniform_int(2, 4));
+    const auto per_file =
+        static_cast<std::int32_t>(rng.uniform_int(16, 130 / files));
+    out.push_back({"blocks" + std::to_string(n) + "x" +
+                       std::to_string(files * per_file),
+                   core::subdivided_files_random_senders(
+                       std::move(g), files * per_file, files, rng)});
+  }
+  {
+    Digraph g = topology::transit_stub(
+        topology::transit_stub_options_for_size(300), rng);
+    out.push_back({"swarm",
+                   core::subdivided_files_random_senders(std::move(g), 512, 16,
+                                                         rng)});
+  }
+  std::vector<FuzzCase> lossy = out;
+  for (FuzzCase& fc : lossy) {
+    fc.label += "/loss";
+    fc.loss_rate = 0.1;
+  }
+  out.insert(out.end(), lossy.begin(), lossy.end());
   return out;
 }
 

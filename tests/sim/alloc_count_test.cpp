@@ -3,8 +3,9 @@
 //
 // Zero-allocation steady state: once the Simulator's arena and a
 // policy's scratch are warm, additional simulation steps must not touch
-// the heap, under loss with the reliable adapter in the loop too.  Two
-// truncated runs of the same deterministic trajectory (same instance,
+// the heap, under loss with the reliable adapter in the loop too, and
+// on a file swarm, where `bandwidth` runs its relay BFS every step.
+// Two truncated runs of the same deterministic trajectory (same instance,
 // policy object, simulator, and seed) that differ only in max_steps are
 // compared; the extra steps of the longer run must contribute zero
 // allocations.
@@ -89,12 +90,23 @@ core::Instance slow_fig2_instance() {
   Digraph graph = topology::random_overlay(64, options, rng);
   return core::single_source_all_receivers(std::move(graph), 256, 0);
 }
+
+/// slow_fig2_instance()'s overlay shape carrying two 128-token files
+/// from random senders, each wanted by half the vertices.
+core::Instance slow_swarm_instance() {
+  Rng rng(0xa110d);
+  topology::RandomGraphOptions options;
+  options.capacities = {1, 2};
+  Digraph graph = topology::random_overlay(64, options, rng);
+  return core::subdivided_files_random_senders(std::move(graph), 256, 2, rng);
+}
 }  // namespace ocd::testing_alloc
 
 namespace ocd::sim {
 namespace {
 
 using testing_alloc::slow_fig2_instance;
+using testing_alloc::slow_swarm_instance;
 
 std::uint64_t allocations_during(Simulator& simulator,
                                  const core::Instance& inst, Policy& policy,
@@ -107,52 +119,89 @@ std::uint64_t allocations_during(Simulator& simulator,
   return after - before;
 }
 
-TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
-  const core::Instance inst = slow_fig2_instance();
-  constexpr std::int64_t kShort = 6;
-  constexpr std::int64_t kLong = 16;
+constexpr std::int64_t kShort = 6;
+constexpr std::int64_t kLong = 16;
 
-  // The "+reliable" runs lose 20% of their transfers, so the adapter's
-  // in-flight table acks, retransmits and merges new timers every step;
-  // it must have grown to its peak along the warm run.
+/// Replays `name`'s trajectory on `inst` truncated at kShort and at
+/// kLong steps and expects the extra steps to allocate nothing.  A
+/// "+reliable" planner runs at 20% loss, so the adapter's in-flight
+/// table acks, retransmits and merges new timers every step; it must
+/// have grown to its peak along the warm run.
+void expect_steady_steps_allocation_free(const core::Instance& inst,
+                                         const char* name) {
+  SCOPED_TRACE(name);
+  const bool reliable = std::string_view(name).ends_with("+reliable");
+  const auto policy = heuristics::make_policy(name);
+  faults::UniformLoss loss(0.2);
+  Simulator simulator;
+  SimOptions options;
+  options.seed = 17;
+  options.record_schedule = false;
+  if (reliable) options.faults = &loss;
+
+  // Warm run: sizes the simulator arena and the policy scratch along
+  // the exact trajectory the measured runs will replay.
+  options.max_steps = kLong;
+  const RunResult warm = simulator.run(inst, *policy, options);
+  if (reliable) {
+    EXPECT_GT(warm.stats.retransmissions, 0);
+  }
+
+  std::int64_t short_steps = 0;
+  std::int64_t long_steps = 0;
+  options.max_steps = kShort;
+  const std::uint64_t short_allocs =
+      allocations_during(simulator, inst, *policy, options, &short_steps);
+  options.max_steps = kLong;
+  const std::uint64_t long_allocs =
+      allocations_during(simulator, inst, *policy, options, &long_steps);
+
+  // Both runs must have been truncated mid-flight, so the counts really
+  // differ by kLong - kShort live steps.
+  ASSERT_EQ(short_steps, kShort);
+  ASSERT_EQ(long_steps, kLong);
+  EXPECT_EQ(long_allocs, short_allocs)
+      << (long_allocs - short_allocs) << " allocations across "
+      << (kLong - kShort) << " steady-state steps";
+}
+
+/// Whether some send of `schedule` carries a token its head does not
+/// want, i.e. feeds an elected relay.
+bool relays_a_token(const core::Instance& inst,
+                    const core::Schedule& schedule) {
+  for (const core::Timestep& step : schedule.steps()) {
+    for (const core::ArcSend send : step.sends()) {
+      TokenSet unwanted(send.tokens);
+      unwanted -= inst.want(inst.graph().arc(send.arc).to);
+      if (!unwanted.empty()) return true;
+    }
+  }
+  return false;
+}
+
+TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
+  const core::Instance broadcast = slow_fig2_instance();
   for (const char* name :
        {"global", "local", "random", "round-robin", "bandwidth",
         "global+reliable", "local+reliable", "random+reliable",
-        "round-robin+reliable", "bandwidth+reliable"}) {
+        "round-robin+reliable", "bandwidth+reliable"})
+    expect_steady_steps_allocation_free(broadcast, name);
+
+  // On a broadcast every vertex wants every token, so `bandwidth` never
+  // runs its relay BFS there.  Files from random senders on the same
+  // overlay shape leave uninterested vertices between senders and
+  // receivers: the election groups tokens and runs the BFS every step.
+  const core::Instance swarm = slow_swarm_instance();
+  for (const char* name : {"bandwidth", "bandwidth+reliable"}) {
+    expect_steady_steps_allocation_free(swarm, name);
     SCOPED_TRACE(name);
-    const bool reliable = std::string_view(name).ends_with("+reliable");
-    const auto policy = heuristics::make_policy(name);
     faults::UniformLoss loss(0.2);
-    Simulator simulator;
     SimOptions options;
     options.seed = 17;
-    options.record_schedule = false;
-    if (reliable) options.faults = &loss;
-
-    // Warm run: sizes the simulator arena and the policy scratch along
-    // the exact trajectory the measured runs will replay.
     options.max_steps = kLong;
-    const RunResult warm = simulator.run(inst, *policy, options);
-    if (reliable) {
-      EXPECT_GT(warm.stats.retransmissions, 0);
-    }
-
-    std::int64_t short_steps = 0;
-    std::int64_t long_steps = 0;
-    options.max_steps = kShort;
-    const std::uint64_t short_allocs =
-        allocations_during(simulator, inst, *policy, options, &short_steps);
-    options.max_steps = kLong;
-    const std::uint64_t long_allocs =
-        allocations_during(simulator, inst, *policy, options, &long_steps);
-
-    // Both runs must have been truncated mid-broadcast, so the counts
-    // really differ by kLong - kShort live steps.
-    ASSERT_EQ(short_steps, kShort);
-    ASSERT_EQ(long_steps, kLong);
-    EXPECT_EQ(long_allocs, short_allocs)
-        << (long_allocs - short_allocs) << " allocations across "
-        << (kLong - kShort) << " steady-state steps";
+    if (std::string_view(name).ends_with("+reliable")) options.faults = &loss;
+    const auto policy = heuristics::make_policy(name);
+    EXPECT_TRUE(relays_a_token(swarm, run(swarm, *policy, options).schedule));
   }
 }
 

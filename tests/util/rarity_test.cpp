@@ -178,9 +178,9 @@ TEST(RarityRanker, RankSpacePermutationRoundTrips) {
   EXPECT_EQ(ranker.to_tokens(ranked), s);
 }
 
-// The whole-matrix conversion and the cached-column path against the
-// per-row scatter, on shapes around the 64-row block and 64-token word
-// edges.  One ranker, one column buffer and one output matrix serve
+// The whole-matrix conversion, the cached-column path and the one-word
+// vertex columns against the per-row scatter, on shapes around the
+// 64-row block and 64-token word edges.  One ranker, one column buffer and one output matrix serve
 // every shape, and both outputs start as all ones, so a word the
 // kernels fail to write, or stale scratch from a larger shape, shows.
 TEST(RarityRanker, MatrixConversionMatchesPerRow) {
@@ -219,6 +219,22 @@ TEST(RarityRanker, MatrixConversionMatchesPerRow) {
           std::fill(columns.begin(), columns.end(), ~0ULL);
           RarityRanker::to_columns(in, columns);
           ASSERT_EQ(columns, expected_columns) << where;
+
+          // word_columns: the same bits one row word at a time, bit j's
+          // column in `blocks` consecutive words, zero past the universe.
+          std::vector<std::uint64_t> word_cols(64 * blocks);
+          for (std::size_t w = 0; w < in.words_per_row(); ++w) {
+            std::fill(word_cols.begin(), word_cols.end(), ~0ULL);
+            RarityRanker::word_columns(in, w, word_cols);
+            for (std::size_t j = 0; j < 64; ++j) {
+              const std::size_t t = 64 * w + j;
+              for (std::size_t b = 0; b < blocks; ++b)
+                ASSERT_EQ(word_cols[j * blocks + b],
+                          t < universe ? expected_columns[b * universe + t]
+                                       : 0u)
+                    << where << " word " << w << " bit " << j;
+            }
+          }
 
           TokenSet expected(universe);
           const auto check_rows = [&](const char* path) {
