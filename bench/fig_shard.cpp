@@ -15,14 +15,12 @@
 // is diff-stable across runs.
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "ocd/core/scenario.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/shard/runtime.hpp"
 #include "ocd/topology/random_graph.hpp"
-#include "ocd/topology/transit_stub.hpp"
 
 int main(int argc, char** argv) {
   using namespace ocd;
@@ -52,23 +50,6 @@ int main(int argc, char** argv) {
                "success", "steps", "bandwidth", "part_ms", "run_s"});
   table.set_precision(3);
 
-  // Partition variants per shard count: the default greedy partition at
-  // every count, plus the flow-refined eps=5 partition at the largest —
-  // the greedy-vs-flow comparison rows.  The flow rows join the same
-  // bit-identity check: a partition may only move ownership, never the
-  // schedule.
-  struct PartitionCase {
-    std::int32_t shards;
-    bool flow;
-  };
-  const std::vector<PartitionCase> partition_cases = {
-      {1, false}, {2, false}, {4, false}, {4, true}};
-  constexpr std::int32_t kFlowEps = 5;
-  // The head-to-head section runs at a wider slack: transit-stub
-  // separators sit off-center, so the band needs room before the min
-  // cut's reassignment is adoptable at every shard count.
-  constexpr std::int32_t kCompareEps = 10;
-
   sim::SimOptions sim_options;
   sim_options.seed = 7;
   sim_options.record_schedule = false;
@@ -88,15 +69,10 @@ int main(int argc, char** argv) {
                    reference.steps, reference.bandwidth, 0.0,
                    reference_seconds});
 
-    for (const PartitionCase& pc : partition_cases) {
-      const std::int32_t shards = pc.shards;
-      shard::PartitionOptions part_options;
-      part_options.num_shards = shards;
-      part_options.balance_eps = pc.flow ? kFlowEps : 0;
-      part_options.flow_refine = pc.flow;
+    for (const std::int32_t shards : {1, 2, 4}) {
       Stopwatch part_timer;
       const shard::Partition part =
-          shard::partition_vertices(inst.graph(), part_options);
+          shard::partition_vertices(inst.graph(), shards);
       const double part_seconds = part_timer.seconds();
 
       shard::ShardOptions options;
@@ -117,8 +93,7 @@ int main(int argc, char** argv) {
                        static_cast<double>(shards) /
                        static_cast<double>(n) -
                    1.0);
-      table.add_row({std::string(policy),
-                     std::string(pc.flow ? "flow" : "greedy"), shards,
+      table.add_row({std::string(policy), std::string("greedy"), shards,
                      part.stats.cut_arcs,
                      100.0 * part.stats.cut_fraction(), imb_pct,
                      std::string(result.success ? "yes" : "no"),
@@ -132,12 +107,10 @@ int main(int argc, char** argv) {
   // Partitioner refinement depth: the runtime's default single sweep vs
   // a deeper budget, on the same overlay.  Shards share memory, so a
   // smaller cut saves no traffic; these lines record partition quality
-  // only, for the question whether the refinement stages earn their
-  // partitioning time in run_s.  Reported at shard counts that
-  // do not divide n: the balance bounds give refinement exactly
-  // ceil(n/k) - floor(n/k) vertices of slack per shard, so when k | n
-  // the bounds pin every class size and no sweep can move anything —
-  // the sweep loop is only exercised where slack exists.
+  // only.  Reported at shard counts that do not divide n: the balance
+  // bounds give refinement exactly ceil(n/k) - floor(n/k) vertices of
+  // slack per shard, so when k | n the bounds pin every class size and
+  // the partitioner skips the sweeps.
   std::cout << "# multi-sweep refinement (cut arcs, sweeps=1 -> sweeps=8):\n";
   for (const std::int32_t shards : {3, 7}) {
     const shard::Partition one =
@@ -156,53 +129,11 @@ int main(int argc, char** argv) {
               << "%)\n";
   }
 
-  // Greedy vs flow-refined partitions on the paper's structured
-  // topology: transit-stub graphs have genuinely small separators (the
-  // stub-transit attachment edges), which local greedy moves cannot
-  // reach but a min cut finds.  The cut reduction prices no traffic
-  // (shards share memory); it is reported next to the extra
-  // partitioning time the flow stage costs.
-  std::cout << "# greedy vs flow partitions, transit-stub overlay (eps="
-            << kCompareEps << "):\n";
-  {
-    Rng ts_rng(0x5a4d'0002);
-    const Digraph ts = topology::transit_stub(
-        topology::transit_stub_options_for_size(20'000), ts_rng);
-    std::cout << "#   (" << ts.num_vertices() << " vertices, "
-              << ts.num_arcs() << " arcs)\n";
-    for (const std::int32_t shards : {3, 4, 7}) {
-      shard::PartitionOptions greedy_options;
-      greedy_options.num_shards = shards;
-      greedy_options.balance_eps = kCompareEps;
-      Stopwatch greedy_timer;
-      const shard::Partition greedy =
-          shard::partition_vertices(ts, greedy_options);
-      const double greedy_ms = 1000.0 * greedy_timer.seconds();
-      shard::PartitionOptions flow_options = greedy_options;
-      flow_options.flow_refine = true;
-      Stopwatch flow_timer;
-      const shard::Partition flow = shard::partition_vertices(ts,
-                                                              flow_options);
-      const double flow_ms = 1000.0 * flow_timer.seconds();
-      const double reduction =
-          greedy.stats.cut_arcs == 0
-              ? 0.0
-              : 100.0 *
-                    static_cast<double>(greedy.stats.cut_arcs -
-                                        flow.stats.cut_arcs) /
-                    static_cast<double>(greedy.stats.cut_arcs);
-      std::cout << "#   shards=" << shards << ": " << greedy.stats.cut_arcs
-                << " -> " << flow.stats.cut_arcs << " cut arcs (-"
-                << reduction << "%), " << greedy_ms << " -> " << flow_ms
-                << " ms\n";
-    }
-  }
-
   std::cout << "# bit-identity across rows (per policy): "
             << (identical ? "yes" : "NO — INVARIANT VIOLATED") << '\n'
             << "# expected: steps/bandwidth/moves per step identical on\n"
-               "# every row of a policy (the sim::run row and flow-refined\n"
-               "# rows included — partitioning only moves ownership); the\n"
+               "# every row of a policy (the sim::run row included —\n"
+               "# partitioning only moves ownership); the\n"
                "# cut fraction stays well below the ~"
             << 100.0 * (1.0 - 1.0 / 4.0)
             << "% a random 4-way assignment would pay.\n";

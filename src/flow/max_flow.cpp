@@ -12,7 +12,6 @@ void MaxFlow::reset(std::int32_t num_vertices) {
   cap_.clear();
   init_cap_.clear();
   csr_dirty_ = true;
-  last_sink_ = -1;
   // Vertex-indexed scratch is sized up front so runs never resize it;
   // clear() above kept the arc arrays' capacity, and resize here only
   // allocates when this instance grows past its high-water mark.
@@ -21,7 +20,6 @@ void MaxFlow::reset(std::int32_t num_vertices) {
     level_.resize(n);
     cur_.resize(n);
     queue_.resize(n);
-    sink_mark_.resize(n);
     offsets_.resize(n + 1);
     // The DFS path visits each vertex at most once; reserving here keeps
     // blocking_flow's push_back off the heap.
@@ -48,9 +46,6 @@ std::int32_t MaxFlow::add_edge(std::int32_t from, std::int32_t to,
   return id;
 }
 
-void MaxFlow::reload() { std::copy(init_cap_.begin(), init_cap_.end(),
-                                   cap_.begin()); }
-
 void MaxFlow::build_csr() {
   if (!csr_dirty_) return;
   const auto n = static_cast<std::size_t>(n_);
@@ -72,7 +67,7 @@ void MaxFlow::build_csr() {
   csr_dirty_ = false;
 }
 
-bool MaxFlow::bfs(std::int32_t source, std::int32_t sink, Flow min_cap) {
+bool MaxFlow::bfs(std::int32_t source, std::int32_t sink) {
   std::fill(level_.begin(), level_.begin() + static_cast<std::ptrdiff_t>(n_),
             -1);
   std::int32_t head = 0;
@@ -85,7 +80,7 @@ bool MaxFlow::bfs(std::int32_t source, std::int32_t sink, Flow min_cap) {
     for (std::int32_t c = offsets_[static_cast<std::size_t>(v)];
          c < offsets_[static_cast<std::size_t>(v) + 1]; ++c) {
       const std::int32_t a = adj_[static_cast<std::size_t>(c)];
-      if (cap_[static_cast<std::size_t>(a)] < min_cap) continue;
+      if (cap_[static_cast<std::size_t>(a)] <= 0) continue;
       const std::int32_t w = to_[static_cast<std::size_t>(a)];
       if (level_[static_cast<std::size_t>(w)] >= 0) continue;
       level_[static_cast<std::size_t>(w)] = lv + 1;
@@ -95,8 +90,8 @@ bool MaxFlow::bfs(std::int32_t source, std::int32_t sink, Flow min_cap) {
   return level_[static_cast<std::size_t>(sink)] >= 0;
 }
 
-MaxFlow::Flow MaxFlow::blocking_flow(std::int32_t source, std::int32_t sink,
-                                     Flow min_cap) {
+MaxFlow::Flow MaxFlow::blocking_flow(std::int32_t source,
+                                     std::int32_t sink) {
   std::copy(offsets_.begin(), offsets_.begin() + static_cast<std::ptrdiff_t>(n_),
             cur_.begin());
   Flow total = 0;
@@ -116,7 +111,7 @@ MaxFlow::Flow MaxFlow::blocking_flow(std::int32_t source, std::int32_t sink,
       total += bottleneck;
       std::size_t keep = 0;
       while (keep < path_.size() &&
-             cap_[static_cast<std::size_t>(path_[keep])] >= min_cap)
+             cap_[static_cast<std::size_t>(path_[keep])] > 0)
         ++keep;
       v = from_[static_cast<std::size_t>(path_[keep])];
       path_.resize(keep);
@@ -127,7 +122,7 @@ MaxFlow::Flow MaxFlow::blocking_flow(std::int32_t source, std::int32_t sink,
     std::int32_t& c = cur_[static_cast<std::size_t>(v)];
     for (; c < offsets_[static_cast<std::size_t>(v) + 1]; ++c) {
       const std::int32_t a = adj_[static_cast<std::size_t>(c)];
-      if (cap_[static_cast<std::size_t>(a)] < min_cap) continue;
+      if (cap_[static_cast<std::size_t>(a)] <= 0) continue;
       const std::int32_t w = to_[static_cast<std::size_t>(a)];
       if (level_[static_cast<std::size_t>(w)] !=
           level_[static_cast<std::size_t>(v)] + 1)
@@ -153,53 +148,8 @@ MaxFlow::Flow MaxFlow::run(std::int32_t source, std::int32_t sink) {
   OCD_EXPECTS(source != sink);
   build_csr();
   Flow total = 0;
-  while (bfs(source, sink, 1)) total += blocking_flow(source, sink, 1);
-  last_sink_ = sink;
+  while (bfs(source, sink)) total += blocking_flow(source, sink);
   return total;
-}
-
-MaxFlow::Flow MaxFlow::run_scaling(std::int32_t source, std::int32_t sink) {
-  OCD_EXPECTS(source >= 0 && source < n_);
-  OCD_EXPECTS(sink >= 0 && sink < n_);
-  OCD_EXPECTS(source != sink);
-  build_csr();
-  Flow max_cap = 0;
-  for (const Flow c : cap_) max_cap = std::max(max_cap, c);
-  Flow delta = 1;
-  while (delta <= max_cap / 2) delta *= 2;
-  Flow total = 0;
-  for (; delta >= 1; delta /= 2)
-    while (bfs(source, sink, delta))
-      total += blocking_flow(source, sink, delta);
-  // The Δ = 1 rounds above end on a failed unit BFS, so level_ holds
-  // the source-reachable min-cut marks exactly as after run().
-  last_sink_ = sink;
-  return total;
-}
-
-void MaxFlow::compute_sink_side() {
-  OCD_EXPECTS(last_sink_ >= 0);
-  build_csr();
-  std::fill(sink_mark_.begin(),
-            sink_mark_.begin() + static_cast<std::ptrdiff_t>(n_), 0);
-  std::int32_t head = 0;
-  std::int32_t tail = 0;
-  sink_mark_[static_cast<std::size_t>(last_sink_)] = 1;
-  queue_[static_cast<std::size_t>(tail++)] = last_sink_;
-  // Reverse-residual BFS: w can reach x iff the arc w -> x has residual
-  // capacity, i.e. the paired reverse of some arc x -> w does.
-  while (head < tail) {
-    const std::int32_t x = queue_[static_cast<std::size_t>(head++)];
-    for (std::int32_t c = offsets_[static_cast<std::size_t>(x)];
-         c < offsets_[static_cast<std::size_t>(x) + 1]; ++c) {
-      const std::int32_t a = adj_[static_cast<std::size_t>(c)];
-      if (cap_[static_cast<std::size_t>(a) ^ 1] <= 0) continue;
-      const std::int32_t w = to_[static_cast<std::size_t>(a)];
-      if (sink_mark_[static_cast<std::size_t>(w)]) continue;
-      sink_mark_[static_cast<std::size_t>(w)] = 1;
-      queue_[static_cast<std::size_t>(tail++)] = w;
-    }
-  }
 }
 
 }  // namespace ocd::flow

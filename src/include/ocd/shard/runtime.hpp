@@ -68,13 +68,10 @@ struct ShardOptions {
   std::int32_t num_shards = 0;
   /// Always kInProcess; TransportKind has no other value.
   TransportKind transport = TransportKind::kInProcess;
-  /// Partition balance slack ε in percent; -1 consults
-  /// OCD_SHARD_BALANCE_EPS (validated, default 0 — the historical exact
-  /// band).  A resolved ε > 0 also enables the flow-based min-cut
-  /// refinement stage (shard/partition.hpp), trading a bounded
-  /// ownership imbalance for fewer cut arcs.  The merged schedule is
-  /// bit-identical either way — partitioning only moves ownership,
-  /// never planning decisions.
+  /// Leftover of the deleted balance slack, kept only because
+  /// perfbench sets it (removed with ROADMAP item 2's benchmark
+  /// change): both run_sharded overloads throw ocd::Error naming
+  /// balance_eps unless it is -1 or 0 (see resolve_balance_eps).
   std::int32_t balance_eps = -1;
   /// Simulator options; see the envelope note above for the supported
   /// subset.  faults (if any) must outlive the run.

@@ -31,7 +31,8 @@ bool supported_policy(std::string_view name) {
 /// Refuses everything outside the envelope the shard determinism
 /// suites pin; sim::run validates the remaining options itself.
 void validate_envelope(std::string_view policy_name,
-                       const sim::SimOptions& options) {
+                       const ShardOptions& shard_options) {
+  const sim::SimOptions& options = shard_options.sim;
   if (!supported_policy(policy_name))
     throw Error("sharded runtime supports policies round-robin, random, "
                 "local and bandwidth; run '" +
@@ -52,6 +53,7 @@ void validate_envelope(std::string_view policy_name,
     throw Error(
         "sharded runtime does not support completion overrides (outside "
         "the envelope its determinism suite pins); run them with sim::run");
+  resolve_balance_eps(shard_options.balance_eps);
 }
 
 /// Each shard's vertices, ascending, derived from the one ownership map
@@ -238,7 +240,7 @@ sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options,
                            const Partition& partition) {
-  validate_envelope(policy_name, options.sim);
+  validate_envelope(policy_name, options);
   const std::int32_t num_shards = resolve_num_shards(options.num_shards);
   if (partition.num_shards != num_shards)
     throw Error("partition has " + std::to_string(partition.num_shards) +
@@ -253,24 +255,16 @@ sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options) {
   // Refuse before partitioning: a refused planner must not pay for it.
-  validate_envelope(policy_name, options.sim);
+  validate_envelope(policy_name, options);
   const std::int32_t num_shards = resolve_num_shards(options.num_shards);
   if (num_shards > instance.num_vertices())
     throw Error("num_shards (" + std::to_string(num_shards) +
                 ") exceeds the vertex count (" +
                 std::to_string(instance.num_vertices()) + ")");
-  PartitionOptions part_options;
-  part_options.num_shards = num_shards;
-  part_options.balance_eps = resolve_balance_eps(options.balance_eps);
-  // A relaxed band is only worth its imbalance if the flow stage gets
-  // to spend it on the cut; a resolved 0 keeps the historical partition
-  // bit-for-bit.
-  part_options.flow_refine = part_options.balance_eps > 0;
   const Partition partition =
-      partition_vertices(instance.graph(), part_options);
+      partition_vertices(instance.graph(), num_shards);
   ShardOptions resolved = options;
   resolved.num_shards = num_shards;
-  resolved.balance_eps = part_options.balance_eps;
   return run_sharded(instance, policy_name, resolved, partition);
 }
 

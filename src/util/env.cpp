@@ -1,5 +1,6 @@
 #include "ocd/util/env.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -7,11 +8,7 @@
 
 namespace ocd::util {
 
-namespace {
-
-std::int64_t parse_bounded(std::string_view name, const char* text,
-                           std::int64_t min_value, std::int64_t max_value,
-                           const char* kind) {
+std::int64_t parse_env_int(std::string_view name, const char* text) {
   const std::string value = text == nullptr ? "" : text;
   std::size_t consumed = 0;
   long long parsed = -1;
@@ -25,24 +22,12 @@ std::int64_t parse_bounded(std::string_view name, const char* text,
   } catch (const std::exception&) {
     consumed = 0;
   }
-  if (consumed == 0 || consumed != value.size() || parsed < min_value ||
-      parsed > max_value) {
-    throw Error(std::string(name) + " must be a " + kind + " integer, got '" +
+  if (consumed == 0 || consumed != value.size() || parsed < 1 ||
+      parsed > std::numeric_limits<std::int32_t>::max()) {
+    throw Error(std::string(name) + " must be a positive integer, got '" +
                 value + "'");
   }
   return static_cast<std::int64_t>(parsed);
-}
-
-}  // namespace
-
-std::int64_t parse_env_int(std::string_view name, const char* text,
-                           std::int64_t max_value) {
-  return parse_bounded(name, text, 1, max_value, "positive");
-}
-
-std::int64_t parse_env_nonneg_int(std::string_view name, const char* text,
-                                  std::int64_t max_value) {
-  return parse_bounded(name, text, 0, max_value, "non-negative");
 }
 
 }  // namespace ocd::util

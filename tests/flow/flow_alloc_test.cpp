@@ -1,9 +1,9 @@
 // The MaxFlow steady-state allocation contract (ocd/flow/max_flow.hpp):
 // once a solver instance has solved a network of some size, rebuilding
 // and re-solving networks of at most that size must not touch the heap.
-// The shard partitioner's flow refinement loops a single solver over
-// every block pair, so a per-pair allocation would turn the refinement
-// stage into an allocator benchmark.
+// The B&B solver's final_step (src/exact/bnb.cpp) reuses one solver at
+// every search node it checks, so a per-solve allocation would land in
+// the search's inner loop.
 //
 // Compiled into ocd_alloc_tests: this binary replaces global operator
 // new with a counting wrapper (see sim/alloc_count_test.cpp, which owns
@@ -52,24 +52,19 @@ TEST(FlowAllocCount, WarmSolverRebuildsAndSolvesAllocationFree) {
   Rng rng(0x51ee7);
 
   // Warm run at the maximum shape this test will ever use: sizes every
-  // scratch buffer (arc arrays, CSR, levels, queue, path, sink marks).
+  // scratch buffer (arc arrays, CSR, levels, queue, path).
   build_layered(mf, 6, 8, rng);
   (void)mf.run(0, 1);
-  mf.compute_sink_side();
 
   const std::uint64_t before = ocd::testing_alloc::allocation_count();
   for (std::int32_t round = 0; round < 20; ++round) {
-    // Same-or-smaller networks of varying shape, both algorithms, plus
-    // the min-cut queries the partitioner issues per pair.
+    // Same-or-smaller networks of varying shape, with the per-edge
+    // flow reads final_step makes to rebuild its timestep.
     build_layered(mf, 3 + round % 4, 4 + round % 5, rng);
-    const MaxFlow::Flow dinic = mf.run(0, 1);
-    mf.compute_sink_side();
-    mf.reload();
-    ASSERT_EQ(mf.run_scaling(0, 1), dinic);
-    for (std::int32_t v = 0; v < mf.num_vertices(); ++v) {
+    (void)mf.run(0, 1);
+    for (std::int32_t e = 0; e < mf.num_edges(); ++e) (void)mf.flow(e);
+    for (std::int32_t v = 0; v < mf.num_vertices(); ++v)
       (void)mf.in_source_side(v);
-      (void)mf.in_sink_side(v);
-    }
   }
   const std::uint64_t after = ocd::testing_alloc::allocation_count();
   EXPECT_EQ(after, before)

@@ -359,24 +359,44 @@ TEST(ShardDeterminism, ResolvesShardCountFromEnvironment) {
   EXPECT_THROW(resolve_num_shards(-1), Error);
 }
 
-// A flow-refined, eps-relaxed partition moves ownership around, and
-// ownership must be invisible: the merged schedule stays bit-identical
-// to sim::run, so balance_eps is purely a traffic/balance trade.
-TEST(ShardDeterminism, BalanceEpsNeverChangesTheSchedule) {
+// balance_eps is a leftover of the deleted balance slack: -1 and 0 (the
+// exact band) run as before, anything else is refused by both
+// overloads — by the partitioning one before it partitions.
+TEST(ShardDeterminism, RefusesANonzeroBalanceEpsBeforePartitioning) {
   const core::Instance inst = broadcast_instance(40, 24, 7);
-  sim::SimOptions options;
-  options.max_steps = 400;
-  options.seed = 99;
-  const sim::RunResult reference = reference_run(inst, "local", options);
-  for (std::int32_t shards : kShardCounts) {
-    ShardOptions sharded;
-    sharded.num_shards = shards;
-    sharded.balance_eps = 10;
-    sharded.sim = options;
-    const sim::RunResult result = run_sharded(inst, "local", sharded);
-    expect_same_run(result, reference,
-                    "eps=10 shards=" + std::to_string(shards));
+  sim::SimOptions sim_options;
+  sim_options.max_steps = 400;
+  sim_options.seed = 99;
+  const sim::RunResult reference = reference_run(inst, "local", sim_options);
+  ShardOptions options;
+  options.num_shards = 4;
+  options.sim = sim_options;
+  for (const std::int32_t eps : {-1, 0}) {
+    options.balance_eps = eps;
+    expect_same_run(run_sharded(inst, "local", options), reference,
+                    "eps=" + std::to_string(eps));
   }
+
+  const auto expect_refused = [&](auto&& run, const char* label) {
+    try {
+      (void)run();
+      ADD_FAILURE() << label << " was not refused";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("balance_eps"), std::string::npos)
+          << label << ": " << e.what();
+    }
+  };
+  options.balance_eps = 10;
+  // 100 shards would fail the vertex-count check while partitioning;
+  // the balance_eps refusal must come first.
+  options.num_shards = 100;
+  expect_refused([&] { return run_sharded(inst, "local", options); },
+                 "balance_eps=10");
+  options.num_shards = 4;
+  const Partition partition = partition_vertices(inst.graph(), 4);
+  expect_refused(
+      [&] { return run_sharded(inst, "local", options, partition); },
+      "balance_eps=10 with a precomputed partition");
 }
 
 // ---- partition reuse ------------------------------------------------

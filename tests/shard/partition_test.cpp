@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "ocd/shard/partition.hpp"
@@ -147,212 +149,133 @@ TEST(ShardPartition, MultiSweepConvergesAndStaysDeterministic) {
             partition_vertices(g, 4, 1).shard_of);
 }
 
-// --- Balance band (ε) and flow-based refinement -----------------------
-
 Digraph transit_stub_overlay(std::int32_t n, std::uint64_t seed) {
   Rng rng(seed);
   return topology::transit_stub(topology::transit_stub_options_for_size(n),
                                 rng);
 }
 
-/// rows x cols 4-neighbor grid, arcs both ways — the classic jagged-
-/// boundary victim: greedy local moves plateau while a min cut can
-/// straighten whole boundary segments at once.
-Digraph grid_overlay(std::int32_t rows, std::int32_t cols) {
-  Digraph g(rows * cols);
-  const auto at = [cols](std::int32_t r, std::int32_t c) {
-    return r * cols + c;
+/// FNV-1a over the ownership map, then the cut count: one 64-bit value
+/// that moves if any vertex changes shard.
+std::uint64_t partition_digest(const Partition& part) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
   };
-  for (std::int32_t r = 0; r < rows; ++r)
-    for (std::int32_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) {
-        g.add_arc(at(r, c), at(r, c + 1), 1);
-        g.add_arc(at(r, c + 1), at(r, c), 1);
-      }
-      if (r + 1 < rows) {
-        g.add_arc(at(r, c), at(r + 1, c), 1);
-        g.add_arc(at(r + 1, c), at(r, c), 1);
-      }
-    }
-  g.finalize();
-  return g;
+  for (const std::int32_t s : part.shard_of)
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)));
+  mix(static_cast<std::uint64_t>(part.stats.cut_arcs));
+  return h;
 }
 
-/// Bidirectional ring with a few long chords: the optimal k-way cut is
-/// k boundary pairs, easy to state and hard for a frozen greedy sweep.
-Digraph ring_overlay(std::int32_t n) {
-  Digraph g(n);
-  for (std::int32_t v = 0; v < n; ++v) {
-    const std::int32_t w = (v + 1) % n;
-    g.add_arc(v, w, 1);
-    g.add_arc(w, v, 1);
-  }
-  for (std::int32_t v = 0; v < n; v += n / 4) {
-    const std::int32_t w = (v + n / 3) % n;
-    g.add_arc(v, w, 1);
-    g.add_arc(w, v, 1);
-  }
-  g.finalize();
-  return g;
-}
-
-void expect_valid_partition(const Digraph& g, const Partition& part,
-                            std::int32_t shards, std::int64_t lo_band,
-                            std::int64_t hi_band) {
-  ASSERT_EQ(part.num_shards, shards);
-  ASSERT_EQ(part.shard_of.size(), static_cast<std::size_t>(g.num_vertices()));
-  for (std::int32_t s : part.shard_of) {
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, shards);
-  }
-  for (std::int64_t size : class_sizes(part)) {
-    EXPECT_GE(size, lo_band);
-    EXPECT_LE(size, hi_band);
-  }
-}
-
-PartitionOptions flow_options(std::int32_t shards, std::int32_t eps,
-                              bool flow) {
-  PartitionOptions options;
-  options.num_shards = shards;
-  options.balance_eps = eps;
-  options.flow_refine = flow;
-  return options;
-}
-
-TEST(ShardPartitionFlow, NeverWorseThanGreedyOnStructuredTopologies) {
-  // Adoption requires a strict pair-cut decrease, so flow <= greedy is
-  // a guarantee, not a tendency — checked across topology families,
-  // shard counts, and both band widths.
-  const Digraph topologies[] = {transit_stub_overlay(120, 5),
-                                grid_overlay(12, 12), ring_overlay(96)};
-  for (std::size_t i = 0; i < std::size(topologies); ++i) {
-    const Digraph& g = topologies[i];
-    for (std::int32_t shards : {3, 4, 7}) {
-      for (std::int32_t eps : {0, 10}) {
-        const Partition greedy =
-            partition_vertices(g, flow_options(shards, eps, false));
-        const Partition flow =
-            partition_vertices(g, flow_options(shards, eps, true));
-        EXPECT_LE(flow.stats.cut_arcs, greedy.stats.cut_arcs)
-            << "topology " << i << " shards " << shards << " eps " << eps;
-        const std::int64_t lo = g.num_vertices() / shards;
-        const std::int64_t hi = (g.num_vertices() + shards - 1) / shards;
-        const std::int64_t slack = eps * lo / 100;
-        expect_valid_partition(g, flow, shards,
-                               std::max<std::int64_t>(1, lo - slack),
-                               hi + slack);
-      }
-    }
+TEST(ShardPartition, GoldenPartitionsMatchTheGreedyPartitioner) {
+  // Recorded from the partitioner as it stood before the flow stage
+  // and the balance slack were deleted and the k | n sweep skip was
+  // added: the surviving BFS-grow + greedy path, skip included, must
+  // reproduce every partition bit-for-bit.  The overlay has 160
+  // vertices and the transit-stub graph 315, so k = 2, 4, 8 take the
+  // skip on the first and run the sweeps on the second, and k = 3, 7
+  // the other way round.
+  struct Golden {
+    std::int32_t graph;  ///< 0 = overlay(160, 12), 1 = transit-stub(300)
+    std::int32_t shards;
+    std::int32_t sweeps;
+    std::int64_t cut_arcs;
+    std::uint64_t digest;
+  };
+  const Digraph graphs[] = {overlay(160, 12), transit_stub_overlay(300, 5)};
+  const Golden golden[] = {
+      {0, 2, 0, 678, 0xb9c43918e03792b9ULL},
+      {0, 2, 1, 678, 0xb9c43918e03792b9ULL},
+      {0, 2, 8, 678, 0xb9c43918e03792b9ULL},
+      {0, 3, 0, 980, 0xffc87e619578a1f7ULL},
+      {0, 3, 1, 850, 0x3d67c167441a01c4ULL},
+      {0, 3, 8, 712, 0x05e9d777cb525c18ULL},
+      {0, 4, 0, 1100, 0x74a5eb1f3b18e415ULL},
+      {0, 4, 1, 1100, 0x74a5eb1f3b18e415ULL},
+      {0, 4, 8, 1100, 0x74a5eb1f3b18e415ULL},
+      {0, 7, 0, 1326, 0xb6cdf7774457a2f9ULL},
+      {0, 7, 1, 1198, 0xf2dd5f966ae1019eULL},
+      {0, 7, 8, 1114, 0x295b88e72ba4ae31ULL},
+      {0, 8, 0, 1366, 0x4af2db627b0158a4ULL},
+      {0, 8, 1, 1366, 0x4af2db627b0158a4ULL},
+      {0, 8, 8, 1366, 0x4af2db627b0158a4ULL},
+      {1, 2, 0, 174, 0x146ea58c37aeb48aULL},
+      {1, 2, 1, 166, 0x3ebd658dfac4f1c2ULL},
+      {1, 2, 8, 120, 0x71d93030ccb5c35dULL},
+      {1, 3, 0, 380, 0xf3cbf587261bea55ULL},
+      {1, 3, 1, 380, 0xf3cbf587261bea55ULL},
+      {1, 3, 8, 380, 0xf3cbf587261bea55ULL},
+      {1, 4, 0, 492, 0xd996c8ff957f4125ULL},
+      {1, 4, 1, 448, 0x3cb4d86a54d7da81ULL},
+      {1, 4, 8, 340, 0x353923337c3f7a8dULL},
+      {1, 7, 0, 632, 0xbf90ec16f84e6104ULL},
+      {1, 7, 1, 632, 0xbf90ec16f84e6104ULL},
+      {1, 7, 8, 632, 0xbf90ec16f84e6104ULL},
+      {1, 8, 0, 640, 0x6860bb0a31b8f910ULL},
+      {1, 8, 1, 598, 0xd53e4eb18f884e26ULL},
+      {1, 8, 8, 324, 0x2c52f62915063dc8ULL},
+  };
+  for (const Golden& g : golden) {
+    const Partition part = partition_vertices(
+        graphs[g.graph], g.shards, g.sweeps);
+    EXPECT_EQ(part.stats.cut_arcs, g.cut_arcs)
+        << "graph " << g.graph << " k " << g.shards << " sweeps "
+        << g.sweeps;
+    EXPECT_EQ(partition_digest(part), g.digest)
+        << "graph " << g.graph << " k " << g.shards << " sweeps "
+        << g.sweeps;
   }
 }
 
-TEST(ShardPartitionFlow, StrictlyBeatsGreedyOnPinnedConfigurations) {
-  // The guarantee above is vacuous if the flow stage never fires; pin
-  // configurations where it must find a strictly better cut.
-  {
-    // Transit-stub at 4 shards: greedy leaves stub domains straddling
-    // the boundary that a min cut peels off whole.
-    const Digraph g = transit_stub_overlay(120, 5);
-    const Partition greedy =
-        partition_vertices(g, flow_options(4, 10, false));
-    const Partition flow = partition_vertices(g, flow_options(4, 10, true));
-    EXPECT_LT(flow.stats.cut_arcs, greedy.stats.cut_arcs);
-  }
-  {
-    // Grid at 7 shards: the min cut straightens greedy's jagged block
-    // boundaries.
-    const Digraph g = grid_overlay(12, 12);
-    const Partition greedy =
-        partition_vertices(g, flow_options(7, 10, false));
-    const Partition flow = partition_vertices(g, flow_options(7, 10, true));
-    EXPECT_LT(flow.stats.cut_arcs, greedy.stats.cut_arcs);
-  }
-  {
-    // Even the exact band can win through offsetting swaps: at 2 shards
-    // on the transit-stub overlay the flow stage finds the (tiny)
-    // stub-edge separator greedy cannot reach move-by-move.
-    const Digraph g = transit_stub_overlay(120, 5);
-    const Partition greedy =
-        partition_vertices(g, flow_options(2, 0, false));
-    const Partition flow = partition_vertices(g, flow_options(2, 0, true));
-    EXPECT_LT(flow.stats.cut_arcs, greedy.stats.cut_arcs);
-    // Swaps kept the exact band (the generator approximates the
-    // requested size, so derive it).
-    EXPECT_EQ(flow.stats.min_owned, g.num_vertices() / 2);
-    EXPECT_EQ(flow.stats.max_owned, (g.num_vertices() + 1) / 2);
-  }
-}
-
-TEST(ShardPartitionFlow, CutAndGhostTablesStayConsistent) {
-  // The flow stage moves labels pair by pair; the final count must
-  // still be exact.
-  const Digraph g = transit_stub_overlay(120, 5);
-  const Partition part = partition_vertices(g, flow_options(4, 10, true));
-  EXPECT_EQ(part.stats.cut_arcs, crossing_arcs(g, part));
-}
-
-TEST(ShardPartitionFlow, DeterministicAcrossCalls) {
-  const Digraph g = transit_stub_overlay(120, 5);
-  const Partition a = partition_vertices(g, flow_options(4, 10, true));
-  const Partition b = partition_vertices(g, flow_options(4, 10, true));
-  EXPECT_EQ(a.shard_of, b.shard_of);
-}
-
-TEST(ShardPartitionFlow, DefaultOptionsReproduceTheLegacyPartition) {
-  const Digraph g = overlay(60, 42);
-  const Partition legacy = partition_vertices(g, 4);
-  // Explicit exact band, flow off.
-  EXPECT_EQ(partition_vertices(g, flow_options(4, 0, false)).shard_of,
-            legacy.shard_of);
-  // -1 without OCD_SHARD_BALANCE_EPS in the environment resolves to 0.
-  unsetenv("OCD_SHARD_BALANCE_EPS");
-  EXPECT_EQ(partition_vertices(g, flow_options(4, -1, false)).shard_of,
-            legacy.shard_of);
-}
-
-TEST(ShardPartitionGreedyBand, RefinementUnfreezesWhenShardsDivideN) {
-  // k | n regression: the exact band pins every class size to n/k, so
-  // no single move can stay balanced and the historical greedy sweep
-  // was a guaranteed no-op.  With any slack the sweep must both move
-  // something and strictly improve the cut on this pinned overlay.
-  const Digraph g = overlay(120, 8);  // 120 = 4 * 30
-  const Partition frozen_raw = partition_vertices(g, flow_options(4, 0, false));
-  {
-    PartitionOptions no_sweeps = flow_options(4, 0, false);
-    no_sweeps.refinement_sweeps = 0;
-    const Partition raw = partition_vertices(g, no_sweeps);
-    // Frozen: with the exact band and k | n the sweep changed nothing.
-    EXPECT_EQ(frozen_raw.shard_of, raw.shard_of);
-  }
-  const Partition relaxed = partition_vertices(g, flow_options(4, 10, false));
-  EXPECT_LT(relaxed.stats.cut_arcs, frozen_raw.stats.cut_arcs);
-  // Slack is spent, but only inside the advertised band.
-  const std::int64_t slack = 10 * 30 / 100;
-  EXPECT_GE(relaxed.stats.min_owned, 30 - slack);
-  EXPECT_LE(relaxed.stats.max_owned, 30 + slack);
-}
+// --- Leftovers of the deleted balance slack and flow stage ------------
 
 TEST(ShardPartitionBalanceEps, ResolvesRequestsAndEnvironment) {
+  EXPECT_EQ(resolve_balance_eps(-1), 0);
   EXPECT_EQ(resolve_balance_eps(0), 0);
-  EXPECT_EQ(resolve_balance_eps(5), 5);
-  EXPECT_EQ(resolve_balance_eps(100), 100);
-  EXPECT_THROW(resolve_balance_eps(101), Error);
-  EXPECT_THROW(resolve_balance_eps(-2), Error);
-
-  unsetenv("OCD_SHARD_BALANCE_EPS");
-  EXPECT_EQ(resolve_balance_eps(-1), 0);
+  for (const std::int32_t bad : {-2, 1, 5, 100, 101}) {
+    try {
+      resolve_balance_eps(bad);
+      FAIL() << "expected rejection of " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("balance_eps"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The variable is no longer read.
   setenv("OCD_SHARD_BALANCE_EPS", "15", 1);
-  EXPECT_EQ(resolve_balance_eps(-1), 15);
-  // An explicit request wins over the environment.
-  EXPECT_EQ(resolve_balance_eps(3), 3);
-  setenv("OCD_SHARD_BALANCE_EPS", "0", 1);
   EXPECT_EQ(resolve_balance_eps(-1), 0);
-  setenv("OCD_SHARD_BALANCE_EPS", "101", 1);
-  EXPECT_THROW(resolve_balance_eps(-1), Error);
-  setenv("OCD_SHARD_BALANCE_EPS", "ten", 1);
-  EXPECT_THROW(resolve_balance_eps(-1), Error);
   unsetenv("OCD_SHARD_BALANCE_EPS");
+}
+
+TEST(ShardPartitionBalanceEps, PartitionRefusesTheDeletedOptions) {
+  const Digraph g = overlay(60, 42);
+  PartitionOptions options;
+  options.num_shards = 4;
+  const Partition legacy = partition_vertices(g, 4);
+  for (const std::int32_t eps : {-1, 0}) {
+    options.balance_eps = eps;
+    EXPECT_EQ(partition_vertices(g, options).shard_of, legacy.shard_of);
+  }
+  const auto expect_refused = [&](const PartitionOptions& bad,
+                                  const char* field) {
+    try {
+      partition_vertices(g, bad);
+      FAIL() << "expected rejection naming " << field;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  PartitionOptions flow = options;
+  flow.flow_refine = true;
+  expect_refused(flow, "flow_refine");
+  PartitionOptions eps = options;
+  eps.balance_eps = 5;
+  expect_refused(eps, "balance_eps");
 }
 
 }  // namespace

@@ -70,31 +70,5 @@ INSTANTIATE_TEST_SUITE_P(
                       EnvCase{9, -1}, EnvCase{10, -1}, EnvCase{11, -1},
                       EnvCase{12, -1}, EnvCase{13, -1}, EnvCase{14, -1}));
 
-TEST(ParseEnvInt, HonorsACustomCap) {
-  EXPECT_EQ(parse_env_int("OCD_TEST_KNOB", "64", 64), 64);
-  EXPECT_THROW(parse_env_int("OCD_TEST_KNOB", "65", 64), Error);
-}
-
-// parse_env_nonneg_int shares the bare-digit contract but admits 0
-// (OCD_SHARD_BALANCE_EPS: zero = exact band, not misconfiguration).
-TEST(ParseEnvNonnegInt, AdmitsZeroAndSharesTheContract) {
-  EXPECT_EQ(parse_env_nonneg_int("OCD_TEST_KNOB", "0"), 0);
-  EXPECT_EQ(parse_env_nonneg_int("OCD_TEST_KNOB", "8"), 8);
-  EXPECT_EQ(parse_env_nonneg_int("OCD_TEST_KNOB", "100", 100), 100);
-  for (const char* bad : {"", "-1", "four", "4x", " 4", "4 ", "3.5",
-                          "0x10", "101"}) {
-    try {
-      parse_env_nonneg_int("OCD_TEST_KNOB", bad, 100);
-      FAIL() << "expected rejection of '" << bad << "'";
-    } catch (const Error& e) {
-      EXPECT_EQ(std::string(e.what()),
-                std::string(
-                    "OCD_TEST_KNOB must be a non-negative integer, got '") +
-                    bad + "'");
-    }
-  }
-  EXPECT_THROW(parse_env_nonneg_int("OCD_TEST_KNOB", nullptr), Error);
-}
-
 }  // namespace
 }  // namespace ocd::util
