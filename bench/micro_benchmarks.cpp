@@ -457,15 +457,16 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth_swarm, "bandwidth",
 // Fault path: the same bounded-window workload with 20% uniform loss
 // and the reliable-transfer adapter in the loop, so the snapshot in
 // BENCH_planner.json also guards the lossy apply phase and the
-// adapter's ack/retransmit bookkeeping.  `global` and `bandwidth` are
-// the inner planners that dominate perfbench's lossy-swarm pass.  Real
-// time for at least 2 s, like the loss-free rows.
-void BM_PlannerStepsPerSecLossy(benchmark::State& state, const char* name) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const auto tokens = static_cast<std::int32_t>(state.range(1));
-  Rng rng(29);
-  Digraph g = topology::random_overlay(n, rng);
-  const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
+// adapter's ack/retransmit bookkeeping.  The four inner planners are
+// the ones perfbench's lossy-swarm pass runs; `local` there is §5.1's
+// request loop.  The `_swarm` rows run lossy-swarm's instance shape
+// (Shape::kSwarm: 16 files from random senders on a transit-stub
+// overlay).  Real time for at least 2 s, like the loss-free rows.
+void BM_PlannerStepsPerSecLossy(benchmark::State& state, const char* name,
+                                Shape shape) {
+  const auto inst =
+      planner_instance(shape, static_cast<std::int32_t>(state.range(0)),
+                       static_cast<std::int32_t>(state.range(1)));
   std::int64_t steps = 0;
   for (auto _ : state) {
     faults::UniformLoss loss(0.2);
@@ -482,23 +483,42 @@ void BM_PlannerStepsPerSecLossy(benchmark::State& state, const char* name) {
   state.SetItemsProcessed(steps);
 }
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, random_reliable,
-                  "random+reliable")
+                  "random+reliable", Shape::kDense)
+    ->Args({200, 128})
+    ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, local_reliable, "local+reliable",
+                  Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, global_reliable,
-                  "global+reliable")
+                  "global+reliable", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, bandwidth_reliable,
-                  "bandwidth+reliable")
+                  "bandwidth+reliable", Shape::kDense)
     ->Args({200, 128})
     ->Args({1000, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, local_reliable_swarm,
+                  "local+reliable", Shape::kSwarm)
+    ->Args({300, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, global_reliable_swarm,
+                  "global+reliable", Shape::kSwarm)
+    ->Args({300, 512})
     ->MinTime(2.0)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -69,10 +69,12 @@ build-bench/bench/micro_benchmarks \
 # 20k-vertex 8-token instance (the wave loop's and the word-parallel
 # relay election's scaling checks), `bandwidth` on lossy-swarm's
 # 300-vertex file-swarm shape (the only planner row whose relay BFS
-# runs: one BFS per distinct frontier column), `random+reliable` and
-# `global+reliable` under 20% loss at 1000v/512t (the reliable
-# adapter's in-flight table, and
-# `global`'s rank-space conversion under it), and both rank
+# runs: one BFS per distinct frontier column), `random+reliable`,
+# `global+reliable` and `local+reliable` under 20% loss at 1000v/512t
+# (the reliable adapter's per-arc timers, `global`'s rank-space
+# conversion and `local`'s live-arc request loop under it),
+# `local+reliable` under the same loss on lossy-swarm's 300-vertex
+# file-swarm shape, and both rank
 # conversions (per-row scatter and bit-block transpose) at 300x512 and
 # 20000x8 — so a silently dropped benchmark cannot pass unnoticed (a
 # baseline recorded before a row existed fails that --require).  The
@@ -105,6 +107,8 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/bandwidth_swarm/300/512' \
     --require 'PlannerStepsPerSecLossy/random_reliable/1000/512' \
     --require 'PlannerStepsPerSecLossy/global_reliable/1000/512' \
+    --require 'PlannerStepsPerSecLossy/local_reliable/1000/512' \
+    --require 'PlannerStepsPerSecLossy/local_reliable_swarm/300/512' \
     --require 'RankRows/per_row/300/512' \
     --require 'RankRows/per_row/20000/8' \
     --require 'RankRows/matrix/300/512' \

@@ -16,12 +16,11 @@ void RarestRandomPolicy::reset(const core::Instance& instance,
   requests_.reset(num_arcs, universe);
   offered_.reset(max_in_degree, universe);
   budget_.assign(num_arcs, 0);
-  offered_any_ = TokenSet(universe);
-  wanted_ = TokenSet(universe);
-  ranked_offered_ = TokenSet(universe);
-  ranked_wanted_ = TokenSet(universe);
-  wanted_pool_ = TokenSet(universe);
-  flood_pool_ = TokenSet(universe);
+  live_.clear();
+  live_.reserve(max_in_degree);
+  live_offers_ = TokenSet(universe);
+  pass_tokens_ = TokenSet(universe);
+  pass_ranks_ = TokenSet(universe);
 }
 
 void RarestRandomPolicy::begin_plan(const sim::StepView& view) {
@@ -52,55 +51,66 @@ void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
   const Digraph& graph = view.graph();
   const TokenSetView mine = view.own_possession(v);
   const auto in_arcs = graph.in_arcs(v);
-  if (in_arcs.empty()) return;
+  const auto budget_of = [&](std::size_t k) -> std::int32_t& {
+    return budget_[static_cast<std::size_t>(in_arcs[k])];
+  };
 
-  // Tokens available from each in-neighbor (per the stale peer view).
-  offered_any_.clear();
+  // The live in-arcs: budget left and something offered (per the stale
+  // peer view), by budget descending, then in-arc index ascending.  A
+  // token goes to the first live arc that offers it: the largest
+  // remaining budget (balances load across peers), ties to the lowest
+  // index.  Insertion keeps the order without allocating.
+  live_.clear();
+  live_offers_.clear();
   for (std::size_t k = 0; k < in_arcs.size(); ++k) {
-    MutableTokenSetView tokens = offered_.row(k);
+    const std::int32_t budget = budget_of(k);
+    if (budget <= 0) continue;
+    const MutableTokenSetView tokens = offered_.row(k);
     tokens.assign(view.peer_possession(v, graph.arc(in_arcs[k]).from));
     tokens -= mine;
-    offered_any_ |= tokens;
+    if (tokens.empty()) continue;
+    live_offers_ |= tokens;
+    live_.push_back(k);
+    for (std::size_t i = live_.size() - 1;
+         i > 0 && budget_of(live_[i - 1]) < budget; --i)
+      std::swap(live_[i - 1], live_[i]);
   }
-  if (offered_any_.empty()) return;
 
-  std::int64_t total_budget = 0;
-  for (ArcId a : in_arcs)
-    total_budget += budget_[static_cast<std::size_t>(a)];
-
-  wanted_.assign(view.own_want(v));
-  wanted_ -= mine;
-  ranker_.to_ranks_into(offered_any_, ranked_offered_);
-  ranker_.to_ranks_into(wanted_, ranked_wanted_);
-  // Two priority passes: wanted tokens first, then pure flood tokens.
-  // Only offered tokens can turn into requests, so the scan is over
-  // the (ranked) offered set split by wantedness.
-  wanted_pool_.assign(ranked_offered_);
-  wanted_pool_ &= ranked_wanted_;
-  flood_pool_.assign(ranked_offered_);
-  flood_pool_ -= ranked_wanted_;
-  for (const TokenSet* pool : {&wanted_pool_, &flood_pool_}) {
-    if (total_budget <= 0) break;
-    for (TokenId r = pool->first(); r >= 0; r = pool->next(r + 1)) {
-      if (total_budget <= 0) break;
+  // Two priority passes over the live offers in rank order: wanted
+  // tokens first, then pure flood tokens.  The offers exclude `mine`,
+  // so the want row needs no trim.  A pass ranks only its own class,
+  // and the flood class only while some budget is left.
+  const TokenSetView want = view.own_want(v);
+  for (const bool wanted_pass : {true, false}) {
+    if (live_.empty()) break;
+    pass_tokens_.assign(live_offers_);
+    if (wanted_pass) {
+      pass_tokens_ &= want;
+    } else {
+      pass_tokens_ -= want;
+    }
+    ranker_.to_ranks_into(pass_tokens_, pass_ranks_);
+    for (TokenId r = pass_ranks_.first(); r >= 0 && !live_.empty();
+         r = pass_ranks_.next(r + 1)) {
       const TokenId t = ranker_.token_at(r);
-      // Choose the offering arc with the largest remaining budget
-      // (balances load across peers); random tie-break via scan order.
-      std::int32_t best = -1;
-      std::int32_t best_budget = 0;
-      for (std::size_t k = 0; k < in_arcs.size(); ++k) {
-        const ArcId a = in_arcs[k];
-        if (!offered_.row(k).test(t)) continue;
-        const std::int32_t b = budget_[static_cast<std::size_t>(a)];
-        if (b > best_budget) {
-          best_budget = b;
-          best = a;
-        }
+      if (!live_offers_.test(t)) continue;  // only spent arcs offer it
+      std::size_t i = 0;
+      while (!offered_.row(live_[i]).test(t)) ++i;
+      const std::size_t k = live_[i];
+      requests_.row(static_cast<std::size_t>(in_arcs[k])).set(t);
+      const std::int32_t budget = --budget_of(k);
+      if (budget == 0) {
+        live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+        live_offers_.clear();
+        for (const std::size_t j : live_) live_offers_ |= offered_.row(j);
+        continue;
       }
-      if (best >= 0) {
-        requests_.row(static_cast<std::size_t>(best)).set(t);
-        --budget_[static_cast<std::size_t>(best)];
-        --total_budget;
+      // Sink the arc past the arcs that now outrank it.
+      for (; i + 1 < live_.size(); ++i) {
+        const std::size_t after = live_[i + 1];
+        const std::int32_t b = budget_of(after);
+        if (b < budget || (b == budget && after > k)) break;
+        std::swap(live_[i], live_[i + 1]);
       }
     }
   }

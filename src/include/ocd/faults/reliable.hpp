@@ -16,18 +16,22 @@
 // bandwidth, never incorrect — a retransmission of a delivered token is
 // simply redundant).
 //
-// The in-flight table is one flat vector of {arc, token, retry_at,
-// backoff} entries, sorted by (arc, token) with no key twice.  Each
-// step makes one walk over it before the inner policy plans: one peer
-// snapshot read per run of entries on an arc acknowledges, the acked
-// entries are compacted out, and due entries are retransmitted in
-// (arc, token) order within the arc's budget.  The inner plan is then
-// trimmed to what is left of each budget; its slots are sorted by arc,
-// tokens already in flight on the arc are dropped from the new timers
-// (a duplicate key keeps its first send's timer), and the new entries
-// are merged into the table from the back.  A step thus costs
-// O(in-flight + arcs sent on), and once the table and the per-step
-// scratch have reached their peak size it allocates nothing.
+// In-flight transfers are kept per arc, as timers: a timer is one
+// {retry_at, backoff} pair and the set of the arc's tokens that share
+// it, one row of words from a pool with a free list.  One arc's timers
+// are disjoint and nonempty, and the arcs that hold timers are listed
+// in ascending id order.  Each step walks that list once before the
+// inner policy plans.  Per arc it reads the peer snapshot once and
+// removes it from every timer (the ack), frees the timers left empty,
+// and sends the union of the due timers, cut to the arc's capacity by
+// lowest token id, as one retransmission; the sent part of each due
+// timer is re-armed with the doubled backoff and the rest stays
+// overdue.  The inner plan is then trimmed to what is left of each
+// budget, and each surviving send, minus the tokens already in flight
+// on its arc, becomes one new timer.  A step thus costs word
+// operations per timer and per arc sent on, not per in-flight token,
+// and once the pool and the per-step scratch have reached their peak
+// size it allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -61,28 +65,45 @@ class ReliableAdapter final : public sim::Policy {
   [[nodiscard]] std::int64_t trimmed_moves() const noexcept {
     return trimmed_moves_;
   }
-  /// Transfers currently awaiting acknowledgement.
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return inflight_.size();
-  }
+  /// Transfers ((arc, token) pairs) currently awaiting acknowledgement.
+  [[nodiscard]] std::size_t in_flight() const noexcept;
 
  private:
-  struct InFlight {
-    ArcId arc = 0;
-    TokenId token = 0;
+  /// One arc's tokens that share a retransmission deadline; the tokens
+  /// are the timer's row of `timer_words_`.
+  struct Timer {
     std::int64_t retry_at = 0;  ///< next step eligible for retransmission
     std::int32_t backoff = 0;   ///< current timeout (doubles per retry)
+    std::int32_t next = -1;     ///< the arc's (or the free list's) next timer
   };
+
+  /// Takes a timer from the free list (or grows the pool) and links it
+  /// at the head of `arc`'s list; its row is left for the caller to
+  /// fill.  Growing the pool invalidates earlier timer_tokens views.
+  std::int32_t new_timer(ArcId arc, std::int64_t retry_at,
+                         std::int32_t backoff);
+  [[nodiscard]] MutableTokenSetView timer_tokens(std::int32_t timer) {
+    return {timer_words_.data() + static_cast<std::size_t>(timer) * words_,
+            universe_};
+  }
 
   sim::PolicyPtr inner_;
   std::string name_;
   std::int32_t base_timeout_;
   std::int32_t max_backoff_;
-  /// Sorted by (arc, token), unique keys, so capacity contention
-  /// resolves deterministically.
-  std::vector<InFlight> inflight_;
   std::int64_t retransmissions_ = 0;
   std::int64_t trimmed_moves_ = 0;
+  // The timer pool: timer i's tokens are the words_ words at
+  // i * words_, and freed timers chain from free_timer_.
+  std::size_t universe_ = 0;
+  std::size_t words_ = 0;
+  std::vector<Timer> timers_;
+  std::vector<std::uint64_t> timer_words_;
+  std::int32_t free_timer_ = -1;
+  std::vector<std::int32_t> arc_timers_;  ///< arc -> first timer, or -1
+  /// The arcs holding timers, ascending, so retransmissions and
+  /// capacity contention resolve deterministically.
+  std::vector<ArcId> timed_arcs_;
   // Per-step scratch, reused across steps (sized at reset).  Budgets are
   // flat per-arc arrays initialized lazily for touched arcs only and
   // cleaned up arc-by-arc at the start of the next step.
@@ -91,9 +112,9 @@ class ReliableAdapter final : public sim::Policy {
   std::vector<char> budget_touched_;
   util::TokenMatrix planned_;  ///< per-arc tokens retransmitted this step
   std::vector<ArcId> touched_arcs_;
-  /// (arc << 32 | slot) for the scratch_ slots that reached the wire
-  /// this step; sorted, it orders the new timers for the merge.
-  std::vector<std::uint64_t> sent_slots_;
+  /// Arcs that got their first timer this step, merged into
+  /// timed_arcs_ at the end of the step.
+  std::vector<ArcId> new_arcs_;
 };
 
 }  // namespace ocd::faults

@@ -14,6 +14,17 @@
 //      (a block request), rarest tokens first, wanted tokens before
 //      flood tokens, at most `capacity` requests per arc;
 //   2. every sender transmits exactly the requested tokens.
+//
+// Pass 1 works per live in-arc, not per token: a receiver lists the
+// in-arcs with budget left and something to offer, ordered by budget
+// (descending) and then in-arc index, and gives each token to the first
+// listed arc that offers it — the largest budget, ties to the lowest
+// index.  A picked arc sinks past the arcs that now outrank it and
+// leaves the list at budget 0; a token that no listed arc offers is
+// skipped with one bit test against the union of their offers, and the
+// receiver is done once the list is empty.  Only the offers are moved
+// into rank space: the wanted ones first, the flood ones only if some
+// budget is left.
 #pragma once
 
 #include <vector>
@@ -59,12 +70,11 @@ class RarestRandomPolicy final : public sim::Policy {
   util::TokenMatrix requests_;  ///< per-arc request sets
   util::TokenMatrix offered_;   ///< per-in-arc offers (max in-degree rows)
   std::vector<std::int32_t> budget_;
-  TokenSet offered_any_;
-  TokenSet wanted_;
-  TokenSet ranked_offered_;
-  TokenSet ranked_wanted_;
-  TokenSet wanted_pool_;
-  TokenSet flood_pool_;
+  /// The receiver's live in-arc indices (into offered_), pick order.
+  std::vector<std::size_t> live_;
+  TokenSet live_offers_;  ///< union of the live arcs' offers
+  TokenSet pass_tokens_;  ///< one priority pass's offers, token space
+  TokenSet pass_ranks_;   ///< the same, rank space
 };
 
 }  // namespace ocd::heuristics

@@ -58,13 +58,26 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept {
+    SplitMix64 sm(seed);
+    for (auto& word : s_) word = sm.next();
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -74,10 +87,17 @@ class Rng {
   std::uint64_t below(std::uint64_t n);
 
   /// Uniform real in [0, 1).
-  double uniform_real() noexcept;
+  double uniform_real() noexcept {
+    // 53 random bits scaled into [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool chance(double p) noexcept;
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform_real() < p;
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -103,6 +123,10 @@ class Rng {
   Rng split() noexcept;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
 

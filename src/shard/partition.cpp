@@ -77,6 +77,13 @@ Partition partition_vertices(const Digraph& graph,
   Partition part;
   part.num_shards = num_shards;
   part.shard_of.assign(static_cast<std::size_t>(n), 0);
+  // One shard owns every vertex: no traversal, no cut to count.
+  if (num_shards == 1) {
+    part.stats.total_arcs = graph.num_arcs();
+    part.stats.min_owned = n;
+    part.stats.max_owned = n;
+    return part;
+  }
 
   // Phase 1 — BFS-grow: chop the traversal order into num_shards
   // consecutive blocks; the first n%num_shards blocks take the ceiling

@@ -4,29 +4,6 @@
 
 namespace ocd {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) noexcept {
-  SplitMix64 sm(seed);
-  for (auto& word : s_) word = sm.next();
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::below(std::uint64_t n) {
   OCD_EXPECTS(n > 0);
   // Lemire's nearly-divisionless method with rejection.
@@ -49,17 +26,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next());  // full range
   return lo + static_cast<std::int64_t>(below(span));
-}
-
-double Rng::uniform_real() noexcept {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform_real() < p;
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {

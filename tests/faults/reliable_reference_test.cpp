@@ -1,16 +1,19 @@
-// Differential test: ReliableAdapter's flat in-flight table against a
-// verbatim copy of the map-based adapter it replaced.  The rewrite
-// acks, compacts and retransmits in one walk before the inner policy
-// plans, and merges new timers into a sorted vector, so it must
-// reproduce the reference's RunResult bit for bit — schedule, per-step
-// moves and losses, retransmissions, adapter drops, completion steps,
-// uploads — and leave the same number of transfers in flight, over the
-// five inner planners, four timeout/backoff settings, four loss models,
-// link churn, acknowledgement lag (staleness, where acks arrive late
-// and the inner policy resends tokens already in flight), word-boundary
+// Differential test: ReliableAdapter's per-arc timers against a
+// verbatim copy of the map-based adapter they replaced.  The rewrite
+// acks, frees and retransmits per arc in one walk before the inner
+// policy plans, sends an arc's due tokens as one capacity-cut set, and
+// files each fresh send as one timer, so it must reproduce the
+// reference's RunResult bit for bit — schedule, per-step moves and
+// losses, retransmissions, adapter drops, completion steps, uploads —
+// and leave the same number of transfers in flight, over the five inner
+// planners, four timeout/backoff settings, four loss models, link
+// churn, acknowledgement lag (staleness, where acks arrive late and the
+// inner policy resends tokens already in flight), word-boundary
 // universes and file swarms.  One adapter object per (planner, timeout)
 // serves every run, so state leaking from one run into the next shows
-// up as a diverging run.
+// up as a diverging run.  Two fixed cases follow: the lossy-swarm
+// benchmark's shape, and equal capacities at 50% loss, where due
+// tokens outrun the budget for many steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,6 +262,37 @@ void expect_identical(const sim::RunResult& actual,
   }
 }
 
+/// Runs `adapter` and a fresh reference with the same inner planner and
+/// timeouts on `inst`, and expects identical results and tables; returns
+/// the reference's result.  Each side gets its own loss model from
+/// `make_loss` and, with `churn`, its own link churn: the stateful
+/// models are reset by sim::run, so both sides see the same loss trace.
+template <typename MakeLoss>
+sim::RunResult expect_adapter_matches_reference(
+    const core::Instance& inst, ReliableAdapter& adapter, const char* planner,
+    std::pair<std::int32_t, std::int32_t> timeout, const MakeLoss& make_loss,
+    bool churn, sim::SimOptions options, const std::string& label) {
+  dynamics::LinkChurn expected_churn(0.2, 2);
+  const auto expected_loss = make_loss();
+  options.faults = expected_loss.get();
+  if (churn) options.dynamics = &expected_churn;
+  ReferenceReliableAdapter reference(heuristics::make_policy(planner),
+                                     timeout.first, timeout.second);
+  const sim::RunResult expected = sim::run(inst, reference, options);
+
+  dynamics::LinkChurn actual_churn(0.2, 2);
+  const auto actual_loss = make_loss();
+  options.faults = actual_loss.get();
+  if (churn) options.dynamics = &actual_churn;
+  const sim::RunResult actual = sim::run(inst, adapter, options);
+
+  expect_identical(actual, expected, label);
+  EXPECT_EQ(adapter.in_flight(), reference.in_flight()) << label;
+  EXPECT_EQ(adapter.retransmissions(), reference.retransmissions()) << label;
+  EXPECT_EQ(adapter.trimmed_moves(), reference.trimmed_moves()) << label;
+  return expected;
+}
+
 struct Case {
   std::string label;
   core::Instance instance;
@@ -360,8 +394,6 @@ void expect_reused_adapters_match_reference(std::uint64_t seed,
             (cut ? "/cut" : "") + "/seed" + std::to_string(seed);
         SCOPED_TRACE(label);
 
-        // Each run gets its own models: the stateful ones are reset by
-        // sim::run, so both sides see the same loss trace.
         const auto make_loss = [&]() -> std::unique_ptr<FaultModel> {
           switch (loss) {
             case 0:
@@ -378,28 +410,9 @@ void expect_reused_adapters_match_reference(std::uint64_t seed,
         options.seed = seed + static_cast<std::uint64_t>(r);
         options.staleness = staleness;
         options.max_steps = cut ? 9 : 400;
-
-        dynamics::LinkChurn expected_churn(0.2, 2);
-        const auto expected_loss = make_loss();
-        options.faults = expected_loss.get();
-        if (churn) options.dynamics = &expected_churn;
-        ReferenceReliableAdapter reference(
-            heuristics::make_policy(kPlanners[p]), kTimeouts[t].first,
-            kTimeouts[t].second);
-        const sim::RunResult expected = sim::run(c.instance, reference, options);
-
-        dynamics::LinkChurn actual_churn(0.2, 2);
-        const auto actual_loss = make_loss();
-        options.faults = actual_loss.get();
-        if (churn) options.dynamics = &actual_churn;
-        ReliableAdapter& adapter = *reused[{p, t}];
-        const sim::RunResult actual = sim::run(c.instance, adapter, options);
-
-        expect_identical(actual, expected, label);
-        EXPECT_EQ(adapter.in_flight(), reference.in_flight()) << label;
-        EXPECT_EQ(adapter.retransmissions(), reference.retransmissions())
-            << label;
-        EXPECT_EQ(adapter.trimmed_moves(), reference.trimmed_moves()) << label;
+        const sim::RunResult expected = expect_adapter_matches_reference(
+            c.instance, *reused[{p, t}], kPlanners[p], kTimeouts[t],
+            make_loss, churn, options, label);
         retransmitted += expected.stats.retransmissions;
         trimmed += expected.stats.adapter_dropped_moves;
       }
@@ -415,6 +428,77 @@ TEST(ReliableReference, FlatTableMatchesMapAdapter) {
        {0x7265'6c01ULL, 0x7265'6c02ULL, 0x7265'6c03ULL}) {
     expect_reused_adapters_match_reference(seed, /*runs_per_cell=*/4);
   }
+}
+
+TEST(ReliableReference, LossySwarmMatchesMapAdapter) {
+  // The lossy-swarm benchmark's shape: a 300-vertex transit-stub, 512
+  // tokens in 16 files from random senders, 10% uniform loss, default
+  // timeouts, over the four inner planners the benchmark runs.
+  Rng rng(0x7265'6c11ULL);
+  Digraph g = topology::transit_stub(
+      topology::transit_stub_options_for_size(300), rng);
+  const core::Instance inst =
+      core::subdivided_files_random_senders(std::move(g), 512, 16, rng);
+  for (const char* planner : {"random", "local", "global", "bandwidth"}) {
+    ReliableAdapter adapter(heuristics::make_policy(planner));
+    sim::SimOptions options;
+    options.seed = 1;
+    const sim::RunResult expected = expect_adapter_matches_reference(
+        inst, adapter, planner, {2, 16},
+        [] { return std::make_unique<UniformLoss>(0.1); }, /*churn=*/false,
+        options, std::string("lossy-swarm/") + planner);
+    EXPECT_TRUE(expected.success) << planner;
+    EXPECT_GT(expected.stats.retransmissions, 0) << planner;
+  }
+}
+
+TEST(ReliableReference, SustainedOverloadMatchesMapAdapter) {
+  // Equal capacities at 50% loss with a short backoff cap: due tokens
+  // outrun the budget for many steps, so a retransmission sends the
+  // lowest due tokens and leaves the rest overdue, and fresh sends are
+  // trimmed.  At capacity 1 every timer holds one token; at capacity 2
+  // a fresh timer holds two, and the budget's cut often falls inside a
+  // due timer, splitting it into a re-armed and an overdue part.
+  std::int64_t trimmed = 0;
+  for (const std::int32_t capacity : {1, 2}) {
+    Rng rng(0x7265'6c20ULL + static_cast<std::uint64_t>(capacity));
+    topology::RandomGraphOptions graph_options;
+    graph_options.capacities = {capacity, capacity};
+    const core::Instance broadcast = core::single_source_all_receivers(
+        topology::random_overlay(16, graph_options, rng), 65, 0);
+    const core::Instance swarm = core::subdivided_files_random_senders(
+        topology::random_overlay(24, graph_options, rng), 96, 3, rng);
+    for (const auto& [name, inst] :
+         {std::pair<const char*, const core::Instance*>{"broadcast",
+                                                        &broadcast},
+          {"swarm", &swarm}}) {
+      for (const char* planner : kPlanners) {
+        for (const auto& timeout : {std::pair{1, 2}, std::pair{2, 4}}) {
+          for (const std::int32_t staleness : {0, 1}) {
+            const std::string label =
+                std::string(name) + "/capacity" + std::to_string(capacity) +
+                "/" + planner + "/timeout" + std::to_string(timeout.first) +
+                "-" + std::to_string(timeout.second) + "/stale" +
+                std::to_string(staleness);
+            SCOPED_TRACE(label);
+            ReliableAdapter adapter(heuristics::make_policy(planner),
+                                    timeout.first, timeout.second);
+            sim::SimOptions options;
+            options.seed = 29;
+            options.staleness = staleness;
+            options.max_steps = 400;
+            const sim::RunResult expected = expect_adapter_matches_reference(
+                *inst, adapter, planner, timeout,
+                [] { return std::make_unique<UniformLoss>(0.5); },
+                /*churn=*/false, options, label);
+            EXPECT_GT(expected.stats.retransmissions, 0) << label;
+            trimmed += expected.stats.adapter_dropped_moves;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(trimmed, 0);
 }
 
 }  // namespace

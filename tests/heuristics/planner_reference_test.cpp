@@ -14,6 +14,8 @@
 // BFS exit and run-to-the-end BFS all fire, and through file swarms
 // across 64-vertex block edges and under loss, where its grouping of
 // tokens by frontier column shares one BFS among many tokens.
+// LocalRequestFuzz runs rarest-random's live-arc request loop over the
+// same cases, one of which ties every in-arc budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -617,7 +619,10 @@ TEST(PlannerReference, GlobalWaveLoopFuzz) {
 ///    just past a 64-row block edge;
 ///  * a lossy-swarm-shaped instance (a 300-vertex transit-stub, 512
 ///    tokens in 16 files from random senders), where a file's tokens
-///    mostly share a frontier but not their needy sets.
+///    mostly share a frontier but not their needy sets;
+///  * files from random senders on a dense overlay whose arcs all have
+///    capacity 5, so that `local`'s receivers start every step with
+///    tied in-arc budgets and the lowest-index tie-break decides picks.
 /// These come last, so that the earlier cases keep their draws.  Every
 /// case then runs once more under 10% uniform loss, which drifts a
 /// file's tokens apart so that their frontiers differ.
@@ -678,6 +683,14 @@ std::vector<FuzzCase> election_fuzz_cases(std::uint64_t seed) {
                    core::subdivided_files_random_senders(std::move(g), 512, 16,
                                                          rng)});
   }
+  {
+    topology::RandomGraphOptions graph_options;
+    graph_options.capacities = {5, 5};
+    Digraph g = topology::random_overlay(
+        static_cast<std::int32_t>(rng.uniform_int(20, 40)), graph_options, rng);
+    out.push_back({"ties", core::subdivided_files_random_senders(
+                               std::move(g), 96, 3, rng)});
+  }
   std::vector<FuzzCase> lossy = out;
   for (FuzzCase& fc : lossy) {
     fc.label += "/loss";
@@ -695,6 +708,19 @@ TEST(PlannerReference, BandwidthElectionFuzz) {
   auto reused = make_policy("bandwidth");
   for (const std::uint64_t seed : {0x6f63'6411ULL, 0x6f63'6412ULL}) {
     expect_fuzz_matches_reference<ReferenceBandwidthSaver>(
+        *reused, election_fuzz_cases(seed), seed, /*max_steps=*/300);
+  }
+}
+
+TEST(PlannerReference, LocalRequestFuzz) {
+  // The election cases drive local's live-arc request loop through
+  // multi-word universes, file swarms, arcs at capacity 0 under churn,
+  // loss and, in the tie case, equal budgets.  One policy object serves
+  // every run, so scratch sized for one receiver, universe or graph and
+  // reused on the next would show up as a diverging schedule.
+  auto reused = make_policy("local");
+  for (const std::uint64_t seed : {0x6f63'6411ULL, 0x6f63'6412ULL}) {
+    expect_fuzz_matches_reference<ReferenceRarestRandom>(
         *reused, election_fuzz_cases(seed), seed, /*max_steps=*/300);
   }
 }

@@ -87,6 +87,10 @@ TEST(ShardPartition, SingleShardHasNoCutAndNoGhosts) {
   EXPECT_EQ(part.stats.cut_arcs, 0);
   EXPECT_EQ(part.shard_of, std::vector<std::int32_t>(20, 0));
   EXPECT_EQ(part.stats.cut_fraction(), 0.0);
+  EXPECT_EQ(part.stats.num_shards, 1);
+  EXPECT_EQ(part.stats.total_arcs, g.num_arcs());
+  EXPECT_EQ(part.stats.min_owned, 20);
+  EXPECT_EQ(part.stats.max_owned, 20);
 }
 
 TEST(ShardPartition, DeterministicAcrossCalls) {
