@@ -1,16 +1,15 @@
 // Vertex-sharded scaling sweep: the same broadcast instance run once
 // through sim::run and then through shard::run_sharded at shards x
 // {1, 2, 4} over both planner families (local "round-robin",
-// coordinated "bandwidth"), with the partitioner's cut statistics
-// alongside the run metrics.  Shards share memory: run_sharded is
-// sim::run with the plan phase fanned out over the shards on the
-// OCD_JOBS worker pool, so the sim::run row is the one-process baseline
-// each sharded row's run_s is read against (ROADMAP item 8's decision
-// rule).  Every row of a policy, the sim::run row included, must report
-// the same trajectory (bit-identity across shard counts and
-// partitions), and the full-scale instance — a million-vertex sparse
-// overlay that would be impractical under the O(n^2) generator —
-// completes at 4 shards.
+// coordinated "bandwidth"), each shard owning a contiguous chunk of
+// vertex ids.  Shards share memory: run_sharded is sim::run with the
+// plan phase fanned out over the shards on the OCD_JOBS worker pool, so
+// the sim::run row is the one-process baseline each sharded row's run_s
+// is read against (ROADMAP item 8's decision rule).  Every row of a
+// policy, the sim::run row included, must report the same trajectory
+// (bit-identity across shard counts), and the full-scale instance — a
+// million-vertex sparse overlay that would be impractical under the
+// O(n^2) generator — completes at 4 shards.
 // Rows are emitted in a fixed (policy, shards) loop order, so the output
 // is diff-stable across runs.
 #include <iostream>
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
 
   const char* policies[] = {"round-robin", "bandwidth"};
 
-  Table table({"policy", "part", "shards", "cut_arcs", "cut_pct", "imb_pct",
-               "success", "steps", "bandwidth", "part_ms", "run_s"});
+  Table table(
+      {"policy", "part", "shards", "success", "steps", "bandwidth", "run_s"});
   table.set_precision(3);
 
   sim::SimOptions sim_options;
@@ -64,78 +63,34 @@ int main(int argc, char** argv) {
         sim::run(inst, *heuristics::make_policy(policy), sim_options);
     const double reference_seconds = reference_timer.seconds();
     table.add_row({std::string(policy), std::string("sim::run"),
-                   std::int64_t{1}, std::int64_t{0}, 0.0, 0.0,
+                   std::int64_t{1},
                    std::string(reference.success ? "yes" : "no"),
-                   reference.steps, reference.bandwidth, 0.0,
-                   reference_seconds});
+                   reference.steps, reference.bandwidth, reference_seconds});
 
     for (const std::int32_t shards : {1, 2, 4}) {
-      Stopwatch part_timer;
-      const shard::Partition part =
-          shard::partition_vertices(inst.graph(), shards);
-      const double part_seconds = part_timer.seconds();
-
       shard::ShardOptions options;
       options.num_shards = shards;
       options.sim = sim_options;
       Stopwatch run_timer;
-      const auto result = shard::run_sharded(inst, policy, options, part);
+      const auto result = shard::run_sharded(inst, policy, options);
       const double run_seconds = run_timer.seconds();
 
       if (result.steps != reference.steps ||
           result.bandwidth != reference.bandwidth ||
           result.stats.moves_per_step != reference.stats.moves_per_step)
         identical = false;
-      // Achieved imbalance: largest ownership class over the perfect
-      // n/k average, in percent (0 = perfectly balanced).
-      const double imb_pct =
-          100.0 * (static_cast<double>(part.stats.max_owned) *
-                       static_cast<double>(shards) /
-                       static_cast<double>(n) -
-                   1.0);
-      table.add_row({std::string(policy), std::string("greedy"), shards,
-                     part.stats.cut_arcs,
-                     100.0 * part.stats.cut_fraction(), imb_pct,
+      table.add_row({std::string(policy), std::string("chunks"), shards,
                      std::string(result.success ? "yes" : "no"),
-                     result.steps, result.bandwidth, 1000.0 * part_seconds,
-                     run_seconds});
+                     result.steps, result.bandwidth, run_seconds});
     }
   }
 
   bench::emit(table, csv);
 
-  // Partitioner refinement depth: the runtime's default single sweep vs
-  // a deeper budget, on the same overlay.  Shards share memory, so a
-  // smaller cut saves no traffic; these lines record partition quality
-  // only.  Reported at shard counts that do not divide n: the balance
-  // bounds give refinement exactly ceil(n/k) - floor(n/k) vertices of
-  // slack per shard, so when k | n the bounds pin every class size and
-  // the partitioner skips the sweeps.
-  std::cout << "# multi-sweep refinement (cut arcs, sweeps=1 -> sweeps=8):\n";
-  for (const std::int32_t shards : {3, 7}) {
-    const shard::Partition one =
-        shard::partition_vertices(inst.graph(), shards, 1);
-    const shard::Partition deep =
-        shard::partition_vertices(inst.graph(), shards, 8);
-    const double reduction =
-        one.stats.cut_arcs == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(one.stats.cut_arcs -
-                                      deep.stats.cut_arcs) /
-                  static_cast<double>(one.stats.cut_arcs);
-    std::cout << "#   shards=" << shards << ": " << one.stats.cut_arcs
-              << " -> " << deep.stats.cut_arcs << " (-" << reduction
-              << "%)\n";
-  }
-
   std::cout << "# bit-identity across rows (per policy): "
             << (identical ? "yes" : "NO — INVARIANT VIOLATED") << '\n'
             << "# expected: steps/bandwidth/moves per step identical on\n"
                "# every row of a policy (the sim::run row included —\n"
-               "# partitioning only moves ownership); the\n"
-               "# cut fraction stays well below the ~"
-            << 100.0 * (1.0 - 1.0 / 4.0)
-            << "% a random 4-way assignment would pay.\n";
+               "# sharding only moves who plans a vertex).\n";
   return identical ? 0 : 1;
 }

@@ -582,34 +582,6 @@ BENCHMARK_CAPTURE(BM_ShardStep, bandwidth, "bandwidth")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Partitioner cost (BFS-grow + one greedy sweep) on the paper's
-// structured topology.  "k" (not "shards") in the arg name on purpose:
-// the undersized-host waiver keys on /shards:N and /threads:N, and the
-// partitioner is single-threaded — its numbers are valid on any host.
-// items/sec == arcs scanned/sec; the rows keep the "greedy" name so
-// snapshots recorded before the flow tier was deleted still compare.
-void BM_Partition(benchmark::State& state) {
-  const auto shards = static_cast<std::int32_t>(state.range(0));
-  Rng rng(41);
-  const Digraph g = topology::transit_stub(
-      topology::transit_stub_options_for_size(2'000), rng);
-  std::int64_t cut = 0;
-  for (auto _ : state) {
-    const shard::Partition part = shard::partition_vertices(g, shards);
-    cut = part.stats.cut_arcs;
-    benchmark::DoNotOptimize(cut);
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs());
-  state.counters["cut_arcs"] = static_cast<double>(cut);
-}
-BENCHMARK(BM_Partition)
-    ->Name("BM_Partition/greedy")
-    ->ArgNames({"k"})
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // The §5.1 makespan bound every pipeline pass ends in (ocd_cli, the
 // examples, the B&B and IP horizon starts): a dense 1000-vertex overlay
 // with 512 tokens, and fig_shard's sparse 20k-vertex overlay with 8.

@@ -58,7 +58,7 @@ done
 # machine-readable snapshot for scripts/compare_bench.py.
 echo "== micro_benchmarks (recording + planner + token kernels + shard steps) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|Partition' \
+  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
@@ -78,8 +78,7 @@ build-bench/bench/micro_benchmarks \
 # conversions (per-row scatter and bit-block transpose) at 300x512 and
 # 20000x8 — so a silently dropped benchmark cannot pass unnoticed (a
 # baseline recorded before a row existed fails that --require).  The
-# /shards:N gates and the partitioner's k:4 row (BFS-grow + one greedy
-# sweep, the only partitioner there is) are --require-any:
+# /shards:N gates are --require-any:
 # --allow-undersized-host keeps this gate usable on small CI boxes,
 # where presence is still enforced but the vacuous contention
 # comparison is skipped.  The scalar
@@ -118,7 +117,6 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require-any 'ShardStep/local/1000/512/shards:4' \
     --require-any 'ShardStep/bandwidth/1000/512/shards:1' \
     --require-any 'ShardStep/bandwidth/1000/512/shards:4' \
-    --require-any 'Partition/greedy/k:4' \
     "${simd_requires[@]}" ||
     echo "WARNING: planner kernel throughput regressed vs baseline."
 fi

@@ -10,6 +10,7 @@ void BandwidthPolicy::reset(const core::Instance& instance, std::uint64_t) {
   const auto n = static_cast<std::size_t>(instance.graph().num_vertices());
   const auto universe = static_cast<std::size_t>(instance.num_tokens());
   const std::size_t blocks = (n + 63) / 64;
+  graph_ = &instance.graph();
   allowed_.reset(n, universe);
   front_.reset(n, universe);
   spare_front_.assign(allowed_.words_per_row(), 0);
@@ -225,13 +226,14 @@ void BandwidthPolicy::plan_step(const sim::StepView& view,
   for (ArcId a = 0; a < view.graph().num_arcs(); ++a) fill_arc(a, view, plan);
 }
 
-void BandwidthPolicy::begin_coordination(const CoordinationSetup& setup) {
-  coord_ = setup;
-  const Digraph& graph = setup.instance->graph();
+void BandwidthPolicy::begin_coordination(
+    std::span<const std::int32_t> shard_of, std::int32_t shard,
+    std::int32_t num_shards) {
+  shard_ = shard;
+  num_shards_ = num_shards;
   owned_arcs_.clear();
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    if (setup.shard_of[static_cast<std::size_t>(graph.arc(a).from)] ==
-        setup.shard)
+  for (ArcId a = 0; a < graph_->num_arcs(); ++a) {
+    if (shard_of[static_cast<std::size_t>(graph_->arc(a).from)] == shard)
       owned_arcs_.push_back(a);
   }
   elected_.reset(allowed_.rows(), allowed_.universe_size());
@@ -241,8 +243,8 @@ void BandwidthPolicy::begin_coordination(const CoordinationSetup& setup) {
 // elected_, which peers read after the barrier.  elected_'s other words
 // stay zero from begin_coordination.
 void BandwidthPolicy::coord_prescore(const sim::StepView& view) {
-  elect(view, elected_, static_cast<std::size_t>(coord_.shard),
-        static_cast<std::size_t>(coord_.num_shards));
+  elect(view, elected_, static_cast<std::size_t>(shard_),
+        static_cast<std::size_t>(num_shards_));
 }
 
 // Each slice holds only its own words' bits, so their union is the

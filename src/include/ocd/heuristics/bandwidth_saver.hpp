@@ -41,20 +41,40 @@
 // lossy-swarm that is about a quarter of the R ∩ F tokens.  On a
 // broadcast, where every vertex wants every token, R is empty and no
 // word is transposed or searched.
+//
+// Sharded coordination (shard::run_sharded).  The election reads
+// possession and demand at vertices other shards own, so it cannot be
+// unioned from per-shard decisions the way the local planners' plans
+// are.  Every shard reads the same shared step view instead, and the
+// plan phase gains one pool barrier.  The runtime calls, per step:
+//   1. coord_prescore — elect the shard's slice of 64-token words
+//      (word w belongs to shard w % num_shards; a shard past the last
+//      word elects nothing) into elected(), reading only the step-start
+//      view: the word pass over those words, and the relay BFS only for
+//      their R ∩ F tokens.
+//   2. (pool barrier)
+//   3. coord_absorb — OR every shard's slice, read in place, into
+//      allowed_; every shard ends up with the serial matrix.
+//   4. coord_emit — fill the arcs whose tail the shard owns, in arc
+//      order, so the runtime's merge by arc id reproduces plan_step's
+//      send order.
+// A word's election (its BFS groups never span words) writes only that
+// word's bits, so the slices are exact and the merge needs no fallback.
+// The election draws no randomness, so every shard's policy state stays
+// in lockstep with the single-process run.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "ocd/heuristics/coordination.hpp"
 #include "ocd/sim/policy.hpp"
 #include "ocd/util/rarity.hpp"
 #include "ocd/util/token_matrix.hpp"
 
 namespace ocd::heuristics {
 
-class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
+class BandwidthPolicy final : public sim::Policy {
  public:
   [[nodiscard]] std::string_view name() const override { return "bandwidth"; }
   [[nodiscard]] sim::KnowledgeClass knowledge_class() const override {
@@ -64,21 +84,20 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
   void reset(const core::Instance& instance, std::uint64_t seed) override;
   void plan_step(const sim::StepView& view, sim::StepPlan& plan) override;
 
-  // Sharded coordination (ocd/heuristics/coordination.hpp): the
-  // election is sliced by 64-token word (word w belongs to shard
-  // w % num_shards; a shard with no word elects nothing); each shard
-  // elects its slice into elected_, absorbs every shard's slice into
-  // allowed_, and then fills its owned arcs against the merged matrix.
-  // A word's election reads only step-start state and writes only
-  // that word's bits, so the merge is exact.
-  void begin_coordination(const CoordinationSetup& setup) override;
-  [[nodiscard]] const util::TokenMatrix& elected() const override {
-    return elected_;
-  }
-  void coord_prescore(const sim::StepView& view) override;
-  void coord_absorb(
-      std::span<const util::TokenMatrix* const> slices) override;
-  void coord_emit(const sim::StepView& view, sim::StepPlan& plan) override;
+  // Sharded coordination, the protocol in the header comment.
+  /// Called once per run, after reset: this policy is shard `shard` of
+  /// `num_shards`, and `shard_of` maps every vertex to its owner.
+  void begin_coordination(std::span<const std::int32_t> shard_of,
+                          std::int32_t shard, std::int32_t num_shards);
+  /// The slice the last coord_prescore elected.  The reference stays
+  /// valid for the whole run; peers read it between the barrier and the
+  /// next coord_prescore, during which it does not change.
+  [[nodiscard]] const util::TokenMatrix& elected() const { return elected_; }
+  void coord_prescore(const sim::StepView& view);
+  /// `slices` holds every shard's elected(), this one's included, in
+  /// shard order.
+  void coord_absorb(std::span<const util::TokenMatrix* const> slices);
+  void coord_emit(const sim::StepView& view, sim::StepPlan& plan);
 
  private:
   /// The election over the row words first_word, first_word +
@@ -117,7 +136,9 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
   TokenSet batch_;
 
   // ---- sharded coordination state (idle in single-process runs) ----
-  CoordinationSetup coord_{};
+  const Digraph* graph_ = nullptr;  ///< the graph of the last reset()
+  std::int32_t shard_ = 0;
+  std::int32_t num_shards_ = 1;
   util::TokenMatrix elected_;      ///< this shard's word slice
   std::vector<ArcId> owned_arcs_;  ///< arcs with an owned tail
 };

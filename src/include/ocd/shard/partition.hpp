@@ -1,17 +1,17 @@
-// Vertex partitioning for the sharded runtime.
+// Vertex ownership for the sharded runtime.
 //
 // A Partition splits the vertex set into `num_shards` ownership classes,
-// stored once as the owning shard of every vertex.  Each shard owns a
-// contiguous-ish block of the overlay (BFS-grown, then greedily refined
-// to shrink the edge cut) and plans the sends of the vertices it owns
-// (ocd/shard/runtime.hpp).  Shards share memory, so the cut prices no
-// traffic; PartitionStats reports it as partition quality.
+// stored once as the owning shard of every vertex.  Each shard plans the
+// sends of the vertices it owns (ocd/shard/runtime.hpp).
 //
-// The partitioner is deterministic and seedless: the same (graph,
-// options) always yields the same Partition.  Every ownership class
-// lands in the exact band [⌊n/k⌋, ⌈n/k⌉]; when k | n that band pins
-// every class size, so the greedy sweeps have nothing to move and are
-// skipped.
+// partition_vertices gives shard s the contiguous vertex-id range
+// [⌊s·n/k⌋, ⌊(s+1)·n/k⌋): arithmetic in O(n), no traversal, and every
+// class lands in the band [⌊n/k⌋, ⌈n/k⌉].  Nothing about the graph is
+// worth optimising: in the LOCD model (§4.1) each vertex plans from its
+// own knowledge of the step-start state, so which shard plans a vertex
+// cannot change the schedule, and the shards share memory, so an edge
+// cut prices no traffic.  run_sharded's Partition overload accepts any
+// ownership map; the determinism suites pass non-contiguous ones.
 #pragma once
 
 #include <cstdint>
@@ -21,21 +21,10 @@
 
 namespace ocd::shard {
 
-/// Edge-cut quality report, printed by bench/fig_shard and asserted
-/// loosely by tests (a partitioner regression shows up as a cut blowup).
+/// Kept only because perfbench reports cut_arcs as shard.cut_arcs
+/// (removed with ROADMAP item 2's benchmark change).
 struct PartitionStats {
-  std::int32_t num_shards = 1;
-  std::int64_t total_arcs = 0;
-  std::int64_t cut_arcs = 0;        ///< arcs crossing shards
-  std::int64_t min_owned = 0;       ///< smallest ownership class
-  std::int64_t max_owned = 0;       ///< largest ownership class
-
-  [[nodiscard]] double cut_fraction() const noexcept {
-    return total_arcs == 0
-               ? 0.0
-               : static_cast<double>(cut_arcs) /
-                     static_cast<double>(total_arcs);
-  }
+  std::int64_t cut_arcs = 0;  ///< arcs whose endpoints differ in shard
 };
 
 struct Partition {
@@ -51,35 +40,23 @@ struct Partition {
 /// else.  The environment is no longer consulted.
 std::int32_t resolve_balance_eps(std::int32_t requested);
 
+/// Kept only because perfbench partitions through it (removed with
+/// ROADMAP item 2's benchmark change).  balance_eps and flow_refine are
+/// leftovers of the deleted balance slack and flow-refinement stage:
+/// partition_vertices throws ocd::Error naming the field unless
+/// balance_eps is -1 or 0 and flow_refine is false.
 struct PartitionOptions {
   std::int32_t num_shards = 1;
-  /// Greedy neighbor-majority refinement sweep budget (see below).
-  std::int32_t refinement_sweeps = 1;
-  /// Leftovers of the deleted balance slack and flow-refinement stage,
-  /// kept only because perfbench sets them (removed with ROADMAP item
-  /// 2's benchmark change).  partition_vertices throws ocd::Error
-  /// naming the field unless balance_eps is -1 or 0 and flow_refine is
-  /// false.
   std::int32_t balance_eps = -1;
   bool flow_refine = false;
 };
 
-/// Partitions the graph's vertices into `num_shards` ownership classes:
-/// BFS-grow blocks of (near-)equal size in deterministic traversal
-/// order, then up to `refinement_sweeps` greedy refinement sweeps, each
-/// moving vertices to their neighbor-majority shard where that strictly
-/// reduces the cut without breaking the size bounds.  Sweeps after the
-/// first act on the previous sweep's labels, so they keep converging
-/// toward a local cut minimum; the loop stops early at the first sweep
-/// that moves nothing.  0 sweeps = raw BFS blocks; the runtime default
-/// is 1 (bit-compatible with the historical single-sweep partition);
-/// bench/fig_shard reports the cut reduction of deeper refinement.
-/// Requires 1 <= num_shards <= num_vertices and refinement_sweeps >= 0.
-Partition partition_vertices(const Digraph& graph, std::int32_t num_shards,
-                             std::int32_t refinement_sweeps = 1);
+/// Shard s owns the vertex ids [⌊s·n/k⌋, ⌊(s+1)·n/k⌋), k = num_shards;
+/// stats.cut_arcs counts the arcs between shards.
+/// Requires 1 <= num_shards <= max(num_vertices, 1).
+Partition partition_vertices(const Digraph& graph, std::int32_t num_shards);
 
-/// As above with the option struct; {k, sweeps} reproduces the
-/// two-argument overload bit-for-bit.
+/// As above with the option struct, after its leftover fields' checks.
 Partition partition_vertices(const Digraph& graph,
                              const PartitionOptions& options);
 

@@ -1,7 +1,8 @@
 // Vertex-sharded simulation runtime.
 //
 // run_sharded() is sim::run with its plan phase split over the shards
-// of a vertex partition (ocd/shard/partition.hpp).  The shards share
+// of a vertex partition (ocd/shard/partition.hpp; by default shard s
+// owns the vertex ids [⌊s·n/k⌋, ⌊(s+1)·n/k⌋)).  The shards share
 // memory: each step they all read the one step-start StepView and plan
 // on the ocd::util worker pool (OCD_JOBS), each with its own policy
 // instance and its own StepPlan.  The shard plans are merged into
@@ -14,7 +15,7 @@
 //
 // Bit-identity guarantee: for every supported planner the schedule and
 // RunStats are bit-for-bit identical to sim::run on the same (instance,
-// options), for every shard count, partition and worker budget —
+// options), for every shard count, ownership map and worker budget —
 // pinned by tests/shard/determinism_test.cpp.  Two planner families:
 //
 //   * Local planners (round-robin, random, local): per-vertex planning
@@ -28,7 +29,7 @@
 //     add a bit), then, after a pool barrier, absorbs every shard's
 //     slice and fills the arcs its vertices send on.  One election
 //     round per step, exact by construction.  See
-//     ocd/heuristics/coordination.hpp and DESIGN.md "Sharded
+//     ocd/heuristics/bandwidth_saver.hpp and DESIGN.md "Sharded
 //     coordinated planning".
 //
 // Every arc is planned by one shard only (its tail's owner; its head's
@@ -63,9 +64,9 @@ enum class TransportKind : std::uint8_t {
 };
 
 struct ShardOptions {
-  /// Shard count; 0 resolves OCD_SHARDS from the environment
-  /// (validated), defaulting to 1.
-  std::int32_t num_shards = 0;
+  /// Shard count; both run_sharded overloads throw ocd::Error naming
+  /// num_shards before any work when it is below 1.
+  std::int32_t num_shards = 1;
   /// Always kInProcess; TransportKind has no other value.
   TransportKind transport = TransportKind::kInProcess;
   /// Leftover of the deleted balance slack, kept only because
@@ -78,23 +79,20 @@ struct ShardOptions {
   sim::SimOptions sim;
 };
 
-/// Resolves a requested shard count: positive values pass through,
-/// 0 consults OCD_SHARDS (throwing ocd::Error on garbage), else 1.
-std::int32_t resolve_num_shards(std::int32_t requested);
-
 /// Runs `policy_name` (round-robin / random / local / bandwidth — each
-/// shard constructs its own instance via heuristics::make_policy) over
-/// the instance, sharded.  Throws ocd::Error for unsupported planners
-/// and options, before partitioning.
+/// shard constructs its own planner instance) over the instance,
+/// sharded over partition_vertices' contiguous vertex-id ranges.
+/// Throws ocd::Error for unsupported planners and options, and for
+/// more shards than vertices, before partitioning.
 /// The result is bit-identical to sim::run for every shard count; with
 /// one shard the planner's plan_step runs unsplit.
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options);
 
-/// As run_sharded with a precomputed partition: its num_shards must
-/// match resolve_num_shards(options.num_shards), and its shard_of must
-/// give every vertex a shard in [0, num_shards), else ocd::Error.
+/// As run_sharded with a precomputed partition, any ownership map: its
+/// num_shards must match options.num_shards, and its shard_of must give
+/// every vertex a shard in [0, num_shards), else ocd::Error.
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options,

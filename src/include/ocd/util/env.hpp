@@ -1,10 +1,10 @@
 // Shared environment-variable parsing.
 //
-// Every positive-integer knob in the runtime family (OCD_JOBS worker
-// budget, OCD_SHARDS shard count) means "a validated positive integer,
-// or a hard error" — never a silent fallback, because a typo'd budget
-// that quietly runs serial (or unsharded) is a measurement bug.  The
-// knobs share one parser so they also share one error wording.
+// A positive-integer knob (today the OCD_JOBS worker budget) means "a
+// validated positive integer, or a hard error" — never a silent
+// fallback, because a typo'd budget that quietly runs serial is a
+// measurement bug.  Such knobs share one parser so they also share one
+// error wording.
 #pragma once
 
 #include <cstdint>

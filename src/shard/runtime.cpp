@@ -1,15 +1,14 @@
 #include "ocd/shard/runtime.hpp"
 
-#include <cstdlib>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "ocd/heuristics/coordination.hpp"
+#include "ocd/heuristics/bandwidth_saver.hpp"
 #include "ocd/heuristics/factory.hpp"
-#include "ocd/util/env.hpp"
 #include "ocd/util/parallel.hpp"
 
 namespace ocd::shard {
@@ -37,6 +36,9 @@ void validate_envelope(std::string_view policy_name,
     throw Error("sharded runtime supports policies round-robin, random, "
                 "local and bandwidth; run '" +
                 std::string(policy_name) + "' with sim::run");
+  if (shard_options.num_shards < 1)
+    throw Error("num_shards must be >= 1, got " +
+                std::to_string(shard_options.num_shards));
   if (options.staleness != 0)
     throw Error(
         "sharded runtime does not support staleness (outside the envelope "
@@ -86,10 +88,10 @@ std::vector<std::vector<VertexId>> owned_vertices(const Partition& partition,
 ///
 /// Per step the shards plan on the ocd::util pool: local planners call
 /// plan_shard over their owned vertices; the coordinated planner
-/// (bandwidth) elects its slice of 64-token words (shard s takes words
-/// s, s + k, ...; a shard past the last word elects nothing), and after
-/// the pool barrier every shard absorbs all slices and fills the arcs
-/// its vertices send on.
+/// (bandwidth, on more than one shard) elects its slice of 64-token
+/// words (shard s takes words s, s + k, ...; a shard past the last word
+/// elects nothing), and after the pool barrier every shard absorbs all
+/// slices and fills the arcs its vertices send on.
 /// Each arc is planned by exactly one shard — its tail's owner, or its
 /// head's owner under "local" — so the shard plans merge back into
 /// plan_step's send order with a linear k-way merge: plan_vertex
@@ -101,21 +103,19 @@ class ShardedPolicy final : public sim::Policy {
                 std::vector<std::vector<VertexId>> owned)
       : shard_of_(partition.shard_of),
         by_arc_(policy_name == "local" || policy_name == "bandwidth") {
+    const bool coordinated = policy_name == "bandwidth" && owned.size() > 1;
     shards_.resize(owned.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].policy = heuristics::make_policy(policy_name);
-      shards_[s].owned = std::move(owned[s]);
-    }
-    if (shards_.size() > 1 &&
-        knowledge_class() == sim::KnowledgeClass::kGlobal) {
-      for (Shard& shard : shards_) {
-        shard.coord =
-            dynamic_cast<heuristics::ShardCoordinator*>(shard.policy.get());
-        OCD_ASSERT_MSG(shard.coord != nullptr,
-                       "coordinated policy does not implement "
-                       "ShardCoordinator");
-        slices_.push_back(&shard.coord->elected());
+      Shard& shard = shards_[s];
+      if (coordinated) {
+        auto bandwidth = std::make_unique<heuristics::BandwidthPolicy>();
+        shard.bandwidth = bandwidth.get();
+        slices_.push_back(&bandwidth->elected());
+        shard.policy = std::move(bandwidth);
+      } else {
+        shard.policy = heuristics::make_policy(policy_name);
       }
+      shard.owned = std::move(owned[s]);
     }
     cursor_.resize(shards_.size());
     key_.resize(shards_.size());
@@ -131,13 +131,10 @@ class ShardedPolicy final : public sim::Policy {
   void reset(const core::Instance& instance, std::uint64_t seed) override {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s].policy->reset(instance, seed);
-      if (shards_[s].coord == nullptr) continue;
-      heuristics::CoordinationSetup setup;
-      setup.instance = &instance;
-      setup.shard_of = shard_of_;
-      setup.shard = static_cast<std::int32_t>(s);
-      setup.num_shards = static_cast<std::int32_t>(shards_.size());
-      shards_[s].coord->begin_coordination(setup);
+      if (shards_[s].bandwidth != nullptr)
+        shards_[s].bandwidth->begin_coordination(
+            shard_of_, static_cast<std::int32_t>(s),
+            static_cast<std::int32_t>(shards_.size()));
     }
   }
 
@@ -150,15 +147,15 @@ class ShardedPolicy final : public sim::Policy {
     // plans fall back to are this step's effective ones.
     each_shard([&](Shard& shard) {
       shard.plan.rebind(view.graph(), {});
-      if (shard.coord != nullptr)
-        shard.coord->coord_prescore(view);
+      if (shard.bandwidth != nullptr)
+        shard.bandwidth->coord_prescore(view);
       else
         shard.policy->plan_shard(view, shard.plan, shard.owned);
     });
     if (!slices_.empty()) {
       each_shard([&](Shard& shard) {
-        shard.coord->coord_absorb(slices_);
-        shard.coord->coord_emit(view, shard.plan);
+        shard.bandwidth->coord_absorb(slices_);
+        shard.bandwidth->coord_emit(view, shard.plan);
       });
     }
     merge_into(view.graph(), plan);
@@ -171,7 +168,8 @@ class ShardedPolicy final : public sim::Policy {
  private:
   struct Shard {
     sim::PolicyPtr policy;
-    heuristics::ShardCoordinator* coord = nullptr;
+    /// policy, when it is a coordinated bandwidth shard; else null.
+    heuristics::BandwidthPolicy* bandwidth = nullptr;
     std::vector<VertexId> owned;
     sim::StepPlan plan;
   };
@@ -218,8 +216,8 @@ class ShardedPolicy final : public sim::Policy {
   std::span<const std::int32_t> shard_of_;
   bool by_arc_;
   std::vector<Shard> shards_;
-  /// Every coordinator's elected slice, in shard order (coordinated
-  /// planners on > 1 shard; empty otherwise).
+  /// Every bandwidth shard's elected slice, in shard order (empty
+  /// unless coordinated).
   std::vector<const util::TokenMatrix*> slices_;
   std::vector<std::size_t> cursor_;  ///< merge position per shard plan
   std::vector<std::int32_t> key_;    ///< head key per shard plan
@@ -227,25 +225,15 @@ class ShardedPolicy final : public sim::Policy {
 
 }  // namespace
 
-std::int32_t resolve_num_shards(std::int32_t requested) {
-  if (requested > 0) return requested;
-  if (requested < 0)
-    throw Error("num_shards must be >= 0, got " + std::to_string(requested));
-  const char* env = std::getenv("OCD_SHARDS");
-  if (env == nullptr) return 1;
-  return static_cast<std::int32_t>(util::parse_env_int("OCD_SHARDS", env));
-}
-
 sim::RunResult run_sharded(const core::Instance& instance,
                            std::string_view policy_name,
                            const ShardOptions& options,
                            const Partition& partition) {
   validate_envelope(policy_name, options);
-  const std::int32_t num_shards = resolve_num_shards(options.num_shards);
-  if (partition.num_shards != num_shards)
+  if (partition.num_shards != options.num_shards)
     throw Error("partition has " + std::to_string(partition.num_shards) +
-                " shards but options resolve to " +
-                std::to_string(num_shards));
+                " shards but options.num_shards is " +
+                std::to_string(options.num_shards));
   ShardedPolicy policy(policy_name, partition,
                        owned_vertices(partition, instance.num_vertices()));
   return sim::run(instance, policy, options.sim);
@@ -256,16 +244,12 @@ sim::RunResult run_sharded(const core::Instance& instance,
                            const ShardOptions& options) {
   // Refuse before partitioning: a refused planner must not pay for it.
   validate_envelope(policy_name, options);
-  const std::int32_t num_shards = resolve_num_shards(options.num_shards);
-  if (num_shards > instance.num_vertices())
-    throw Error("num_shards (" + std::to_string(num_shards) +
+  if (options.num_shards > instance.num_vertices())
+    throw Error("num_shards (" + std::to_string(options.num_shards) +
                 ") exceeds the vertex count (" +
                 std::to_string(instance.num_vertices()) + ")");
-  const Partition partition =
-      partition_vertices(instance.graph(), num_shards);
-  ShardOptions resolved = options;
-  resolved.num_shards = num_shards;
-  return run_sharded(instance, policy_name, resolved, partition);
+  return run_sharded(instance, policy_name, options,
+                     partition_vertices(instance.graph(), options.num_shards));
 }
 
 }  // namespace ocd::shard

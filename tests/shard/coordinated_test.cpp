@@ -5,7 +5,8 @@
 // owned arcs.
 // The contract is unchanged from the local planners: the merged
 // schedule and RunStats are bit-for-bit identical to sim::run for every
-// shard count, BFS-grown or striped partition, and any fault model.
+// shard count, contiguous, striped or seeded random ownership map, and
+// any fault model.
 // ("global" is refused by the runtime; ShardDeterminism pins the
 // refusal.)
 #include <gtest/gtest.h>
@@ -20,23 +21,13 @@
 #include "ocd/shard/runtime.hpp"
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
+#include "ownership_maps.hpp"
 
 namespace ocd::shard {
 namespace {
 
 constexpr std::int32_t kShardCounts[] = {1, 2, 4};
 constexpr const char* kCoordinatedPolicies[] = {"bandwidth"};
-/// Striped partitions interleave the shards' arcs on every merge.
-constexpr std::int32_t kStripedShardCounts[] = {2, 3};
-
-Partition striped_partition(std::int32_t num_vertices,
-                            std::int32_t num_shards) {
-  Partition part;
-  part.num_shards = num_shards;
-  for (VertexId v = 0; v < num_vertices; ++v)
-    part.shard_of.push_back(v % num_shards);
-  return part;
-}
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
                                   std::uint64_t seed) {
@@ -118,14 +109,13 @@ sim::RunResult run_with(const core::Instance& inst, const char* policy_name,
   return run_sharded(inst, policy_name, options);
 }
 
-sim::RunResult run_striped(const core::Instance& inst,
-                           const char* policy_name, std::int32_t shards,
-                           const sim::SimOptions& sim) {
+sim::RunResult run_on(const core::Instance& inst, const char* policy_name,
+                      const Partition& partition,
+                      const sim::SimOptions& sim) {
   ShardOptions options;
-  options.num_shards = shards;
+  options.num_shards = partition.num_shards;
   options.sim = sim;
-  return run_sharded(inst, policy_name, options,
-                     striped_partition(inst.num_vertices(), shards));
+  return run_sharded(inst, policy_name, options, partition);
 }
 
 TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
@@ -150,12 +140,12 @@ TEST(ShardCoordinated, MatchesSingleProcessForEveryShardCount) {
                         std::string(policy_name) + " shards=" +
                             std::to_string(shards));
       }
-      for (std::int32_t shards : kStripedShardCounts) {
+      for (const auto& [label, partition] :
+           irregular_partitions(inst.num_vertices())) {
         const sim::RunResult result =
-            run_striped(inst, policy_name, shards, options);
+            run_on(inst, policy_name, partition, options);
         expect_same_run(result, reference,
-                        std::string(policy_name) + " striped shards=" +
-                            std::to_string(shards));
+                        std::string(policy_name) + " " + label);
       }
     }
   }
@@ -182,15 +172,15 @@ TEST(ShardCoordinated, MatchesSingleProcessUnderUniformLoss) {
                       std::string(policy_name) + "/uniform shards=" +
                           std::to_string(shards));
     }
-    for (std::int32_t shards : kStripedShardCounts) {
+    for (const auto& [label, partition] :
+         irregular_partitions(inst.num_vertices())) {
       faults::UniformLoss sharded_model(0.3);
       sim::SimOptions sharded = options;
       sharded.faults = &sharded_model;
       const sim::RunResult result =
-          run_striped(inst, policy_name, shards, sharded);
+          run_on(inst, policy_name, partition, sharded);
       expect_same_run(result, reference,
-                      std::string(policy_name) + "/uniform striped shards=" +
-                          std::to_string(shards));
+                      std::string(policy_name) + "/uniform " + label);
     }
   }
 }

@@ -1,12 +1,12 @@
 // Shard-count invariance: the vertex-sharded runtime must reproduce
 // sim::run bit-for-bit — schedules, step counts, loss traces, per-vertex
 // completion and upload series — for every supported policy, every shard
-// count in {1, 2, 3, 4}, BFS-grown and striped partitions, every fault
-// model, and any OCD_JOBS budget.  This is the contract that makes
-// sharding an execution detail instead of a semantics change.
+// count in {1, 2, 3, 4}, contiguous, striped and seeded random
+// ownership maps, every fault model, and any OCD_JOBS budget.  This is
+// the contract that makes sharding an execution detail instead of a
+// semantics change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -20,25 +20,13 @@
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/util/parallel.hpp"
+#include "ownership_maps.hpp"
 
 namespace ocd::shard {
 namespace {
 
 constexpr std::int32_t kShardCounts[] = {1, 2, 3, 4};
 constexpr const char* kPolicies[] = {"round-robin", "random", "local"};
-/// Striped partitions put consecutive vertices on different shards, so
-/// the plan merge switches shards at every sender and interleaves arc
-/// ids finely.
-constexpr std::int32_t kStripedShardCounts[] = {2, 3};
-
-Partition striped_partition(std::int32_t num_vertices,
-                            std::int32_t num_shards) {
-  Partition part;
-  part.num_shards = num_shards;
-  for (VertexId v = 0; v < num_vertices; ++v)
-    part.shard_of.push_back(v % num_shards);
-  return part;
-}
 
 core::Instance broadcast_instance(std::int32_t n, std::int32_t tokens,
                                   std::uint64_t seed) {
@@ -130,16 +118,15 @@ TEST(ShardDeterminism, MatchesSingleProcessForEveryShardCount) {
                         std::string(policy_name) + " shards=" +
                             std::to_string(shards));
       }
-      for (std::int32_t shards : kStripedShardCounts) {
+      for (const auto& [label, partition] :
+           irregular_partitions(inst.num_vertices())) {
         ShardOptions sharded;
-        sharded.num_shards = shards;
+        sharded.num_shards = partition.num_shards;
         sharded.sim = options;
         const sim::RunResult result =
-            run_sharded(inst, policy_name, sharded,
-                        striped_partition(inst.num_vertices(), shards));
+            run_sharded(inst, policy_name, sharded, partition);
         expect_same_run(result, reference,
-                        std::string(policy_name) + " striped shards=" +
-                            std::to_string(shards));
+                        std::string(policy_name) + " " + label);
       }
     }
   }
@@ -189,18 +176,18 @@ TEST(ShardDeterminism, MatchesSingleProcessUnderFaults) {
                         std::string(policy_name) + "/" + c.label +
                             " shards=" + std::to_string(shards));
       }
-      for (std::int32_t shards : kStripedShardCounts) {
+      for (const auto& [label, partition] :
+           irregular_partitions(inst.num_vertices())) {
         const auto sharded_model = c.make();
         ShardOptions sharded;
-        sharded.num_shards = shards;
+        sharded.num_shards = partition.num_shards;
         sharded.sim = options;
         sharded.sim.faults = sharded_model.get();
         const sim::RunResult result =
-            run_sharded(inst, policy_name, sharded,
-                        striped_partition(inst.num_vertices(), shards));
+            run_sharded(inst, policy_name, sharded, partition);
         expect_same_run(result, reference,
-                        std::string(policy_name) + "/" + c.label +
-                            " striped shards=" + std::to_string(shards));
+                        std::string(policy_name) + "/" + c.label + " " +
+                            label);
       }
     }
   }
@@ -344,19 +331,31 @@ TEST(ShardDeterminism, RefusesOptionsOutsideTheEnvelope) {
   }
 }
 
-TEST(ShardDeterminism, ResolvesShardCountFromEnvironment) {
-  EXPECT_EQ(resolve_num_shards(3), 3);
-  ::unsetenv("OCD_SHARDS");
-  EXPECT_EQ(resolve_num_shards(0), 1);
-  ::setenv("OCD_SHARDS", "4", 1);
-  EXPECT_EQ(resolve_num_shards(0), 4);
-  EXPECT_EQ(resolve_num_shards(2), 2);  // explicit beats environment
-  ::setenv("OCD_SHARDS", "zero", 1);
-  EXPECT_THROW(resolve_num_shards(0), Error);
-  ::setenv("OCD_SHARDS", "-2", 1);
-  EXPECT_THROW(resolve_num_shards(0), Error);
-  ::unsetenv("OCD_SHARDS");
-  EXPECT_THROW(resolve_num_shards(-1), Error);
+TEST(ShardDeterminism, RefusesAShardCountBelowOne) {
+  // Refused by both overloads before any work, with its own message: a
+  // precomputed partition's shard-count mismatch must not be what
+  // reports it.
+  const core::Instance inst = broadcast_instance(10, 4, 1);
+  const Partition partition = partition_vertices(inst.graph(), 2);
+  for (const std::int32_t shards : {0, -1}) {
+    ShardOptions options;
+    options.num_shards = shards;
+    const auto expect_refused = [&](auto&& run, const char* label) {
+      try {
+        (void)run();
+        ADD_FAILURE() << label << " at " << shards << " was not refused";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("num_shards must be >= 1"),
+                  std::string::npos)
+            << label << ": " << e.what();
+      }
+    };
+    expect_refused([&] { return run_sharded(inst, "local", options); },
+                   "partitioning overload");
+    expect_refused(
+        [&] { return run_sharded(inst, "local", options, partition); },
+        "precomputed partition");
+  }
 }
 
 // balance_eps is a leftover of the deleted balance slack: -1 and 0 (the

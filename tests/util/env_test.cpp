@@ -1,5 +1,5 @@
 // parse_env_int is the single parser behind every OCD_* positive-integer
-// knob (OCD_JOBS, OCD_SHARDS), so its acceptance/rejection behaviour —
+// knob (OCD_JOBS), so its acceptance/rejection behaviour —
 // and the exact error wording — is pinned once here instead of per
 // caller.
 #include <gtest/gtest.h>
