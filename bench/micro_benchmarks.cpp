@@ -533,14 +533,15 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, global_reliable_swarm,
 // bit-identical at every shard count, only the wall clock may move.
 // Real time, not main-thread CPU time: the shards plan partly on pool
 // workers, whose CPU time the main thread's clock misses, so CPU time
-// would overstate shard wins.
-void BM_ShardStep(benchmark::State& state, const char* name) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const auto tokens = static_cast<std::int32_t>(state.range(1));
+// would overstate shard wins.  The instances are BM_PlannerStepsPerSec's:
+// dense broadcasts, and for `local_sparse` fig_shard's 8-token sparse
+// overlay, where a shard's plan call should cost only the receivers it
+// owns (most hold every token within a few steps), not the whole arc set.
+void BM_ShardStep(benchmark::State& state, const char* name, Shape shape) {
+  const auto inst =
+      planner_instance(shape, static_cast<std::int32_t>(state.range(0)),
+                       static_cast<std::int32_t>(state.range(1)));
   const auto shards = static_cast<std::int32_t>(state.range(2));
-  Rng rng(29);
-  Digraph g = topology::random_overlay(n, rng);
-  const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
   shard::ShardOptions options;
   options.num_shards = shards;
   options.sim.seed = 7;
@@ -554,18 +555,24 @@ void BM_ShardStep(benchmark::State& state, const char* name) {
   }
   state.SetItemsProcessed(steps);  // items/sec == simulated steps/sec
 }
-BENCHMARK_CAPTURE(BM_ShardStep, round_robin, "round-robin")
+BENCHMARK_CAPTURE(BM_ShardStep, round_robin, "round-robin", Shape::kDense)
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
+BENCHMARK_CAPTURE(BM_ShardStep, local, "local", Shape::kDense)
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ShardStep, local_sparse, "local", Shape::kSparse)
+    ->ArgNames({"", "", "shards"})
+    ->Args({20000, 8, 1})
+    ->Args({20000, 8, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 // Coordinated planning: shards > 1 splits the relay election's word
@@ -574,7 +581,7 @@ BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
 // before the owned arcs are filled.  On this broadcast no token passes
 // the R ∩ F filter, so no relay BFS runs and the election is a few
 // word operations per arc; the fill dominates.
-BENCHMARK_CAPTURE(BM_ShardStep, bandwidth, "bandwidth")
+BENCHMARK_CAPTURE(BM_ShardStep, bandwidth, "bandwidth", Shape::kDense)
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})

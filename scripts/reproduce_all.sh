@@ -65,9 +65,10 @@ build-bench/bench/micro_benchmarks \
 # The regression gate refuses debug-build snapshots and insists the
 # full planner grid is present — recorded round-robin simulation (the
 # schedule-recording path) and every planner family at the large
-# 1000v/512t point, and `global` and `bandwidth` on the sparse
-# 20k-vertex 8-token instance (the wave loop's and the word-parallel
-# relay election's scaling checks), `bandwidth` on lossy-swarm's
+# 1000v/512t point, and `global`, `local` and `bandwidth` on the sparse
+# 20k-vertex 8-token instance (the wave loop's, the per-receiver
+# request loop's and the word-parallel relay election's scaling
+# checks), `bandwidth` on lossy-swarm's
 # 300-vertex file-swarm shape (the only planner row whose relay BFS
 # runs: one BFS per distinct frontier column), `random+reliable`,
 # `global+reliable` and `local+reliable` under 20% loss at 1000v/512t
@@ -102,6 +103,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'PlannerStepsPerSec/round_robin/1000/512' \
     --require 'PlannerStepsPerSec/bandwidth/1000/512' \
     --require 'PlannerStepsPerSec/global_sparse/20000/8' \
+    --require 'PlannerStepsPerSec/local_sparse/20000/8' \
     --require 'PlannerStepsPerSec/bandwidth_sparse/20000/8' \
     --require 'PlannerStepsPerSec/bandwidth_swarm/300/512' \
     --require 'PlannerStepsPerSecLossy/random_reliable/1000/512' \
@@ -115,6 +117,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \
+    --require-any 'ShardStep/local_sparse/20000/8/shards:4' \
     --require-any 'ShardStep/bandwidth/1000/512/shards:1' \
     --require-any 'ShardStep/bandwidth/1000/512/shards:4' \
     "${simd_requires[@]}" ||

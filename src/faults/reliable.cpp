@@ -113,8 +113,8 @@ void ReliableAdapter::plan_step(const StepView& view, StepPlan& plan) {
   std::size_t kept_arcs = 0;
   for (const ArcId arc : timed_arcs_) {
     const auto ai = static_cast<std::size_t>(arc);
-    const Arc& a = view.graph().arc(arc);
-    const TokenSetView acked = view.peer_possession(a.from, a.to);
+    const TokenSetView acked =
+        view.peer_across(view.graph().arc(arc).from, arc);
     const MutableTokenSetView due = planned_.row(ai);
     bool any_due = false;
     for (std::int32_t* link = &arc_timers_[ai]; *link >= 0;) {

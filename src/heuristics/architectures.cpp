@@ -110,7 +110,7 @@ bool flood_along(const sim::StepView& view, sim::StepPlan& plan,
     TokenSet useful = allowed_tokens(a);
     if (useful.empty()) continue;
     useful &= view.own_possession(arc.from);
-    useful -= view.peer_possession(arc.from, arc.to);
+    useful -= view.peer_across(arc.from, a);
     if (useful.empty()) continue;
     if (useful.count() > capacity) useful.truncate(capacity);
     plan.send(a, useful);
@@ -219,7 +219,7 @@ void FastReplicaPolicy::plan_step(const sim::StepView& view,
     const Arc& arc = view.graph().arc(a);
     if (arc.from == source_) {
       TokenSet outstanding = block_of_arc_[static_cast<std::size_t>(a)];
-      outstanding -= view.peer_possession(source_, arc.to);
+      outstanding -= view.peer_across(source_, a);
       if (!outstanding.empty())
         return block_of_arc_[static_cast<std::size_t>(a)];
     }

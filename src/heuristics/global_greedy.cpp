@@ -6,22 +6,25 @@ namespace ocd::heuristics {
 
 namespace {
 
-/// One arc's fused candidate scan against (cand, out, wave_ok):
-/// `wanted` is the first wanted in-cap candidate (rank), `flood` the
-/// first in-cap candidate of any kind, `cand_left` ORs every candidate
-/// word seen before the wanted hit — nonzero means candidates remain
-/// (only meaningful when both picks are -1, i.e. the scan ran through).
+/// One arc's fused candidate scan.  The candidates are `tail & ~held`
+/// (the tail's ranks the head neither had at step start nor was
+/// granted since); `wanted` is the first wanted in-cap candidate
+/// (rank), `flood` the first in-cap candidate of any kind, `cand_left`
+/// ORs every candidate word seen before the wanted hit — nonzero means
+/// candidates remain (only meaningful when both picks are -1, i.e. the
+/// scan ran through).
 struct ArcScan {
   TokenId wanted = -1;
   TokenId flood = -1;
   std::uint64_t cand_left = 0;
 };
 
-ArcScan scan_arc(const std::uint64_t* cand_w, const std::uint64_t* out_w,
-                 const std::uint64_t* ok_w, std::size_t num_words) {
+ArcScan scan_arc(const std::uint64_t* tail_w, const std::uint64_t* held_w,
+                 const std::uint64_t* out_w, const std::uint64_t* ok_w,
+                 std::size_t num_words) {
   ArcScan r;
   for (std::size_t wi = 0; wi < num_words; ++wi) {
-    const std::uint64_t cw = cand_w[wi];
+    const std::uint64_t cw = tail_w[wi] & ~held_w[wi];
     r.cand_left |= cw;
     const std::uint64_t in_cap = cw & ok_w[wi];
     if (in_cap == 0) continue;
@@ -48,7 +51,7 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
   const auto universe = static_cast<std::size_t>(instance.num_tokens());
   const auto num_arcs = static_cast<std::size_t>(instance.graph().num_arcs());
   ranked_poss_.reset(n, universe);
-  candidates_.reset(num_arcs, universe);
+  held_.reset(n, universe);
   // outstanding_ stages the token-space wants for their one transpose;
   // every step overwrites it in rank space.
   outstanding_.reset(n, universe);
@@ -60,10 +63,10 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
   full_ = TokenSet::full(universe);
   wave_ok_ = TokenSet(universe);
   capped_ = TokenSet(universe);
-  active_.clear();
-  active_.reserve(num_arcs);
-  asleep_.assign(num_arcs, 0);
-  epoch_ = 0;
+  live_.clear();
+  live_.reserve(num_arcs);
+  awake_.clear();
+  awake_.reserve(num_arcs);
 }
 
 // Coordinated greedy over (arc, token) pairs.  Assignment proceeds in
@@ -76,10 +79,10 @@ void GlobalGreedyPolicy::reset(const core::Instance& instance,
 //
 // All per-step sets live in rank space (bit r = token at rarity rank r,
 // see ocd/util/rarity.hpp), so each pick is a first-set-bit over
-// `cand_words & wanted_words & wave_ok_words` instead of an O(universe)
-// scan of the rarity order.  Per-arc candidate sets are maintained
-// incrementally: granting a token to a vertex clears its bit from every
-// in-arc of that vertex.
+// `tail & ~held & wanted & wave_ok` words instead of an O(universe)
+// scan of the rarity order.  Candidates are kept per vertex, not per
+// arc: held[v] starts as v's ranked possession and gains each rank
+// granted to v, so one bit per grant updates every arc into v.
 //
 // Every working set lives in the policy's scratch members (sized in
 // reset(), overwritten in place here), so a steady-state step is
@@ -89,7 +92,6 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
   const Digraph& graph = view.graph();
   const util::TokenMatrix& possession = view.global_possession();
   const auto n = static_cast<std::size_t>(graph.num_vertices());
-  const auto num_arcs = static_cast<std::size_t>(graph.num_arcs());
   const auto universe = static_cast<std::size_t>(view.num_tokens());
   OCD_EXPECTS(&view.instance() == instance_);  // whose wants reset() took
 
@@ -98,19 +100,21 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
   ranker_.assign_by_rarity(view.aggregate_holders(), &rng_);
   ranker_.to_ranks_into(possession, ranked_poss_);
 
-  // Per-arc candidates (tail has, head lacks) and remaining capacity;
-  // the arcs that have both form the pick list, in arc-id order.
-  active_.clear();
-  for (std::size_t ai = 0; ai < num_arcs; ++ai) {
-    const auto a = static_cast<ArcId>(ai);
+  // The live list: arcs with capacity whose tail holds a rank the head
+  // lacks, in arc-id order.  No candidate row is written.
+  live_.clear();
+  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
+    const std::int32_t capacity = view.capacity(a);
+    if (capacity <= 0) continue;
     const Arc& arc = graph.arc(a);
-    MutableTokenSetView cand = candidates_.row(ai);
-    cand.assign(ranked_poss_.row(static_cast<std::size_t>(arc.from)));
-    cand -= ranked_poss_.row(static_cast<std::size_t>(arc.to));
-    remaining_[ai] = view.capacity(a);
-    if (remaining_[ai] > 0 && !cand.empty()) active_.push_back(a);
+    if (ranked_poss_.row(static_cast<std::size_t>(arc.from))
+            .is_subset_of(ranked_poss_.row(static_cast<std::size_t>(arc.to))))
+      continue;
+    remaining_[static_cast<std::size_t>(a)] = capacity;
+    live_.push_back(a);
   }
-  if (active_.empty()) return;
+  if (live_.empty()) return;
+  held_.copy_from(ranked_poss_);
 
   // Outstanding wants per vertex, fixed at step start: the want columns
   // read back in this step's rank order, less ranked possession.
@@ -127,105 +131,94 @@ void GlobalGreedyPolicy::plan_step(const sim::StepView& view,
   capped_.clear();
   std::int32_t wave = 0;
   std::size_t uncapped = universe;
-
-  // An arc whose candidates are all over the duplication cap cannot
-  // pick again until the cap relaxes (its candidate set and wave_ok only
-  // shrink within a wave), so it falls asleep: its stamp is set to the
-  // current epoch, and each pass skips it with one compare instead of a
-  // word scan.  A relaxation starts a new epoch, which wakes every arc
-  // at once; so does the start of a step.
-  const auto wake_all = [&] {
-    if (++epoch_ == 0) {  // wrapped: old stamps would read as asleep
-      std::fill(asleep_.begin(), asleep_.end(), 0);
-      epoch_ = 1;
-    }
-  };
   const auto relax = [&] {
     ++wave;
     wave_ok_ |= capped_;
     capped_.clear();
     uncapped = universe;
-    wake_all();
   };
-  wake_all();
 
-  // The live list is active_[first, size()).  A pass visits it in order
-  // and compacts the survivors forward.  It stops as soon as every rank
-  // is capped: no arc can pick before the next relaxation, so each scan
-  // left in the pass could only put an arc to sleep or find it
-  // exhausted.  The visited survivors then slide up against the
+  // Scans arc `a` and grants its pick, if any.  Returns whether the arc
+  // picked and kept capacity.  An arc left with no candidate gets
+  // remaining 0, so afterwards remaining > 0 means it stays live.
+  const std::size_t num_words = wave_ok_.words().size();
+  const std::uint64_t* ok_w = wave_ok_.words().data();
+  const auto visit = [&](ArcId a) {
+    const auto ai = static_cast<std::size_t>(a);
+    const Arc& arc = graph.arc(a);
+    const auto head = static_cast<std::size_t>(arc.to);
+    const ArcScan scan = scan_arc(
+        ranked_poss_.row(static_cast<std::size_t>(arc.from)).words_data(),
+        held_.row(head).words_data(), outstanding_.row(head).words_data(),
+        ok_w, num_words);
+    const TokenId pick = scan.wanted >= 0 ? scan.wanted : scan.flood;
+    if (pick < 0) {
+      // Candidates left means they are all capped: the arc sleeps until
+      // the next relaxation.  None left means it is done for good.
+      if (scan.cand_left == 0) remaining_[ai] = 0;
+      return false;
+    }
+    plan.send(a, ranker_.token_at(pick), universe);
+    if (++grant_count_[static_cast<std::size_t>(pick)] > wave) {
+      wave_ok_.reset(pick);
+      capped_.set(pick);
+      --uncapped;
+    }
+    // The head now holds (a grant of) this token: no arc into it may
+    // offer the token again this step.
+    held_.row(head).set(pick);
+    return --remaining_[ai] > 0;
+  };
+
+  // Each wave starts with a pass over the whole live list, in order,
+  // compacting the survivors forward.  An arc that finds only capped
+  // candidates cannot pick again until the cap relaxes (its candidates
+  // and wave_ok only shrink within a wave), so the wave's later passes
+  // visit only the awake list: the arcs that picked in the pass before
+  // and kept capacity.  Arcs that go dry there are dropped from the live
+  // list by the next wave's first pass.  Any pass stops as soon as every
+  // rank is capped: no arc can pick before the next relaxation.  A
+  // stopped first pass slides its visited survivors up against the
   // unvisited tail, and the list restarts after the gap, so the pass
-  // costs only the arcs it visited.  Arcs left with no candidates or no
-  // capacity leave the list when a pass next reaches them.
+  // costs only the arcs it visited.
   //
   // The schedule is the one a full rescan of every arc in every pass
   // would give: the list order never changes, and every skipped scan
-  // (a sleeping arc, the rest of a stopped pass, the all-asleep pass
-  // before a relaxation) could only have put an arc to sleep or dropped
-  // it, never picked.
-  const std::size_t num_words = wave_ok_.words().size();
-  const std::uint64_t* ok_w = wave_ok_.words().data();
+  // (an arc outside the awake list, the rest of a stopped pass) could
+  // only have found the arc asleep or dry, never picked.
   std::size_t first = 0;
-  while (first < active_.size()) {
-    const std::size_t end = active_.size();
-    const std::uint32_t epoch = epoch_;
+  while (first < live_.size()) {
+    const std::size_t end = live_.size();
     std::size_t kept = first;
     std::size_t p = first;
-    bool picker_kept_capacity = false;
+    awake_.clear();
     while (p < end) {
-      const ArcId a = active_[p++];
+      const ArcId a = live_[p++];
       const auto ai = static_cast<std::size_t>(a);
-      if (asleep_[ai] == epoch) {
-        active_[kept++] = a;
-        continue;
-      }
-      const Arc& arc = graph.arc(a);
-      const ArcScan scan = scan_arc(
-          candidates_.row(ai).words_data(),
-          outstanding_.row(static_cast<std::size_t>(arc.to)).words_data(),
-          ok_w, num_words);
-      const TokenId pick = scan.wanted >= 0 ? scan.wanted : scan.flood;
-
-      if (pick < 0) {
-        // Candidates left means they are all capped: sleep until the
-        // next relaxation.  None left means the arc is done for good.
-        if (scan.cand_left != 0) {
-          asleep_[ai] = epoch;
-          active_[kept++] = a;
-        }
-        continue;
-      }
-
-      plan.send(a, ranker_.token_at(pick), universe);
-      if (++grant_count_[static_cast<std::size_t>(pick)] > wave) {
-        wave_ok_.reset(pick);
-        capped_.set(pick);
-        --uncapped;
-      }
-      // The head now holds (a grant of) this token: no arc into it may
-      // offer the token again this step.
-      for (const ArcId b : graph.in_arcs(arc.to))
-        candidates_.row(static_cast<std::size_t>(b)).reset(pick);
-      if (--remaining_[ai] > 0) {
-        active_[kept++] = a;
-        picker_kept_capacity = true;
-      }
+      if (remaining_[ai] == 0) continue;  // went dry in a later pass
+      if (visit(a)) awake_.push_back(a);
+      if (remaining_[ai] > 0) live_[kept++] = a;
       if (uncapped == 0) break;
     }
-
     if (p < end) {
       if (kept < p) {
-        ArcId* list = active_.data();
+        ArcId* list = live_.data();
         std::move_backward(list + first, list + kept, list + p);
         first = p - (kept - first);
       }
     } else {
-      active_.resize(kept);
+      live_.resize(kept);
     }
-    // Relax once every rank is capped, or once no arc that picked in
-    // this pass kept capacity (every other listed arc is asleep): the
-    // next pass could not pick either way.
-    if (uncapped == 0 || !picker_kept_capacity) relax();
+
+    while (!awake_.empty() && uncapped > 0) {
+      std::size_t still = 0;
+      for (std::size_t i = 0; i < awake_.size() && uncapped > 0; ++i) {
+        const ArcId a = awake_[i];
+        if (visit(a)) awake_[still++] = a;
+      }
+      awake_.resize(still);
+    }
+    relax();
   }
 }
 

@@ -29,9 +29,8 @@ void RandomPolicy::plan_vertex(VertexId self, const sim::StepView& view,
   Rng rng(derive_seed(seed_, static_cast<std::uint64_t>(view.step()),
                       static_cast<std::uint64_t>(self)));
   for (ArcId arc_id : view.graph().out_arcs(self)) {
-    const Arc& arc = view.graph().arc(arc_id);
     useful_.assign(mine);
-    useful_ -= view.peer_possession(self, arc.to);
+    useful_ -= view.peer_across(self, arc_id);
     const auto available = useful_.count();
     if (available == 0) continue;
     const auto capacity = static_cast<std::size_t>(view.capacity(arc_id));

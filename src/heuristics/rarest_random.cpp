@@ -14,8 +14,9 @@ void RarestRandomPolicy::reset(const core::Instance& instance,
   for (VertexId v = 0; v < graph.num_vertices(); ++v)
     max_in_degree = std::max(max_in_degree, graph.in_arcs(v).size());
   requests_.reset(num_arcs, universe);
+  requested_ = TokenSet(num_arcs);
   offered_.reset(max_in_degree, universe);
-  budget_.assign(num_arcs, 0);
+  budget_.assign(max_in_degree, 0);
   live_.clear();
   live_.reserve(max_in_degree);
   live_offers_ = TokenSet(universe);
@@ -24,8 +25,6 @@ void RarestRandomPolicy::reset(const core::Instance& instance,
 }
 
 void RarestRandomPolicy::begin_plan(const sim::StepView& view) {
-  const Digraph& graph = view.graph();
-
   // Global priority order shared by all vertices this step (both
   // aggregates are distributed to everyone, §5.1): tokens somebody still
   // needs come first, rarest first within each class, random tie-break.
@@ -38,41 +37,37 @@ void RarestRandomPolicy::begin_plan(const sim::StepView& view) {
   // lockstep with the single-process run.
   ranker_.assign_by_need_then_rarity(view.aggregate_holders(),
                                      view.aggregate_need(), &rng_);
-
-  requests_.clear();
-  for (ArcId a = 0; a < graph.num_arcs(); ++a)
-    budget_[static_cast<std::size_t>(a)] = view.capacity(a);
 }
 
 // Pass 1 for one receiver: subdivide its lacking tokens into per-arc
 // requests.  Touches only v's in-arc budgets and request rows, so
 // receivers can be planned in any grouping without changing the result.
 void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
-  const Digraph& graph = view.graph();
   const TokenSetView mine = view.own_possession(v);
-  const auto in_arcs = graph.in_arcs(v);
-  const auto budget_of = [&](std::size_t k) -> std::int32_t& {
-    return budget_[static_cast<std::size_t>(in_arcs[k])];
-  };
+  // Every offer is `peer - mine`, so a receiver holding the whole
+  // universe has none.  A merely satisfied one still takes floods.
+  if (mine.count() == mine.universe_size()) return;
+  const auto in_arcs = view.graph().in_arcs(v);
 
   // The live in-arcs: budget left and something offered (per the stale
   // peer view), by budget descending, then in-arc index ascending.  A
   // token goes to the first live arc that offers it: the largest
   // remaining budget (balances load across peers), ties to the lowest
-  // index.  Insertion keeps the order without allocating.
+  // index.  Insertion keeps the order without allocating.  Budgets are
+  // indexed by in-arc and seeded here: no other receiver spends them.
   live_.clear();
   live_offers_.clear();
   for (std::size_t k = 0; k < in_arcs.size(); ++k) {
-    const std::int32_t budget = budget_of(k);
+    const std::int32_t budget = budget_[k] = view.capacity(in_arcs[k]);
     if (budget <= 0) continue;
     const MutableTokenSetView tokens = offered_.row(k);
-    tokens.assign(view.peer_possession(v, graph.arc(in_arcs[k]).from));
+    tokens.assign(view.peer_across(v, in_arcs[k]));
     tokens -= mine;
     if (tokens.empty()) continue;
     live_offers_ |= tokens;
     live_.push_back(k);
     for (std::size_t i = live_.size() - 1;
-         i > 0 && budget_of(live_[i - 1]) < budget; --i)
+         i > 0 && budget_[live_[i - 1]] < budget; --i)
       std::swap(live_[i - 1], live_[i]);
   }
 
@@ -98,7 +93,8 @@ void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
       while (!offered_.row(live_[i]).test(t)) ++i;
       const std::size_t k = live_[i];
       requests_.row(static_cast<std::size_t>(in_arcs[k])).set(t);
-      const std::int32_t budget = --budget_of(k);
+      requested_.set(in_arcs[k]);
+      const std::int32_t budget = --budget_[k];
       if (budget == 0) {
         live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
         live_offers_.clear();
@@ -108,7 +104,7 @@ void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
       // Sink the arc past the arcs that now outrank it.
       for (; i + 1 < live_.size(); ++i) {
         const std::size_t after = live_[i + 1];
-        const std::int32_t b = budget_of(after);
+        const std::int32_t b = budget_[after];
         if (b < budget || (b == budget && after > k)) break;
         std::swap(live_[i], live_[i + 1]);
       }
@@ -117,19 +113,18 @@ void RarestRandomPolicy::plan_receiver(VertexId v, const sim::StepView& view) {
 }
 
 // Pass 2 — senders fulfil requests (token presence is guaranteed:
-// the stale view is a subset of current possession).  Arc-ascending,
-// so disjoint per-shard plans merge back into the plan_step order.
-void RarestRandomPolicy::emit_requests(const sim::StepView& view,
-                                       sim::StepPlan& plan) {
-  const Digraph& graph = view.graph();
-  bool sent = false;
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const TokenSetView request = requests_.row(static_cast<std::size_t>(a));
-    if (!request.empty()) {
-      plan.send(a, request);
-      sent = true;
-    }
-  }
+// the stale view is a subset of current possession).  Only the marked
+// arcs, arc-ascending, so disjoint per-shard plans merge back into the
+// plan_step order; each row and mark is zeroed for the next step.
+void RarestRandomPolicy::emit_requests(sim::StepPlan& plan) {
+  requested_.for_each([&](ArcId a) {
+    const MutableTokenSetView request =
+        requests_.row(static_cast<std::size_t>(a));
+    plan.send(a, request);
+    request.clear();
+  });
+  const bool sent = requested_.any();
+  requested_.clear();
   // No requests can be a legitimate wait: with stale peer knowledge the
   // offers lag behind reality, and progress resumes once the aggregate
   // snapshots age forward.
@@ -144,7 +139,7 @@ void RarestRandomPolicy::plan_step(const sim::StepView& view,
   begin_plan(view);
   for (VertexId v = 0; v < view.graph().num_vertices(); ++v)
     plan_receiver(v, view);
-  emit_requests(view, plan);
+  emit_requests(plan);
 }
 
 void RarestRandomPolicy::plan_shard(const sim::StepView& view,
@@ -152,7 +147,7 @@ void RarestRandomPolicy::plan_shard(const sim::StepView& view,
                                     std::span<const VertexId> owned) {
   begin_plan(view);
   for (VertexId v : owned) plan_receiver(v, view);
-  emit_requests(view, plan);
+  emit_requests(plan);
 }
 
 }  // namespace ocd::heuristics

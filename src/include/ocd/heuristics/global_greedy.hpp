@@ -15,6 +15,14 @@
 // work per held token.  Wants are fixed for a run, so reset()
 // transposes them into token columns once; a step reads those columns
 // back in the step's rank order and subtracts ranked possession.
+//
+// Planner state is per vertex, not per arc: an arc's candidates are
+// read as `ranked[tail] & ~held[head]`, where `held` starts as ranked
+// possession and a grant sets one bit in its head's row.  Each wave's
+// first pass visits every live arc; its later passes visit only the
+// awake list, the arcs that picked in the pass before and kept
+// capacity, so an arc whose candidates are all capped costs nothing
+// until the next wave.
 #pragma once
 
 #include <cstdint>
@@ -48,19 +56,15 @@ class GlobalGreedyPolicy final : public sim::Policy {
   // step so steady-state planning does not allocate.
   RarityRanker ranker_;
   util::TokenMatrix ranked_poss_;   ///< per-vertex possession, rank space
-  util::TokenMatrix candidates_;    ///< per-arc (tail has, head lacks)
+  util::TokenMatrix held_;  ///< ranked possession plus this step's grants
   util::TokenMatrix outstanding_;   ///< per-vertex wants still missing
-  std::vector<std::int32_t> remaining_;
+  std::vector<std::int32_t> remaining_;  ///< per-arc capacity left
   std::vector<std::int32_t> grant_count_;
   TokenSet full_;     ///< all-ones mask, built once per reset
   TokenSet wave_ok_;  ///< ranks whose grant count is still <= wave
   TokenSet capped_;
-  std::vector<ArcId> active_;
-  /// Per arc, the epoch in which it fell asleep: an arc sleeps while
-  /// its stamp equals `epoch_`, so a relaxation wakes every arc by
-  /// bumping the epoch instead of writing to each of them.
-  std::vector<std::uint32_t> asleep_;
-  std::uint32_t epoch_ = 0;
+  std::vector<ArcId> live_;   ///< arcs that may still pick, arc-id order
+  std::vector<ArcId> awake_;  ///< arcs to visit in a wave's next pass
 };
 
 }  // namespace ocd::heuristics

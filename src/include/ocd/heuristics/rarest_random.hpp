@@ -25,6 +25,13 @@
 // receiver is done once the list is empty.  Only the offers are moved
 // into rank space: the wanted ones first, the flood ones only if some
 // budget is left.
+//
+// A plan call costs its receivers' in-arcs, not the whole arc set: a
+// receiver seeds its in-arc budgets from the step's capacities as it
+// lists them, returns at once when it holds every token, and marks each
+// arc it requests on in a bitset over arc ids, which emission walks in
+// ascending id.  A shard's plan call therefore costs the receivers it
+// owns plus one word per 64 arcs.
 #pragma once
 
 #include <vector>
@@ -47,8 +54,8 @@ class RarestRandomPolicy final : public sim::Policy {
   /// Sharded entry point: identical per-receiver decisions restricted
   /// to the owned vertices.  Bit-identity with plan_step holds because
   /// (a) the shared rank order consumes exactly one shuffle per step on
-  /// every shard, (b) a receiver's request subdivision reads and writes
-  /// only its own in-arc budgets/rows (in-arc sets of distinct
+  /// every shard, (b) a receiver's request subdivision seeds, reads and
+  /// writes only its own in-arc budgets/rows (in-arc sets of distinct
   /// receivers are disjoint), and (c) emission is arc-ascending, so
   /// disjoint per-shard plans merge back into plan_step's order.
   void plan_shard(const sim::StepView& view, sim::StepPlan& plan,
@@ -58,18 +65,20 @@ class RarestRandomPolicy final : public sim::Policy {
   /// Pass-1 body for one receiver: subdivide the tokens `v` lacks into
   /// per-in-arc request rows, spending the arcs' budgets.
   void plan_receiver(VertexId v, const sim::StepView& view);
-  /// Shared per-step prologue (rank order + request/budget reset) and
-  /// epilogue (arc-ascending emission, idle mark).
+  /// Shared per-step prologue (the rank order) and epilogue (emission
+  /// of the marked arcs in ascending id, idle mark).
   void begin_plan(const sim::StepView& view);
-  void emit_requests(const sim::StepView& view, sim::StepPlan& plan);
+  void emit_requests(sim::StepPlan& plan);
 
   Rng rng_{1};
   // Planner scratch, sized once in reset() and rewritten in place each
   // step so steady-state planning does not allocate.
   RarityRanker ranker_;
-  util::TokenMatrix requests_;  ///< per-arc request sets
+  util::TokenMatrix requests_;  ///< per-arc request sets, zero unless marked
+  /// The arcs with a request this step: a bitset over arc ids.
+  TokenSet requested_;
   util::TokenMatrix offered_;   ///< per-in-arc offers (max in-degree rows)
-  std::vector<std::int32_t> budget_;
+  std::vector<std::int32_t> budget_;  ///< per-in-arc budgets, one receiver
   /// The receiver's live in-arc indices (into offered_), pick order.
   std::vector<std::size_t> live_;
   TokenSet live_offers_;  ///< union of the live arcs' offers

@@ -21,7 +21,10 @@
 //   * Local planners (round-robin, random, local): per-vertex planning
 //     is independent (Policy::plan_shard's contract), and all
 //     randomness is derived per-(step, coordinate) rather than drawn
-//     from execution-order-dependent streams (util::derive_seed).
+//     from execution-order-dependent streams (util::derive_seed).  A
+//     shard's plan call costs the vertices it owns: their out-arcs, or
+//     for local their in-arcs plus one word per 64 arcs of request
+//     marks, with no sweep of the whole arc set.
 //
 //   * The coordinated planner (bandwidth): each shard runs the relay
 //     election over its slice of 64-token words (a word pass over every

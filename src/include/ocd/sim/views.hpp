@@ -4,7 +4,9 @@
 // whose accessors *runtime-check* that the declared class permits the
 // query.  A policy peeking beyond its class trips a contract violation,
 // which the test suite exercises — this keeps the LOCD locality claims
-// of §4.1 honest rather than merely conventional.
+// of §4.1 honest rather than merely conventional.  A peer read names
+// the arc it crosses: the arc is the adjacency the LOCD model requires,
+// so checking it is O(1).
 #pragma once
 
 #include <cstdint>
@@ -68,10 +70,14 @@ class StepView {
   [[nodiscard]] const TokenSet& own_want(VertexId v) const;
 
   // ---- kLocalPeers ---------------------------------------------------
-  /// Neighbor's possession as known this step (staleness applied).
-  /// `neighbor` must share an arc with `self` in either direction.
-  [[nodiscard]] TokenSetView peer_possession(VertexId self,
-                                             VertexId neighbor) const;
+  /// Possession of the vertex at the other end of `arc` from `self`, as
+  /// known this step (staleness applied).  `arc` must be a valid arc id
+  /// with `self` as one of its endpoints: the arc witnesses the
+  /// adjacency LOCD requires, so the lookup is O(1).  Not an overload
+  /// of a neighbor-keyed read: VertexId and ArcId are both
+  /// std::int32_t, so such an overload would silently take one key for
+  /// the other.
+  [[nodiscard]] TokenSetView peer_across(VertexId self, ArcId arc) const;
 
   // ---- kLocalAggregate -----------------------------------------------
   [[nodiscard]] std::span<const std::int32_t> aggregate_holders() const;

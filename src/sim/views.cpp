@@ -54,12 +54,12 @@ const TokenSet& StepView::own_want(VertexId v) const {
   return instance_.want(v);
 }
 
-TokenSetView StepView::peer_possession(VertexId self,
-                                       VertexId neighbor) const {
+TokenSetView StepView::peer_across(VertexId self, ArcId arc) const {
   require(KnowledgeClass::kLocalPeers);
-  OCD_EXPECTS(instance_.graph().has_arc(self, neighbor) ||
-              instance_.graph().has_arc(neighbor, self));
-  return stale_possession_.row(static_cast<std::size_t>(neighbor));
+  const Arc& a = instance_.graph().arc(arc);  // range-checked
+  OCD_EXPECTS(self == a.from || self == a.to);
+  const VertexId peer = self == a.from ? a.to : a.from;
+  return stale_possession_.row(static_cast<std::size_t>(peer));
 }
 
 std::span<const std::int32_t> StepView::aggregate_holders() const {

@@ -145,7 +145,7 @@ void ReferenceReliableAdapter::plan_step(const StepView& view,
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     const auto [arc, token] = it->first;
     const Arc& a = view.graph().arc(arc);
-    if (view.peer_possession(a.from, a.to).test(token)) {
+    if (view.peer_across(a.from, arc).test(token)) {
       it = inflight_.erase(it);
     } else {
       ++it;

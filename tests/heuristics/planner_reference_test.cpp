@@ -1,10 +1,11 @@
 // Differential test: the rank-space planner kernels against verbatim
 // copies of the pre-kernel ("seed") implementations.  The rewritten
-// GlobalGreedyPolicy (word-parallel picks, incremental candidate sets,
-// wave mask, and a wave loop that sleeps arcs under epoch stamps, ends
-// a pass once every rank is capped and compacts its list behind a
-// moving start) and the refactored rarest-random / bandwidth pickers
-// must produce bit-identical RunResults — success, steps, bandwidth,
+// GlobalGreedyPolicy (word-parallel picks, per-vertex held rows that a
+// grant updates for every arc into its head, wave mask, and a wave loop
+// whose later passes visit only the awake list, which ends a pass once
+// every rank is capped and compacts its list behind a moving start)
+// and the refactored rarest-random / bandwidth pickers must produce
+// bit-identical RunResults — success, steps, bandwidth,
 // useful/redundant split, per-step moves, completion steps, upload
 // counts, and the full recorded schedule — across policies, seeds and
 // staleness levels.  GlobalWaveLoopFuzz drives the wave loop through
@@ -15,7 +16,8 @@
 // across 64-vertex block edges and under loss, where its grouping of
 // tokens by frontier column shares one BFS among many tokens.
 // LocalRequestFuzz runs rarest-random's live-arc request loop over the
-// same cases, one of which ties every in-arc budget.
+// same cases, one of which ties every in-arc budget, and over the wave
+// loop's few-token broadcasts, where receivers soon hold every token.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,7 +180,7 @@ class ReferenceRarestRandom final : public sim::Policy {
       offered.reserve(in_arcs.size());
       bool anything = false;
       for (ArcId a : in_arcs) {
-        TokenSet tokens(view.peer_possession(v, graph.arc(a).from));
+        TokenSet tokens(view.peer_across(v, a));
         tokens -= mine;
         anything = anything || !tokens.empty();
         offered.push_back(std::move(tokens));
@@ -486,9 +488,9 @@ TEST(PlannerReference, MaxStepsExhaustion) {
 }
 
 // ---------------------------------------------------------------------
-// Wave-loop fuzz: GlobalGreedyPolicy's sleep epochs, early stop and
-// list compaction against ReferenceGlobalGreedy, in the regimes the
-// fixed instances above are too small to reach.
+// Wave-loop fuzz: GlobalGreedyPolicy's held rows, awake list, early
+// stop and list compaction against ReferenceGlobalGreedy, in the
+// regimes the fixed instances above are too small to reach.
 // ---------------------------------------------------------------------
 
 struct FuzzCase {
@@ -554,6 +556,17 @@ std::vector<FuzzCase> wave_loop_fuzz_cases(std::uint64_t seed) {
   return out;
 }
 
+/// `cases` followed by a copy of each under 10% uniform loss.
+std::vector<FuzzCase> with_lossy_copies(std::vector<FuzzCase> cases) {
+  std::vector<FuzzCase> lossy = cases;
+  for (FuzzCase& fc : lossy) {
+    fc.label += "/loss";
+    fc.loss_rate = 0.1;
+  }
+  cases.insert(cases.end(), lossy.begin(), lossy.end());
+  return cases;
+}
+
 /// Runs `reused` against a fresh `Reference` on every case, without and
 /// with link churn, at staleness 0 and at 2 with stale aggregates.
 template <typename Reference>
@@ -588,8 +601,9 @@ void expect_fuzz_matches_reference(
 }
 
 TEST(PlannerReference, GlobalWaveLoopFuzz) {
-  // One policy object serves every run, so a sleep stamp leaking from
-  // one run into the next would show up as a diverging schedule.
+  // One policy object serves every run, so a held row, remaining
+  // capacity or awake entry leaking from one step or run into the next
+  // would show up as a diverging schedule.
   auto reused = make_policy("global");
   for (const std::uint64_t seed : {0x6f63'6401ULL, 0x6f63'6402ULL}) {
     expect_fuzz_matches_reference<ReferenceGlobalGreedy>(
@@ -691,13 +705,7 @@ std::vector<FuzzCase> election_fuzz_cases(std::uint64_t seed) {
     out.push_back({"ties", core::subdivided_files_random_senders(
                                std::move(g), 96, 3, rng)});
   }
-  std::vector<FuzzCase> lossy = out;
-  for (FuzzCase& fc : lossy) {
-    fc.label += "/loss";
-    fc.loss_rate = 0.1;
-  }
-  out.insert(out.end(), lossy.begin(), lossy.end());
-  return out;
+  return with_lossy_copies(std::move(out));
 }
 
 TEST(PlannerReference, BandwidthElectionFuzz) {
@@ -715,19 +723,29 @@ TEST(PlannerReference, BandwidthElectionFuzz) {
 TEST(PlannerReference, LocalRequestFuzz) {
   // The election cases drive local's live-arc request loop through
   // multi-word universes, file swarms, arcs at capacity 0 under churn,
-  // loss and, in the tie case, equal budgets.  One policy object serves
-  // every run, so scratch sized for one receiver, universe or graph and
-  // reused on the next would show up as a diverging schedule.
+  // loss and, in the tie case, equal budgets.  The wave-loop cases add
+  // 1- and 8-token sparse broadcasts, where receivers soon hold every
+  // token and return before listing their in-arcs.  One policy object
+  // serves every run, so scratch sized for one receiver, universe or
+  // graph, or a request row or mark left from one step, and reused on
+  // the next would show up as a diverging schedule.
   auto reused = make_policy("local");
   for (const std::uint64_t seed : {0x6f63'6411ULL, 0x6f63'6412ULL}) {
     expect_fuzz_matches_reference<ReferenceRarestRandom>(
         *reused, election_fuzz_cases(seed), seed, /*max_steps=*/300);
   }
+  for (const std::uint64_t seed : {0x6f63'6401ULL, 0x6f63'6402ULL}) {
+    expect_fuzz_matches_reference<ReferenceRarestRandom>(
+        *reused, with_lossy_copies(wave_loop_fuzz_cases(seed)), seed,
+        /*max_steps=*/300);
+  }
 }
 
 TEST(PlannerReference, GlobalReusedPolicyMatchesFreshPolicy) {
-  // reset() must clear the sleep stamps with the epoch: a stamp left
-  // from the first run would put arcs to sleep in the second.
+  // The reused policy enters the second run holding the first run's
+  // held rows, remaining capacities and live and awake lists; every
+  // step must rebuild them from its own state, or the first run's
+  // grants and arcs would leak into the second.
   Rng rng(71);
   Digraph g = topology::sparse_random_overlay(300, 8.0, rng);
   const auto inst = core::single_source_all_receivers(std::move(g), 8, 0);

@@ -146,17 +146,18 @@ TEST(StepView, AccessorsGatedByKnowledgeClass) {
                        KnowledgeClass::kLocalOnly, 0);
   EXPECT_NO_THROW((void)local.own_possession(0));
   EXPECT_NO_THROW((void)local.own_want(1));
-  EXPECT_THROW((void)local.peer_possession(0, 1), ContractViolation);
+  EXPECT_THROW((void)local.peer_across(0, 0), ContractViolation);
   EXPECT_THROW((void)local.aggregate_need(), ContractViolation);
   EXPECT_THROW((void)local.global_possession(), ContractViolation);
 
   const StepView peers(inst, possession, possession, &agg,
                        KnowledgeClass::kLocalPeers, 0);
-  EXPECT_NO_THROW((void)peers.peer_possession(0, 1));
+  EXPECT_NO_THROW((void)peers.peer_across(0, 0));
   EXPECT_THROW((void)peers.aggregate_holders(), ContractViolation);
 
   const StepView aggregate(inst, possession, possession, &agg,
                            KnowledgeClass::kLocalAggregate, 0);
+  EXPECT_NO_THROW((void)aggregate.peer_across(1, 0));
   EXPECT_NO_THROW((void)aggregate.aggregate_holders());
   EXPECT_THROW((void)aggregate.instance(), ContractViolation);
 
@@ -179,17 +180,38 @@ TEST(StepView, NullAggregatesTripOnAccessNotConstruction) {
 }
 
 TEST(StepView, PeerAccessRequiresAdjacency) {
+  // The arc is the adjacency: either endpoint reads the other's stale
+  // row across it, no other vertex may name it, and an arc id out of
+  // range is refused rather than read.
   Digraph g(3);
-  g.add_arc(0, 1, 1);  // 2 is isolated from 0
-  core::Instance inst(std::move(g), 1);
+  const ArcId a01 = g.add_arc(0, 1, 1);
+  const ArcId a12 = g.add_arc(1, 2, 1);  // 2 is not adjacent to 0
+  core::Instance inst(std::move(g), 8);
   util::TokenMatrix possession;
-  possession.reset(3, 1);
-  const Aggregates agg = compute_aggregates(inst, possession);
-  const StepView view(inst, possession, possession, &agg,
+  possession.reset(3, 8);
+  util::TokenMatrix stale;
+  stale.reset(3, 8);
+  for (std::size_t v = 0; v < 3; ++v) {
+    possession.row(v).set(static_cast<TokenId>(v));
+    possession.row(v).set(static_cast<TokenId>(v + 4));
+    stale.row(v).set(static_cast<TokenId>(v));  // one step behind
+  }
+  const StepView view(inst, possession, stale, nullptr,
                       KnowledgeClass::kLocalPeers, 0);
-  EXPECT_NO_THROW((void)view.peer_possession(0, 1));
-  EXPECT_NO_THROW((void)view.peer_possession(1, 0));  // reverse direction ok
-  EXPECT_THROW((void)view.peer_possession(0, 2), ContractViolation);
+  EXPECT_EQ(view.peer_across(0, a01), stale.row(1));
+  EXPECT_EQ(view.peer_across(1, a01), stale.row(0));  // head reads tail
+  EXPECT_EQ(view.peer_across(1, a12), stale.row(2));
+  EXPECT_EQ(view.peer_across(2, a12), stale.row(1));
+  EXPECT_THROW((void)view.peer_across(0, a12), ContractViolation);
+  EXPECT_THROW((void)view.peer_across(2, a01), ContractViolation);
+  EXPECT_THROW((void)view.peer_across(0, -1), ContractViolation);
+  EXPECT_THROW((void)view.peer_across(1, inst.graph().num_arcs()),
+               ContractViolation);
+
+  const StepView local(inst, possession, stale, nullptr,
+                       KnowledgeClass::kLocalOnly, 0);
+  EXPECT_THROW((void)local.peer_across(0, a01), ContractViolation);
+  EXPECT_THROW((void)local.peer_across(1, a01), ContractViolation);
 }
 
 TEST(StepView, ToStringOfKnowledgeClasses) {
