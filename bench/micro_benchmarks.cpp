@@ -366,6 +366,31 @@ core::Instance planner_instance(Shape shape, std::int32_t n,
                                            tokens, 0);
 }
 
+// Instance build: topology plus scenario, the work perfbench's setup_s
+// times.  sparse/800/8 is perfbench sparse-broadcast's instance shape
+// and sparse/20000/8 fig_shard's; dense/200/512 and swarm/300/512 are
+// dense-broadcast's and lossy-swarm's.  Every iteration builds the
+// same instance from the shape's seed, as a perfbench pass does.
+void BM_BuildInstance(benchmark::State& state, Shape shape) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto tokens = static_cast<std::int32_t>(state.range(1));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(planner_instance(shape, n, tokens));
+}
+BENCHMARK_CAPTURE(BM_BuildInstance, sparse, Shape::kSparse)
+    ->Args({800, 8})
+    ->Args({20000, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BuildInstance, dense, Shape::kDense)
+    ->Args({200, 512})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BuildInstance, swarm, Shape::kSwarm)
+    ->Args({300, 512})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name,
                            Shape shape) {
   const auto inst =

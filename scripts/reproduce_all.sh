@@ -53,12 +53,12 @@ for bench in build-bench/bench/*; do
   "$bench" | tee "results/${name}.txt"
 done
 
-# Recorded simulator-step, planner-kernel, token-kernel, and
-# shard-step micro-benchmarks: human-readable console output plus a
+# Recorded simulator-step, planner-kernel, token-kernel, shard-step
+# and instance-build micro-benchmarks: human-readable console output plus a
 # machine-readable snapshot for scripts/compare_bench.py.
-echo "== micro_benchmarks (recording + planner + token kernels + shard steps) =="
+echo "== micro_benchmarks (recording + planner + token kernels + shard steps + instance build) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep' \
+  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|BuildInstance' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
@@ -77,7 +77,9 @@ build-bench/bench/micro_benchmarks \
 # `local+reliable` under the same loss on lossy-swarm's 300-vertex
 # file-swarm shape, and both rank
 # conversions (per-row scatter and bit-block transpose) at 300x512 and
-# 20000x8 — so a silently dropped benchmark cannot pass unnoticed (a
+# 20000x8, and the instance build (topology plus scenario) on the
+# sparse overlay at perfbench's 800 and fig_shard's 20k vertices — so a
+# silently dropped benchmark cannot pass unnoticed (a
 # baseline recorded before a row existed fails that --require).  The
 # /shards:N gates are --require-any:
 # --allow-undersized-host keeps this gate usable on small CI boxes,
@@ -114,6 +116,8 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require 'RankRows/per_row/20000/8' \
     --require 'RankRows/matrix/300/512' \
     --require 'RankRows/matrix/20000/8' \
+    --require 'BuildInstance/sparse/800/8' \
+    --require 'BuildInstance/sparse/20000/8' \
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \

@@ -1,28 +1,29 @@
 #include "ocd/graph/algorithms.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace ocd {
 
 namespace {
 
 // Generic BFS over an adjacency accessor: next(v) yields neighbor ids.
+// Each vertex enters the FIFO at most once, so one vector of capacity n
+// holds it (a std::queue would allocate a block per 128 vertices).
 template <typename NextFn>
 std::vector<std::int32_t> bfs(std::int32_t n, VertexId source, NextFn&& next) {
   std::vector<std::int32_t> dist(static_cast<std::size_t>(n), kUnreachable);
-  std::queue<VertexId> frontier;
+  std::vector<VertexId> fifo;
+  fifo.reserve(static_cast<std::size_t>(n));
   dist[static_cast<std::size_t>(source)] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const VertexId u = frontier.front();
-    frontier.pop();
+  fifo.push_back(source);
+  for (std::size_t head = 0; head < fifo.size(); ++head) {
+    const VertexId u = fifo[head];
     const std::int32_t du = dist[static_cast<std::size_t>(u)];
     next(u, [&](VertexId v) {
       auto& dv = dist[static_cast<std::size_t>(v)];
       if (dv == kUnreachable) {
         dv = du + 1;
-        frontier.push(v);
+        fifo.push_back(v);
       }
     });
   }

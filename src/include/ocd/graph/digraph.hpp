@@ -4,6 +4,28 @@
 // graph whose arc weights are capacities (tokens per timestep).  Arcs are
 // identified by dense ArcIds so per-arc simulator state (send sets,
 // round-robin cursors, plans) lives in flat vectors.
+//
+// Adjacency has one form, CSR (compressed sparse row): per direction,
+// an offset per vertex into one flat array of arc ids, each vertex's
+// slice listing its arcs in insertion order.  finalize() lays it out in
+// one counting-sort pass over the arcs.  Duplicate lookups (find_arc,
+// and through it add_arc's simplicity check) never read the CSR: they
+// walk a per-tail chain threaded through the arc ids, 4 bytes per
+// vertex and 4 per arc, so building a graph allocates nothing per
+// vertex.
+//
+// Two rules come with the lazily built CSR:
+//  * A stale graph (arcs added since the last finalize()) rebuilds the
+//    CSR on its next out_arcs / in_arcs call, so those const accessors
+//    write the graph's adjacency cache.  Only the one thread adding
+//    arcs may read a stale graph; concurrent readers need a finalized
+//    one.  Every topology generator returns its graph finalized, and
+//    core::Instance finalizes the graph it owns.
+//  * Interleaving add_arc with adjacency reads on one graph rebuilds
+//    the whole CSR at the first read after each add.  Add all arcs first,
+//    then read (reading a different graph meanwhile is fine, as the
+//    physical projection reads the physical graph while it adds arcs
+//    to the overlay).
 #pragma once
 
 #include <cstdint>
@@ -50,27 +72,24 @@ class Digraph {
     return arcs_[static_cast<std::size_t>(id)];
   }
 
-  /// Id of arc (from, to), or -1 when absent.  O(out-degree).
+  /// Id of arc (from, to), or -1 when absent.  Walks from's lookup
+  /// chain: O(out-degree), stale or finalized alike.
   [[nodiscard]] ArcId find_arc(VertexId from, VertexId to) const;
 
   [[nodiscard]] bool has_arc(VertexId from, VertexId to) const {
     return find_arc(from, to) >= 0;
   }
 
-  /// Ids of arcs leaving / entering v.  After finalize() these are
-  /// slices of one contiguous CSR array, so iterating all vertices in
-  /// order walks memory linearly.
+  /// Ids of arcs leaving / entering v, in insertion order: slices of
+  /// one contiguous CSR array, so iterating all vertices in order walks
+  /// memory linearly.  On a stale graph the call first rebuilds the CSR
+  /// (see the rules at the top of this file).
   [[nodiscard]] std::span<const ArcId> out_arcs(VertexId v) const;
   [[nodiscard]] std::span<const ArcId> in_arcs(VertexId v) const;
 
-  /// Builds the CSR (compressed sparse row) adjacency arrays: flat
-  /// out/in offset + arc-id vectors in vertex order, preserving each
-  /// vertex's arc insertion order, so planner iteration over
-  /// out_arcs/in_arcs touches contiguous memory.  Idempotent; adding a
-  /// new arc afterwards invalidates the CSR form (accessors fall back
-  /// to the per-vertex lists until finalize() is called again).
-  /// Instance finalizes its graph eagerly at construction, so the
-  /// simulator hot path always sees CSR adjacency.
+  /// Lays out the CSR arrays if arcs were added since the last call;
+  /// idempotent.  Call it once the last arc is in, before the graph is
+  /// shared between threads.
   void finalize();
   [[nodiscard]] bool finalized() const noexcept { return csr_valid_; }
 
@@ -90,19 +109,25 @@ class Digraph {
   [[nodiscard]] const std::vector<Arc>& arcs() const noexcept { return arcs_; }
 
  private:
+  /// Appends an arc the caller has checked; no lookup.
+  ArcId append_arc(VertexId from, VertexId to, std::int32_t capacity);
+  /// Counting sort of the arc ids by tail and by head into the CSR.
+  void build_csr() const;
+
   std::int32_t num_vertices_ = 0;
   std::vector<Arc> arcs_;
-  // Per-vertex lists, maintained incrementally during construction so
-  // add_arc's simplicity check (find_arc) stays O(out-degree).
-  std::vector<std::vector<ArcId>> out_;
-  std::vector<std::vector<ArcId>> in_;
-  // CSR form built by finalize(): offsets_[v]..offsets_[v+1] slices the
-  // flat arc-id array for vertex v.
-  bool csr_valid_ = false;
-  std::vector<std::int32_t> out_offsets_;
-  std::vector<std::int32_t> in_offsets_;
-  std::vector<ArcId> out_csr_;
-  std::vector<ArcId> in_csr_;
+  // find_arc's lookup chain: out_head_[v] is v's most recently added
+  // out-arc (-1 when none) and next_out_[a] the out-arc of the same
+  // tail added before a (-1 at the end).
+  std::vector<ArcId> out_head_;
+  std::vector<ArcId> next_out_;
+  // The CSR, a cache over arcs_: out_offsets_[v]..out_offsets_[v+1]
+  // slices out_csr_ for vertex v, likewise in_*.  Valid iff csr_valid_.
+  mutable bool csr_valid_ = false;
+  mutable std::vector<std::int32_t> out_offsets_;
+  mutable std::vector<std::int32_t> in_offsets_;
+  mutable std::vector<ArcId> out_csr_;
+  mutable std::vector<ArcId> in_csr_;
 };
 
 }  // namespace ocd

@@ -117,6 +117,7 @@ OverlayProjection project_overlay(const PhysicalOptions& opt, Rng& rng) {
     projection.groups.push_back(std::move(group));
   }
 
+  projection.overlay.finalize();
   OCD_ENSURES(is_strongly_connected(projection.overlay));
   return projection;
 }

@@ -19,11 +19,42 @@ std::int32_t draw_capacity(const CapacityRange& range, Rng& rng) {
   return static_cast<std::int32_t>(rng.uniform_int(range.lo, range.hi));
 }
 
-/// Adds arcs u->v and v->u with independent capacities, merging if present.
+/// Adds arcs u->v and v->u with independent capacities.  Only for a
+/// pair that has neither arc yet: the samplers visit each unordered pair
+/// once, before any other arc exists, so add_arc's own duplicate check
+/// is the one lookup per arc.
+void add_pair(Digraph& g, VertexId u, VertexId v, const CapacityRange& range,
+              Rng& rng) {
+  g.add_arc(u, v, draw_capacity(range, rng));
+  g.add_arc(v, u, draw_capacity(range, rng));
+}
+
+/// Adds arcs u->v and v->u with independent capacities, skipping (and
+/// drawing no capacity for) an arc already present.
 void add_bidirectional(Digraph& g, VertexId u, VertexId v,
                        const CapacityRange& range, Rng& rng) {
   if (!g.has_arc(u, v)) g.add_arc(u, v, draw_capacity(range, rng));
   if (!g.has_arc(v, u)) g.add_arc(v, u, draw_capacity(range, rng));
+}
+
+/// Joins a disconnected sample with a random Hamiltonian cycle backbone
+/// (when options.force_connected) and finalizes the graph: keeps degree
+/// growth O(1) and guarantees strong connectivity without biasing toward
+/// any hub.
+void connect_and_finalize(Digraph& g, const RandomGraphOptions& options,
+                          Rng& rng) {
+  if (options.force_connected && !is_strongly_connected(g)) {
+    const std::int32_t n = g.num_vertices();
+    std::vector<VertexId> order(static_cast<std::size_t>(n));
+    for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+    rng.shuffle(order);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const VertexId u = order[i];
+      const VertexId v = order[(i + 1) % order.size()];
+      add_bidirectional(g, u, v, options.capacities, rng);
+    }
+  }
+  g.finalize();
 }
 
 }  // namespace
@@ -37,21 +68,10 @@ Digraph random_overlay(std::int32_t n, const RandomGraphOptions& options,
   Digraph g(n);
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = u + 1; v < n; ++v) {
-      if (rng.chance(p)) add_bidirectional(g, u, v, options.capacities, rng);
+      if (rng.chance(p)) add_pair(g, u, v, options.capacities, rng);
     }
   }
-  if (options.force_connected && !is_strongly_connected(g)) {
-    // Random Hamiltonian cycle backbone: keeps degree growth O(1) and
-    // guarantees strong connectivity without biasing toward any hub.
-    std::vector<VertexId> order(static_cast<std::size_t>(n));
-    for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-    rng.shuffle(order);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const VertexId u = order[i];
-      const VertexId v = order[(i + 1) % order.size()];
-      add_bidirectional(g, u, v, options.capacities, rng);
-    }
-  }
+  connect_and_finalize(g, options, rng);
   return g;
 }
 
@@ -89,23 +109,14 @@ Digraph sparse_random_overlay(std::int32_t n, double expected_degree,
         ++u;
       }
       const VertexId v = static_cast<VertexId>(u + 1 + (i - row_start));
-      add_bidirectional(g, u, v, options.capacities, rng);
+      add_pair(g, u, v, options.capacities, rng);
     }
   } else if (p >= 1.0) {
     for (VertexId a = 0; a < n; ++a)
       for (VertexId b = a + 1; b < n; ++b)
-        add_bidirectional(g, a, b, options.capacities, rng);
+        add_pair(g, a, b, options.capacities, rng);
   }
-  if (options.force_connected && !is_strongly_connected(g)) {
-    std::vector<VertexId> order(static_cast<std::size_t>(n));
-    for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-    rng.shuffle(order);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const VertexId a = order[i];
-      const VertexId b = order[(i + 1) % order.size()];
-      add_bidirectional(g, a, b, options.capacities, rng);
-    }
-  }
+  connect_and_finalize(g, options, rng);
   return g;
 }
 

@@ -98,6 +98,7 @@ Digraph transit_stub(const TransitStubOptions& opt, Rng& rng) {
   }
 
   OCD_ENSURES(next_vertex == g.num_vertices());
+  g.finalize();
   OCD_ENSURES(is_strongly_connected(g));
   return g;
 }

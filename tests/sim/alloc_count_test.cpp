@@ -260,6 +260,25 @@ TEST(AllocCount, MakespanBoundAllocatesNothingPerVertex) {
   EXPECT_EQ(calls[0], calls[1]);
 }
 
+// Building a graph costs the rng draws, one duplicate lookup per arc
+// and one pass to lay out the CSR: the adjacency lives in a few flat
+// arrays that grow by doubling, so the call count grows with log(arcs)
+// and never by one heap block per vertex.  The connectivity check and
+// the Hamiltonian backbone ride along with a handful more.
+TEST(AllocCount, GraphBuildAllocatesNothingPerVertex) {
+  for (const std::int32_t n : {4096, 16384}) {
+    Rng rng(0x9a7b);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    Digraph graph = topology::sparse_random_overlay(n, 8.0, rng);
+    graph.finalize();
+    const std::uint64_t calls =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(calls, 64u) << calls << " allocations building a " << n
+                          << "-vertex overlay with " << graph.num_arcs()
+                          << " arcs";
+  }
+}
+
 TEST(AllocCount, BranchAndBoundNodeBudgetFiresBeforeQuadraticMemory) {
   // One search node on a 4096-vertex broadcast: the call may finish or
   // throw a budget error, but must not first request n² distances.

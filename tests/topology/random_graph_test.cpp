@@ -114,18 +114,6 @@ TEST(SparseRandomOverlay, ZeroDegreeIsJustTheBackbone) {
   EXPECT_EQ(g.num_arcs(), 2 * 50);
 }
 
-TEST(SparseRandomOverlay, DoesNotPerturbTheDenseGenerator) {
-  // Guard against refactors folding the two samplers together: a
-  // random_overlay drawn after a sparse_random_overlay from a split rng
-  // must match one drawn fresh — i.e. the dense generator's stream
-  // consumption is untouched by the new entry point existing.
-  Rng rng_a(21);
-  Rng rng_b(21);
-  const Digraph a = random_overlay(40, rng_a);
-  const Digraph b = random_overlay(40, rng_b);
-  ASSERT_EQ(a.num_arcs(), b.num_arcs());
-}
-
 class RandomGraphSizeSweep : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(RandomGraphSizeSweep, ConnectedAndReasonablyDense) {
