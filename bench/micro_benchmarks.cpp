@@ -391,6 +391,42 @@ BENCHMARK_CAPTURE(BM_BuildInstance, swarm, Shape::kSwarm)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// Reading a recorded schedule, the other side of recording: every step
+// decoded and every send's row walked once, as perfbench's fingerprint
+// does, then core::validate, which reads the packed steps in place.
+// The schedule is one complete run on dense-broadcast's instance shape
+// (200 vertices, 512 tokens), recorded outside the timed loop.  A
+// recorded step keeps only each send's nonzero words, so rebuilding
+// full rows is paid here, by the readers, instead of by sim::run.
+void BM_ReadRecorded(benchmark::State& state, const char* name) {
+  const auto inst =
+      planner_instance(Shape::kDense, static_cast<std::int32_t>(state.range(0)),
+                       static_cast<std::int32_t>(state.range(1)));
+  auto policy = heuristics::make_policy(name);
+  sim::SimOptions options;
+  options.seed = 7;
+  const sim::RunResult run = sim::run(inst, *policy, options);
+  for (auto _ : state) {
+    std::uint64_t digest = 0;
+    for (const core::Timestep& step : run.schedule.steps()) {
+      digest += step.sends().size();
+      for (const core::ArcSend& send : step.sends()) {
+        digest += static_cast<std::uint64_t>(send.arc);
+        for (std::size_t w = 0; w < send.tokens.num_words(); ++w)
+          digest ^= send.tokens.word(w);
+      }
+    }
+    benchmark::DoNotOptimize(digest);
+    benchmark::DoNotOptimize(core::validate(inst, run.schedule).successful);
+  }
+  state.SetItemsProcessed(state.iterations() * run.schedule.length());
+}
+BENCHMARK_CAPTURE(BM_ReadRecorded, round_robin, "round-robin")
+    ->Args({200, 512})
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name,
                            Shape shape) {
   const auto inst =

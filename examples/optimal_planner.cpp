@@ -20,7 +20,8 @@ void print_schedule(const ocd::core::Instance& inst,
   using namespace ocd;
   for (std::size_t i = 0; i < schedule.steps().size(); ++i) {
     std::cout << "  step " << i + 1 << ":";
-    for (const core::ArcSend& send : schedule.steps()[i].sends()) {
+    const core::Timestep step = schedule.step(i);
+    for (const core::ArcSend& send : step.sends()) {
       const Arc& arc = inst.graph().arc(send.arc);
       std::cout << "  " << arc.from << "->" << arc.to
                 << send.tokens.to_string();

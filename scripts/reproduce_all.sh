@@ -58,13 +58,15 @@ done
 # machine-readable snapshot for scripts/compare_bench.py.
 echo "== micro_benchmarks (recording + planner + token kernels + shard steps + instance build) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|BuildInstance' \
+  --benchmark_filter='SimulatorStepsPerSec/round_robin_recorded|ReadRecorded|PlannerStepsPerSec|TokenKernel|RankRows|ShardStep|BuildInstance' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
 # The regression gate refuses debug-build snapshots and insists the
 # full planner grid is present — recorded round-robin simulation (the
-# schedule-recording path) and every planner family at the large
+# schedule-recording path), reading that schedule back at 200v/512t
+# (decoding every packed step, then core::validate), every planner
+# family at the large
 # 1000v/512t point, and `global`, `local` and `bandwidth` on the sparse
 # 20k-vertex 8-token instance (the wave loop's, the per-receiver
 # request loop's and the word-parallel relay election's scaling
@@ -99,6 +101,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     results/BENCH_planner.json \
     --allow-undersized-host \
     --require 'SimulatorStepsPerSec/round_robin_recorded/1000/512' \
+    --require 'ReadRecorded/round_robin/200/512' \
     --require 'PlannerStepsPerSec/global/1000/512' \
     --require 'PlannerStepsPerSec/local/1000/512' \
     --require 'PlannerStepsPerSec/random/1000/512' \

@@ -71,7 +71,7 @@ Schedule compact_schedule(const Instance& inst, const Schedule& schedule) {
     OCD_ASSERT_MSG(progress,
                    "compact_schedule: input schedule must be valid");
     possession = std::move(next);
-    result.append(std::move(step));
+    result.append(step);
   }
   result.trim();
   OCD_ENSURES(result.length() <= schedule.length() ||

@@ -143,7 +143,7 @@ Schedule decode_schedule(const std::vector<std::uint8_t>& bytes) {
         throw Error("schedule decoding: id out of range");
       step.add(arc, token, static_cast<std::size_t>(num_tokens));
     }
-    schedule.append(std::move(step));
+    schedule.append(step);
   }
   return schedule;
 }

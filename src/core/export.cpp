@@ -42,7 +42,7 @@ void write_step_dot(const Instance& inst, const Schedule& schedule,
                     std::size_t step_index, std::ostream& out,
                     const DotOptions& options) {
   OCD_EXPECTS(step_index < schedule.steps().size());
-  const Timestep& step = schedule.steps()[step_index];
+  const Timestep step = schedule.step(step_index);
 
   out << "digraph ocd_step" << step_index
       << " {\n  rankdir=LR;\n  node [shape=circle];\n";
@@ -73,7 +73,8 @@ void write_trace_csv(const Instance& inst, const Schedule& schedule,
                      std::ostream& out) {
   out << "step,from,to,token\n";
   for (std::size_t i = 0; i < schedule.steps().size(); ++i) {
-    for (const ArcSend& send : schedule.steps()[i].sends()) {
+    const Timestep step = schedule.step(i);
+    for (const ArcSend& send : step.sends()) {
       const Arc& arc = inst.graph().arc(send.arc);
       send.tokens.for_each([&](TokenId t) {
         out << i << ',' << arc.from << ',' << arc.to << ',' << t << '\n';

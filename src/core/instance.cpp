@@ -44,18 +44,18 @@ void Instance::add_want(VertexId v, TokenId t) {
   want_[static_cast<std::size_t>(v)].set(t);
 }
 
-void Instance::set_have(VertexId v, TokenSet tokens) {
+void Instance::set_have(VertexId v, TokenSetView tokens) {
   OCD_EXPECTS(graph_.valid_vertex(v));
   OCD_EXPECTS(tokens.universe_size() ==
               static_cast<std::size_t>(num_tokens_));
-  have_[static_cast<std::size_t>(v)] = std::move(tokens);
+  MutableTokenSetView(have_[static_cast<std::size_t>(v)]).assign(tokens);
 }
 
-void Instance::set_want(VertexId v, TokenSet tokens) {
+void Instance::set_want(VertexId v, TokenSetView tokens) {
   OCD_EXPECTS(graph_.valid_vertex(v));
   OCD_EXPECTS(tokens.universe_size() ==
               static_cast<std::size_t>(num_tokens_));
-  want_[static_cast<std::size_t>(v)] = std::move(tokens);
+  MutableTokenSetView(want_[static_cast<std::size_t>(v)]).assign(tokens);
 }
 
 std::int32_t Instance::add_file(TokenId first, std::int32_t size) {
@@ -122,7 +122,10 @@ std::vector<VertexId> Instance::sources_of(TokenId t) const {
 std::int64_t Instance::total_outstanding() const {
   std::int64_t total = 0;
   for (VertexId v = 0; v < num_vertices(); ++v) {
-    total += static_cast<std::int64_t>((want(v) - have(v)).count());
+    // |want - have| = |want| - |want & have|, with no set built.
+    total += static_cast<std::int64_t>(want(v).count() -
+                                       TokenSet::count_intersection(
+                                           want(v), have(v)));
   }
   return total;
 }

@@ -35,7 +35,7 @@ Schedule drop_duplicate_deliveries(const Instance& inst,
     for (VertexId v = 0; v < inst.num_vertices(); ++v)
       possession[static_cast<std::size_t>(v)] |=
           granted[static_cast<std::size_t>(v)];
-    pruned.append(std::move(kept));
+    pruned.append(kept);
   }
   return pruned;
 }
@@ -76,7 +76,7 @@ Schedule drop_unused_deliveries(const Instance& inst,
   }
 
   Schedule pruned;
-  for (auto& step : kept_steps) pruned.append(std::move(step));
+  for (const Timestep& step : kept_steps) pruned.append(step);
   return pruned;
 }
 

@@ -1,6 +1,7 @@
 #include "ocd/core/schedule.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <ranges>
 
 namespace ocd::core {
@@ -66,45 +67,137 @@ void Timestep::keep_if(Keep&& keep) {
   words_.resize(kept * words_per_row_);
 }
 
-void Timestep::compact() {
-  keep_if([](const ArcSend& s) { return !s.tokens.empty(); });
-}
-
 void Timestep::erase(ArcId arc) {
   keep_if([arc](const ArcSend& s) { return s.arc != arc; });
 }
 
 void Timestep::clear() noexcept { arcs_.clear(); }
 
-// Reserves the exact size and copies each kept send's words in, so no
-// word is zero-filled only to be overwritten.
-Timestep Timestep::nonempty_copy() const {
+static_assert(std::ranges::forward_range<StepRange> &&
+              std::ranges::sized_range<StepRange>);
+static_assert(std::ranges::forward_range<PackedStep>);
+
+std::size_t Schedule::block_words(const Packed& step) noexcept {
+  const std::size_t mask_bytes =
+      PackedStep::mask_bytes_for((step.universe + 63) / 64);
+  const std::size_t tail = step.sends * (sizeof(ArcId) + mask_bytes);
+  return step.words + 1 +
+         (tail + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
+}
+
+Schedule::Schedule(const Schedule& other) { *this = other; }
+
+Schedule& Schedule::operator=(const Schedule& other) {
+  if (this == &other) return *this;
+  std::vector<Packed> steps(other.steps_.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Packed& from = other.steps_[i];
+    Packed& to = steps[i];
+    to.sends = from.sends;
+    to.words = from.words;
+    to.universe = from.universe;
+    if (from.sends == 0) continue;
+    const std::size_t size = block_words(from);
+    to.block = std::make_unique_for_overwrite<std::uint64_t[]>(size);
+    std::memcpy(to.block.get(), from.block.get(),
+                size * sizeof(std::uint64_t));
+  }
+  steps_ = std::move(steps);
+  return *this;
+}
+
+// Two passes over the rows.  The first counts the present words, the
+// kept sends and the last kept send, so the block is allocated once at
+// its exact size.  The second writes it without a branch per word:
+// every word is stored at the next free word slot, and only a nonzero
+// one advances it, so a zero word is overwritten by the next present
+// one or lands in the slack word after the last; the send's mask byte
+// gathers one bit per word.  It stops at the last kept send, so the arc
+// and mask slots it writes for an empty send (which the next kept send
+// then overwrites) are always inside the block.
+void Schedule::append(SendRange sends) {
+  const std::size_t universe = sends.universe_size();
+  const std::size_t row = (universe + 63) / 64;
+  const std::uint64_t* rows = sends.words_data();
   std::size_t kept = 0;
-  for (const ArcSend send : sends()) kept += send.tokens.empty() ? 0 : 1;
+  std::size_t present = 0;
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    std::size_t nonzero = 0;
+    for (std::size_t w = 0; w < row; ++w)
+      nonzero += rows[i * row + w] != 0 ? 1 : 0;
+    present += nonzero;
+    if (nonzero != 0) {
+      ++kept;
+      last = i;
+    }
+  }
+  Packed& step = steps_.emplace_back();
+  if (kept == 0) return;
+  step.sends = kept;
+  step.words = present;
+  step.universe = universe;
+  step.block = std::make_unique_for_overwrite<std::uint64_t[]>(
+      block_words(step));
+
+  std::uint64_t* words = step.block.get();
+  words[present] = 0;  // the slack word
+  auto* arcs = reinterpret_cast<std::uint8_t*>(words + present + 1);
+  std::uint8_t* masks = arcs + kept * sizeof(ArcId);
+  const std::size_t mask_bytes = PackedStep::mask_bytes_for(row);
+  const ArcId* arc_ids = sends.arcs_data();
+  std::size_t out = 0;
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i <= last; ++i) {
+    const std::uint64_t* from = rows + i * row;
+    const std::size_t before = out;
+    for (std::size_t b = 0; b * 8 < row; ++b) {
+      unsigned bits = 0;
+      const std::size_t end = std::min(row, b * 8 + 8);
+      for (std::size_t w = b * 8; w < end; ++w) {
+        const std::uint64_t word = from[w];
+        const unsigned nonzero = word != 0 ? 1 : 0;
+        words[out] = word;
+        out += nonzero;
+        bits |= nonzero << (w - b * 8);
+      }
+      if (mask_bytes != 0)
+        masks[slot * mask_bytes + b] = static_cast<std::uint8_t>(bits);
+    }
+    std::memcpy(arcs + slot * sizeof(ArcId), arc_ids + i, sizeof(ArcId));
+    slot += out != before ? 1 : 0;
+  }
+  OCD_ENSURES(slot == kept && out == present);
+}
+
+Timestep Schedule::step(std::size_t i) const {
+  const PackedStep packed_step = packed(i);
   Timestep out;
-  if (kept == 0) return out;
-  out.universe_ = universe_;
-  out.words_per_row_ = words_per_row_;
-  out.arcs_.reserve(kept);
-  out.words_.reserve(kept * words_per_row_);
-  for (const ArcSend send : sends()) {
-    if (send.tokens.empty()) continue;
-    out.arcs_.push_back(send.arc);
-    const std::uint64_t* words = send.tokens.words_data();
-    out.words_.insert(out.words_.end(), words, words + words_per_row_);
+  if (packed_step.empty()) return out;
+  const std::size_t row = packed_step.words_per_row();
+  out.universe_ = packed_step.universe_size();
+  out.words_per_row_ = row;
+  out.arcs_.reserve(packed_step.size());
+  out.words_.resize(packed_step.size() * row);
+  std::uint64_t* to = out.words_.data();
+  for (const PackedSend send : packed_step) {
+    out.arcs_.push_back(send.arc());
+    send.for_each_word(
+        [to](std::size_t w, std::uint64_t word) { to[w] = word; });
+    to += row;
   }
   return out;
 }
 
-std::int64_t Schedule::bandwidth() const noexcept {
-  std::int64_t total = 0;
-  for (const Timestep& step : steps_) total += step.moves();
-  return total;
+std::int64_t Schedule::bandwidth() const {
+  std::size_t total = 0;
+  for (const Packed& step : steps_)
+    total += util::simd::kernels().count(step.block.get(), step.words);
+  return static_cast<std::int64_t>(total);
 }
 
 void Schedule::trim() {
-  for (Timestep& step : steps_) step.compact();
-  while (!steps_.empty() && steps_.back().empty()) steps_.pop_back();
+  while (!steps_.empty() && steps_.back().sends == 0) steps_.pop_back();
 }
 
 }  // namespace ocd::core

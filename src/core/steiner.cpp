@@ -113,7 +113,7 @@ Schedule serial_steiner_schedule(const Instance& inst) {
       levels[static_cast<std::size_t>(tree.depth[k])].add(tree.arcs[k], t,
                                                           universe);
     }
-    for (auto& level : levels) schedule.append(std::move(level));
+    for (const Timestep& level : levels) schedule.append(level);
   }
   return schedule;
 }
@@ -171,7 +171,7 @@ Schedule steiner_packing_schedule(const Instance& inst) {
     }
     OCD_ASSERT_MSG(progress, "steiner packing stalled (broken tree)");
     possession = std::move(next);
-    schedule.append(std::move(step));
+    schedule.append(step);
   }
   return schedule;
 }

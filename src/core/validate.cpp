@@ -25,28 +25,37 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
   // then applied in place.  Possession only grows, so this is the
   // simultaneous-delivery rule without a copy of every set.  Capacity
   // is charged per arc, so sends that share an arc (Timestep::append
-  // does not union) cannot jointly exceed it.
+  // does not union) cannot jointly exceed it.  Steps are read packed:
+  // counts, subset checks and unions touch a send's stored words only,
+  // the words of its row that are not zero.
   std::vector<std::size_t> load(
       static_cast<std::size_t>(inst.graph().num_arcs()), 0);
-  for (std::size_t i = 0; i < schedule.steps().size(); ++i) {
-    const Timestep& step = schedule.steps()[i];
-    for (const ArcSend& send : step.sends()) {
-      if (send.arc < 0 || send.arc >= inst.graph().num_arcs()) {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(schedule.length());
+       ++i) {
+    const PackedStep step = schedule.packed(i);
+    for (const PackedSend send : step) {
+      if (send.arc() < 0 || send.arc() >= inst.graph().num_arcs()) {
         std::ostringstream msg;
-        msg << "timestep " << i << ": unknown arc id " << send.arc;
+        msg << "timestep " << i << ": unknown arc id " << send.arc();
         on_violation(msg.str());
         return std::nullopt;
       }
-      const Arc& arc = inst.graph().arc(send.arc);
-      if (send.tokens.universe_size() != universe) {
+      const Arc& arc = inst.graph().arc(send.arc());
+      if (step.universe_size() != universe) {
         std::ostringstream msg;
         msg << "timestep " << i << ": token universe mismatch on arc ("
             << arc.from << "," << arc.to << ")";
         on_violation(msg.str());
         return std::nullopt;
       }
-      std::size_t& sent = load[static_cast<std::size_t>(send.arc)];
-      sent += send.tokens.count();
+      std::size_t& sent = load[static_cast<std::size_t>(send.arc())];
+      const std::uint64_t* held =
+          possession[static_cast<std::size_t>(arc.from)].words().data();
+      std::uint64_t stray = 0;
+      send.for_each_word([&](std::size_t w, std::uint64_t word) {
+        sent += PackedSend::bits_in(word);
+        stray |= word & ~held[w];
+      });
       if (sent > static_cast<std::size_t>(arc.capacity)) {
         std::ostringstream msg;
         msg << "timestep " << i << ": capacity exceeded on arc (" << arc.from
@@ -55,22 +64,28 @@ std::optional<std::vector<std::vector<TokenSet>>> replay(
         on_violation(msg.str());
         return std::nullopt;
       }
-      if (!send.tokens.is_subset_of(
-              possession[static_cast<std::size_t>(arc.from)])) {
+      if (stray != 0) {
+        TokenSet lacking(universe);
+        send.for_each_word([&](std::size_t w, std::uint64_t word) {
+          MutableTokenSetView(lacking).mutable_words()[w] = word & ~held[w];
+        });
         std::ostringstream msg;
         msg << "timestep " << i << ": possession violated on arc ("
             << arc.from << "," << arc.to << "): sender lacks "
-            << (TokenSet(send.tokens) -
-                possession[static_cast<std::size_t>(arc.from)])
-                   .to_string();
+            << lacking.to_string();
         on_violation(msg.str());
         return std::nullopt;
       }
     }
-    for (const ArcSend& send : step.sends()) {
-      load[static_cast<std::size_t>(send.arc)] = 0;
-      possession[static_cast<std::size_t>(inst.graph().arc(send.arc).to)] |=
-          send.tokens;
+    for (const PackedSend send : step) {
+      load[static_cast<std::size_t>(send.arc())] = 0;
+      std::uint64_t* to =
+          MutableTokenSetView(
+              possession[static_cast<std::size_t>(
+                  inst.graph().arc(send.arc()).to)])
+              .mutable_words();
+      send.for_each_word(
+          [to](std::size_t w, std::uint64_t word) { to[w] |= word; });
     }
     if (keep_trace) trace.push_back(possession);
   }

@@ -64,7 +64,7 @@ class Searcher {
     const bool ok = search(possession, tau, steps);
     if (ok && out_schedule != nullptr) {
       *out_schedule = core::Schedule{};
-      for (auto& step : steps) out_schedule->append(std::move(step));
+      for (const core::Timestep& step : steps) out_schedule->append(step);
       out_schedule->trim();
     }
     return ok;

@@ -122,7 +122,7 @@ core::Schedule TimeIndexedIp::extract_schedule(
           step.add(a, t, universe);
       }
     }
-    schedule.append(std::move(step));
+    schedule.append(step);
   }
   return schedule;
 }

@@ -46,8 +46,9 @@ class Instance {
 
   void add_have(VertexId v, TokenId t);
   void add_want(VertexId v, TokenId t);
-  void set_have(VertexId v, TokenSet tokens);
-  void set_want(VertexId v, TokenSet tokens);
+  /// Copies `tokens` into v's row, which the constructor allocated.
+  void set_have(VertexId v, TokenSetView tokens);
+  void set_want(VertexId v, TokenSetView tokens);
 
   /// Declares a file (contiguous token range) for bookkeeping; returns
   /// its index.  Purely descriptive — the solver and heuristics operate

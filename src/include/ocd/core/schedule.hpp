@@ -1,19 +1,38 @@
 // Distribution schedules (§3.1): a sequence of timesteps, each mapping
 // arcs to the token sets sent across them.
 //
-// A timestep stores its sends flat: one ArcId per send and one block of
-// words_per_row 64-bit words per send, in send order, over one token
-// universe.  No send owns an allocation; ArcSend and MutableArcSend are
-// views into the step that stores them.  sim::StepPlan plans into the
-// same layout, so planning, validation, apply and recording share one
-// representation of a step's sends.
+// A step has two forms, one per job:
+//  * The working form, Timestep (and sim::StepPlan, which plans into
+//    one): one ArcId per send and one full row of words_per_row 64-bit
+//    words per send, in send order, over one token universe.  Planners
+//    OR into rows, so every word of a row is stored.  No send owns an
+//    allocation; ArcSend and MutableArcSend are views into the step.
+//  * The recorded form, Schedule: each step packed into one block that
+//    keeps, per send, its ArcId, a present-word mask of m bytes and
+//    only its nonzero words.  With W = words_per_row, m = ceil(W / 8),
+//    or 0 when W = 1, since a stored one-word send's word is always
+//    present.  A send costs 4 + m + 8 * present bytes instead of
+//    4 + 8 * W (12 both at W = 1; at 512 tokens, 13 against 68 for a
+//    send that sets one word), and a step adds one slack word and its
+//    rounding to whole words.  A send with no token is never stored.
+//
+// Schedule::steps() decodes each step on access into an owning
+// Timestep, a temporary.  Bind it before reading its sends: in
+// `for (const ArcSend& s : schedule.steps()[i].sends())` the step dies
+// before the loop body runs, so Timestep::sends() is deleted on
+// rvalues and that line does not compile.  Readers that need only the
+// words (core::validate, Schedule::bandwidth) read the packed form in
+// place through Schedule::packed().
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -127,6 +146,12 @@ class SendRangeOf {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t universe_size() const noexcept {
+    return universe_;
+  }
+  /// The flat arrays: size() arc ids, and size() rows of words.
+  [[nodiscard]] const ArcId* arcs_data() const noexcept { return arcs_; }
+  [[nodiscard]] Word* words_data() const noexcept { return words_; }
 
   [[nodiscard]] iterator begin() const noexcept {
     return {arcs_, words_, words_per_row(), universe_};
@@ -174,13 +199,15 @@ class Timestep {
   /// Appends an empty send set over `universe` (see append above).
   MutableArcSend append(ArcId arc, std::size_t universe);
 
-  /// The sends in order; views borrow this step's storage.
-  [[nodiscard]] SendRange sends() const noexcept {
+  /// The sends in order; views borrow this step's storage.  Deleted on
+  /// rvalues: the views would outlive the step (see the file comment).
+  [[nodiscard]] SendRange sends() const& noexcept {
     return {arcs_.data(), words_.data(), arcs_.size(), universe_};
   }
-  [[nodiscard]] MutableSendRange sends() noexcept {
+  [[nodiscard]] MutableSendRange sends() & noexcept {
     return {arcs_.data(), words_.data(), arcs_.size(), universe_};
   }
+  SendRange sends() const&& = delete;
 
   /// Token-transfers in this timestep.
   [[nodiscard]] std::int64_t moves() const noexcept;
@@ -188,18 +215,11 @@ class Timestep {
   /// True when no send carries a token.
   [[nodiscard]] bool empty() const noexcept;
 
-  /// Removes arcs whose send set became empty.
-  void compact();
-
   /// Removes every send on `arc`, keeping the others in order.
   void erase(ArcId arc);
 
   /// Removes every send; the storage is kept for reuse.
   void clear() noexcept;
-
-  /// The sends that carry at least one token, in order, copied into
-  /// exact-size storage (two allocations, none when nothing is sent).
-  [[nodiscard]] Timestep nonempty_copy() const;
 
  private:
   /// Adds a send on `arc` over `universe` (the first send fixes the
@@ -208,6 +228,8 @@ class Timestep {
   /// Keeps the sends for which keep(send) is true, in order.
   template <typename Keep>
   void keep_if(Keep&& keep);
+
+  friend class Schedule;  // decodes packed steps into exact-size storage
 
   std::size_t universe_ = 0;
   std::size_t words_per_row_ = 0;
@@ -249,17 +271,227 @@ inline MutableArcSend Timestep::append(ArcId arc, std::size_t universe) {
   return send;
 }
 
-/// A full distribution schedule.
+/// One send of a packed step, read in place: its arc and its present
+/// words.  A view into the Schedule that stores it, valid until that
+/// schedule changes or is destroyed.
+class PackedSend {
+ public:
+  PackedSend(ArcId arc, const std::uint8_t* mask, std::size_t words_per_row,
+             const std::uint64_t* words) noexcept
+      : arc_(arc), mask_(mask), words_per_row_(words_per_row), words_(words) {}
+
+  [[nodiscard]] ArcId arc() const noexcept { return arc_; }
+
+  /// Stored words: the nonzero words of the send's row.
+  [[nodiscard]] std::size_t present() const noexcept {
+    if (words_per_row_ == 1) return 1;
+    std::size_t total = 0;
+    for (std::size_t b = 0; b * 8 < words_per_row_; ++b)
+      total += bits_in(mask_[b]);
+    return total;
+  }
+
+  /// Invokes fn(word index, word) for every stored word, by increasing
+  /// index; the row's other words are zero.
+  template <typename Fn>
+  void for_each_word(Fn&& fn) const {
+    if (words_per_row_ == 1) {
+      fn(std::size_t{0}, words_[0]);
+      return;
+    }
+    const std::uint64_t* word = words_;
+    for (std::size_t b = 0; b * 8 < words_per_row_; ++b) {
+      for (unsigned bits = mask_[b]; bits != 0; bits &= bits - 1)
+        fn(8 * b + static_cast<std::size_t>(std::countr_zero(bits)), *word++);
+    }
+  }
+
+  /// Set bits of `x`, inline: on a baseline x86-64 build std::popcount
+  /// is a library call, and readers count every stored word and mask.
+  [[nodiscard]] static constexpr std::size_t bits_in(std::uint64_t x) noexcept {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
+
+ private:
+  ArcId arc_;
+  const std::uint8_t* mask_;  ///< unused when a row is one word
+  std::size_t words_per_row_;
+  const std::uint64_t* words_;
+};
+
+/// One step of a Schedule in the packed form (see the file comment): a
+/// forward range of PackedSend in send order, read in place.
+class PackedStep {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = PackedSend;
+    using difference_type = std::ptrdiff_t;
+    using reference = PackedSend;
+
+    iterator() = default;
+    iterator(const std::uint8_t* arc, const std::uint8_t* mask,
+             std::size_t words_per_row, const std::uint64_t* words) noexcept
+        : arc_(arc),
+          mask_(mask),
+          words_per_row_(words_per_row),
+          words_(words) {}
+
+    PackedSend operator*() const noexcept {
+      ArcId arc = 0;  // the block stores words; arc ids are copied out
+      std::memcpy(&arc, arc_, sizeof arc);
+      return {arc, mask_, words_per_row_, words_};
+    }
+    iterator& operator++() noexcept {
+      words_ += (**this).present();
+      mask_ += mask_bytes_for(words_per_row_);
+      arc_ += sizeof(ArcId);
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.arc_ == b.arc_;
+    }
+
+   private:
+    const std::uint8_t* arc_ = nullptr;
+    const std::uint8_t* mask_ = nullptr;
+    std::size_t words_per_row_ = 0;
+    const std::uint64_t* words_ = nullptr;
+  };
+
+  PackedStep(const std::uint64_t* block, std::size_t sends,
+             std::size_t words, std::size_t universe) noexcept
+      : block_(block), sends_(sends), words_(words), universe_(universe) {}
+
+  /// Bytes of mask per send over rows of `words_per_row` words: none
+  /// when a row is one word, whose one stored word is always present.
+  [[nodiscard]] static constexpr std::size_t mask_bytes_for(
+      std::size_t words_per_row) noexcept {
+    return words_per_row <= 1 ? 0 : (words_per_row + 7) / 8;
+  }
+
+  /// Stored sends; none of them is empty.
+  [[nodiscard]] std::size_t size() const noexcept { return sends_; }
+  [[nodiscard]] bool empty() const noexcept { return sends_ == 0; }
+  /// The sends' token universe (0 when the step sends nothing).
+  [[nodiscard]] std::size_t universe_size() const noexcept {
+    return universe_;
+  }
+  [[nodiscard]] std::size_t words_per_row() const noexcept {
+    return (universe_ + 63) / 64;
+  }
+  [[nodiscard]] iterator begin() const noexcept {
+    return {arcs(), masks(), words_per_row(), block_};
+  }
+  [[nodiscard]] iterator end() const noexcept {
+    return {arcs() + sends_ * sizeof(ArcId), nullptr, 0, nullptr};
+  }
+
+ private:
+  // The block holds the words first, so they stay aligned, then one
+  // slack word the writer needs, then the arc ids, then the masks.
+  [[nodiscard]] const std::uint8_t* arcs() const noexcept {
+    return reinterpret_cast<const std::uint8_t*>(block_ + words_ + 1);
+  }
+  [[nodiscard]] const std::uint8_t* masks() const noexcept {
+    return arcs() + sends_ * sizeof(ArcId);
+  }
+
+  const std::uint64_t* block_;
+  std::size_t sends_;
+  std::size_t words_;
+  std::size_t universe_;
+};
+
+class Schedule;
+
+/// Schedule::steps(): a sized range whose elements are owning
+/// Timesteps decoded on access (prvalues; see the file comment for the
+/// lifetime rule).  A view of the schedule, valid while it lives.
+class StepRange {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Timestep;
+    using difference_type = std::ptrdiff_t;
+    using reference = Timestep;
+
+    iterator() = default;
+    iterator(const Schedule* schedule, std::size_t index) noexcept
+        : schedule_(schedule), index_(index) {}
+
+    Timestep operator*() const;
+    iterator& operator++() noexcept {
+      ++index_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++index_;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.index_ == b.index_;
+    }
+
+   private:
+    const Schedule* schedule_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  explicit StepRange(const Schedule& schedule) noexcept
+      : schedule_(&schedule) {}
+
+  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] Timestep operator[](std::size_t i) const;
+  [[nodiscard]] Timestep front() const { return (*this)[0]; }
+  [[nodiscard]] Timestep back() const { return (*this)[size() - 1]; }
+  [[nodiscard]] iterator begin() const noexcept { return {schedule_, 0}; }
+  [[nodiscard]] iterator end() const noexcept { return {schedule_, size()}; }
+
+ private:
+  const Schedule* schedule_;
+};
+
+/// A full distribution schedule, each step stored packed (see the file
+/// comment): one block per step, none for a step that sends nothing.
 class Schedule {
  public:
   Schedule() = default;
+  Schedule(const Schedule& other);
+  Schedule& operator=(const Schedule& other);
+  Schedule(Schedule&&) noexcept = default;
+  Schedule& operator=(Schedule&&) noexcept = default;
+  ~Schedule() = default;
 
-  void append(Timestep step) { steps_.push_back(std::move(step)); }
+  /// Packs the sends that carry a token as the next step, in order; a
+  /// send with no token is dropped.  One allocation, sized exactly.
+  void append(SendRange sends);
+  void append(const Timestep& step) { append(step.sends()); }
 
-  [[nodiscard]] const std::vector<Timestep>& steps() const noexcept {
-    return steps_;
+  /// The steps, each decoded on access (two allocations per step).
+  [[nodiscard]] StepRange steps() const noexcept { return StepRange(*this); }
+  /// Step i, decoded into an owning Timestep.
+  [[nodiscard]] Timestep step(std::size_t i) const;
+  /// Step i in the packed form, read in place without decoding.
+  [[nodiscard]] PackedStep packed(std::size_t i) const {
+    OCD_EXPECTS(i < steps_.size());
+    const Packed& step = steps_[i];
+    return {step.block.get(), step.sends, step.words, step.universe};
   }
-  [[nodiscard]] std::vector<Timestep>& steps() noexcept { return steps_; }
 
   /// Number of timesteps ("moves" on the paper's evaluation figures).
   [[nodiscard]] std::int64_t length() const noexcept {
@@ -267,7 +499,7 @@ class Schedule {
   }
 
   /// Total token-transfers ("bandwidth").
-  [[nodiscard]] std::int64_t bandwidth() const noexcept;
+  [[nodiscard]] std::int64_t bandwidth() const;
 
   /// Drops empty trailing timesteps (can appear after pruning).
   void trim();
@@ -275,7 +507,31 @@ class Schedule {
   [[nodiscard]] bool empty() const noexcept { return steps_.empty(); }
 
  private:
-  std::vector<Timestep> steps_;
+  /// A step's block holds `words` present words, a slack word, `sends`
+  /// arc ids and `sends` masks (PackedStep reads it); null when sends
+  /// is 0.
+  struct Packed {
+    std::unique_ptr<std::uint64_t[]> block;
+    std::size_t sends = 0;
+    std::size_t words = 0;
+    std::size_t universe = 0;
+  };
+  /// The block's size in 64-bit words.
+  [[nodiscard]] static std::size_t block_words(const Packed& step) noexcept;
+
+  std::vector<Packed> steps_;
 };
+
+inline std::size_t StepRange::size() const noexcept {
+  return static_cast<std::size_t>(schedule_->length());
+}
+
+inline Timestep StepRange::operator[](std::size_t i) const {
+  return schedule_->step(i);
+}
+
+inline Timestep StepRange::iterator::operator*() const {
+  return schedule_->step(index_);
+}
 
 }  // namespace ocd::core

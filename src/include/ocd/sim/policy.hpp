@@ -20,13 +20,15 @@ struct RunStats;
 /// validates them against capacity and possession afterwards, so a
 /// buggy policy is caught rather than silently corrupting a run.
 ///
-/// A StepPlan is an arena in core::Timestep's flat layout: one
-/// Timestep pool (an arc id and a block of words per send, in
-/// first-touch arc order) plus an arc -> slot index, both reused across
-/// steps.  The simulator constructs one plan per run and calls rebind()
-/// each step, which clears the previous step's sends in O(sends)
-/// without freeing anything, so the steady-state planning loop performs
-/// no heap allocation and no send owns one.
+/// A StepPlan is an arena in core::Timestep's working layout: one
+/// Timestep pool (an arc id and a full row of words per send, in
+/// first-touch arc order, since policies OR into rows) plus an arc ->
+/// slot index, both reused across steps.  The simulator constructs one
+/// plan per run and calls rebind() each step, which clears the previous
+/// step's sends in O(sends) without freeing anything, so the
+/// steady-state planning loop performs no heap allocation and no send
+/// owns one.  A recorded step is packed from sends() straight into the
+/// run's core::Schedule, which keeps only each send's nonzero words.
 class StepPlan {
  public:
   StepPlan() = default;
@@ -69,11 +71,6 @@ class StepPlan {
   [[nodiscard]] core::MutableSendRange sends() noexcept {
     return pool_.sends();
   }
-
-  /// Copies the planned sends out as an owning Timestep of exact size
-  /// (two allocations; schedule recording and adapter-style callers,
-  /// not the simulator hot loop).  Empty send sets are skipped.
-  [[nodiscard]] core::Timestep take() const { return pool_.nonempty_copy(); }
 
  private:
   const Digraph* graph_ = nullptr;

@@ -26,15 +26,16 @@
 // staleness buffer is a fixed ring of matrices copied in place, and the
 // per-step working set (StepPlan send pool, capacity/load arrays,
 // delivery scratch) is a SimScratch arena owned by the Simulator and
-// cleared — never reallocated — each step.  Sends are stored flat (an
-// arc id and a block of words each, see ocd/core/schedule.hpp) in the
-// plan pool and in the recorded schedule alike, so no send owns an
-// allocation.  With schedule recording off, a steady-state step
-// performs zero heap allocations (asserted by
-// tests/sim/alloc_count_test.cpp); recording one costs two, an arc
-// array and a word block sized exactly to the step's surviving sends,
-// however many sends it carries (tests/sim/record_alloc_test.cpp),
-// plus the schedule's amortised growth.  Nothing a run allocates grows
+// cleared — never reallocated — each step.  The plan pool stores sends
+// flat (an arc id and a full row of words each, see
+// ocd/core/schedule.hpp), so no send owns an allocation.  With schedule
+// recording off, a steady-state step performs zero heap allocations
+// (asserted by tests/sim/alloc_count_test.cpp); recording one costs
+// one, a block sized exactly to the step's surviving sends packed down
+// to their nonzero words (an arc id, a word mask and the present words
+// each), however many sends it carries, plus the schedule's amortised
+// growth (tests/sim/record_alloc_test.cpp pins both the count and the
+// bytes).  Nothing a run allocates grows
 // quadratically in n (no policy reads hop distances, so none are
 // precomputed).  A run executes on the calling thread; concurrency
 // lives one level up, in bench sweeps, and inside one policy: the

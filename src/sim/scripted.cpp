@@ -15,7 +15,7 @@ void ScriptedPolicy::plan_step(const StepView& view, StepPlan& plan) {
     plan.mark_idle();  // script exhausted; nothing left to send
     return;
   }
-  const core::Timestep& scripted = schedule_.steps()[step];
+  const core::Timestep scripted = schedule_.step(step);
   if (scripted.sends().empty()) plan.mark_idle();
   for (const core::ArcSend& send : scripted.sends())
     plan.send(send.arc, send.tokens);
@@ -49,9 +49,10 @@ void TwoPhasePolicy::plan_step(const StepView& view, StepPlan& plan) {
     plan.mark_idle();
     return;
   }
-  for (const core::ArcSend& send : plan_.steps()[index].sends())
+  const core::Timestep scripted = plan_.step(index);
+  for (const core::ArcSend& send : scripted.sends())
     plan.send(send.arc, send.tokens);
-  if (plan_.steps()[index].sends().empty()) plan.mark_idle();
+  if (scripted.sends().empty()) plan.mark_idle();
 }
 
 }  // namespace ocd::sim

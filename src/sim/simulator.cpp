@@ -257,12 +257,9 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     result.stats.moves_per_step.push_back(step_moves);
     result.stats.lost_per_step.push_back(step_lost);
     result.stats.lost_moves += step_lost;
-    if (options.record_schedule) {
-      // Copy the surviving sends out of the plan pool into one
-      // exact-size Timestep; loss trimming may have emptied some, which
-      // are dropped (the former compact()).
-      result.schedule.append(plan.take());
-    }
+    // Packs the surviving sends straight from the plan pool; loss
+    // trimming may have emptied some, which are not stored.
+    if (options.record_schedule) result.schedule.append(plan.sends());
 
     ++step;
     for (VertexId v : scratch_.touched) {

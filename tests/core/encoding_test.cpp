@@ -29,8 +29,10 @@ bool schedules_equal(const Schedule& a, const Schedule& b) {
   if (a.length() != b.length()) return false;
   for (std::size_t i = 0; i < a.steps().size(); ++i) {
     // Compare as (arc -> tokens) maps; order within a step is free.
-    const auto& sa = a.steps()[i].sends();
-    const auto& sb = b.steps()[i].sends();
+    const core::Timestep sa_step = a.step(i);
+    const core::SendRange sa = sa_step.sends();
+    const core::Timestep sb_step = b.step(i);
+    const core::SendRange sb = sb_step.sends();
     if (sa.size() != sb.size()) return false;
     for (const ArcSend& send : sa) {
       bool found = false;

@@ -4,10 +4,14 @@
 // replace, copied verbatim (one heap TokenSet per send, namespaces and
 // type names adjusted).  Both are driven with the same random operations
 // over universes that end inside, at and past a word boundary, and must
-// agree on send order, arcs and words after every operation.
+// agree on send order, arcs and words after every operation.  A
+// core::Schedule keeps each recorded send packed down to its nonzero
+// words; every step it hands back must decode to the step it was given,
+// minus its empty sends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -314,6 +318,19 @@ std::size_t random_slot(std::size_t size, Rng& rng) {
   return size == 0 ? 0 : static_cast<std::size_t>(rng.below(size));
 }
 
+/// The sends packed into a schedule, as sim::run records a step, and
+/// decoded again.
+core::Timestep recorded(const sim::StepPlan& plan) {
+  core::Schedule schedule;
+  schedule.append(plan.sends());
+  return schedule.step(0);
+}
+core::Timestep recorded(const core::Timestep& step) {
+  core::Schedule schedule;
+  schedule.append(step);
+  return schedule.step(0);
+}
+
 Digraph random_graph(Rng& rng) {
   constexpr std::int32_t kVertices = 10;
   Digraph graph(kVertices);
@@ -326,8 +343,9 @@ Digraph random_graph(Rng& rng) {
 
 // Planning with sends by token and by view, repeated arcs that union,
 // remaining_capacity, in-place subtraction, resets and truncation, and
-// take(); one plan of each kind is rebound across every universe and
-// step, so the flat pool also reuses storage sized for other universes.
+// recording (the plan packed into a schedule, as sim::run records it);
+// one plan of each kind is rebound across every universe and step, so
+// the flat pool also reuses storage sized for other universes.
 TEST(FlatSendReference, StepPlanMatchesSendListPlan) {
   Rng rng(0xf1a7'5e4d);
   const Digraph graph = random_graph(rng);
@@ -414,8 +432,8 @@ TEST(FlatSendReference, StepPlanMatchesSendListPlan) {
                   .tokens.truncate(k);
               break;
             }
-            case 7: {  // take(): the recorded copy
-              const core::Timestep taken = flat.take();
+            case 7: {  // the recorded copy
+              const core::Timestep taken = recorded(flat);
               const reference::Timestep want = expected.take();
               EXPECT_TRUE(same_sends(taken.sends(), want.sends())) << label;
               EXPECT_EQ(taken.moves(), want.moves()) << label;
@@ -430,7 +448,7 @@ TEST(FlatSendReference, StepPlanMatchesSendListPlan) {
           ASSERT_TRUE(same_sends(flat.sends(), expected.sends()))
               << label << " op " << op;
         }
-        const core::Timestep taken = flat.take();
+        const core::Timestep taken = recorded(flat);
         ASSERT_TRUE(same_sends(taken.sends(), expected.take().sends()))
             << label;
       }
@@ -439,9 +457,9 @@ TEST(FlatSendReference, StepPlanMatchesSendListPlan) {
 }
 
 // Timesteps built with add() (union per arc) and raw appends, trimmed in
-// place, rolled back arc by arc as branch-and-bound does, compacted,
-// cleared and refilled, and copied; then whole schedules compared for
-// moves, bandwidth and trim.
+// place, rolled back arc by arc as branch-and-bound does, cleared and
+// refilled, copied, and packed into a schedule and decoded; then whole
+// schedules compared for moves, bandwidth and trim.
 TEST(FlatSendReference, TimestepMatchesSendListTimestep) {
   Rng rng(0x71e5'7e95);
   constexpr std::uint64_t kArcs = 12;
@@ -501,15 +519,17 @@ TEST(FlatSendReference, TimestepMatchesSendListTimestep) {
               flat.erase(arc);
               reference::remove_arc(expected, arc);
               break;
-            case 6:
-              flat.compact();
-              expected.compact();
+            case 6: {  // a copy owns the same sends
+              const core::Timestep copy = flat;
+              EXPECT_TRUE(same_sends(copy.sends(), expected.sends()))
+                  << label;
               break;
+            }
             case 7: {  // the recorded copy keeps the non-empty sends
-              const core::Timestep copy = flat.nonempty_copy();
               reference::Timestep want;
               for (const reference::ArcSend& send : expected.sends())
                 if (!send.tokens.empty()) want.sends().push_back(send);
+              const core::Timestep copy = recorded(flat);
               EXPECT_TRUE(same_sends(copy.sends(), want.sends())) << label;
               break;
             }
@@ -527,7 +547,7 @@ TEST(FlatSendReference, TimestepMatchesSendListTimestep) {
           EXPECT_EQ(flat.moves(), expected.moves()) << label;
           EXPECT_EQ(flat.empty(), expected.empty()) << label;
         }
-        flat_schedule.append(std::move(flat));
+        flat_schedule.append(flat);
         expected_schedule.append(std::move(expected));
       }
       EXPECT_EQ(flat_schedule.bandwidth(), expected_schedule.bandwidth())
@@ -535,10 +555,103 @@ TEST(FlatSendReference, TimestepMatchesSendListTimestep) {
       flat_schedule.trim();
       expected_schedule.trim();
       ASSERT_EQ(flat_schedule.length(), expected_schedule.length()) << label;
-      for (std::size_t s = 0; s < flat_schedule.steps().size(); ++s)
-        EXPECT_TRUE(same_sends(flat_schedule.steps()[s].sends(),
+      for (std::size_t s = 0; s < flat_schedule.steps().size(); ++s) {
+        const core::Timestep step = flat_schedule.steps()[s];
+        EXPECT_TRUE(same_sends(step.sends(),
                                expected_schedule.steps()[s].sends()))
             << label << " step " << s;
+      }
+    }
+  }
+}
+
+/// A set whose words follow `shape`: 0 leaves every word empty, 1 puts
+/// at least one token in every word, 2 fills a random subset of words,
+/// and 3 draws tokens at random_set's densities.
+TokenSet shaped_set(std::size_t universe, std::uint64_t shape, Rng& rng) {
+  TokenSet s(universe);
+  if (shape == 3) return random_set(universe, rng);
+  if (shape == 0) return s;
+  for (std::size_t lo = 0; lo < universe; lo += 64) {
+    if (shape == 2 && rng.chance(0.5)) continue;
+    const std::size_t span = std::min<std::size_t>(64, universe - lo);
+    const auto tokens = 1 + rng.below(3);
+    for (std::uint64_t k = 0; k < tokens; ++k)
+      s.set(static_cast<TokenId>(lo + rng.below(span)));
+  }
+  return s;
+}
+
+// Packing keeps each send's nonzero words behind a word mask (none at
+// one word per row).  Steps mixing empty sends, sends with every word
+// present and random word masks, over universes that end inside, at and
+// past a word and a mask byte, must read back through steps(), step(),
+// the packed form and a copy of the schedule as the step they were
+// packed from without its empty sends; bandwidth() must equal the sum
+// of the steps' moves().
+TEST(FlatSendReference, PackedStepsRoundTrip) {
+  Rng rng(0x9ac4'ed57);
+  for (const std::size_t universe : kUniverses) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::string label = "universe " + std::to_string(universe) +
+                                " trial " + std::to_string(trial);
+      core::Schedule schedule;
+      std::vector<reference::Timestep> expected;
+      std::int64_t moves = 0;
+      const auto num_steps = rng.below(6);
+      for (std::uint64_t s = 0; s < num_steps; ++s) {
+        core::Timestep step;
+        reference::Timestep want;
+        const auto sends = rng.below(12);
+        for (std::uint64_t k = 0; k < sends; ++k) {
+          const auto arc = static_cast<ArcId>(rng.below(20));
+          const TokenSet tokens = shaped_set(universe, rng.below(4), rng);
+          step.append(arc, tokens);
+          if (!tokens.empty())
+            want.sends().push_back(reference::ArcSend{arc, tokens});
+        }
+        moves += step.moves();
+        schedule.append(step);
+        expected.push_back(std::move(want));
+      }
+      ASSERT_EQ(schedule.length(), static_cast<std::int64_t>(num_steps))
+          << label;
+      EXPECT_EQ(schedule.bandwidth(), moves) << label;
+      const core::Schedule copy = schedule;
+      EXPECT_EQ(copy.bandwidth(), moves) << label;
+      std::size_t s = 0;
+      for (const core::Timestep& step : schedule.steps()) {
+        const std::string at = label + " step " + std::to_string(s);
+        const std::vector<reference::ArcSend>& want = expected[s].sends();
+        const core::Timestep by_index = schedule.step(s);
+        const core::Timestep copied = copy.steps()[s];
+        EXPECT_TRUE(same_sends(step.sends(), want)) << at;
+        EXPECT_TRUE(same_sends(by_index.sends(), want)) << at;
+        EXPECT_TRUE(same_sends(copied.sends(), want)) << at;
+        // The packed form stores exactly the nonzero words, in order.
+        const core::PackedStep packed = schedule.packed(s);
+        ASSERT_EQ(packed.size(), want.size()) << at;
+        std::size_t i = 0;
+        for (const core::PackedSend send : packed) {
+          EXPECT_EQ(send.arc(), want[i].arc) << at;
+          std::vector<std::uint64_t> stored;
+          std::size_t tokens = 0;
+          send.for_each_word([&](std::size_t w, std::uint64_t word) {
+            EXPECT_EQ(word, want[i].tokens.words()[w]) << at;
+            stored.push_back(word);
+            tokens += static_cast<std::size_t>(std::popcount(word));
+          });
+          std::vector<std::uint64_t> nonzero;
+          for (const std::uint64_t word : want[i].tokens.words())
+            if (word != 0) nonzero.push_back(word);
+          EXPECT_EQ(stored, nonzero) << at << " send " << i;
+          EXPECT_EQ(send.present(), nonzero.size()) << at;
+          EXPECT_EQ(tokens, want[i].tokens.count()) << at;
+          ++i;
+        }
+        ++s;
+      }
+      EXPECT_EQ(s, num_steps) << label;
     }
   }
 }

@@ -31,14 +31,6 @@ TEST(Timestep, EmptyTokenSetIgnored) {
   EXPECT_TRUE(step.empty());
 }
 
-TEST(Timestep, CompactRemovesHollowEntries) {
-  Timestep step;
-  step.add(0, 1, 10);
-  step.sends()[0].tokens.reset(1);
-  EXPECT_TRUE(step.empty());
-  step.compact();
-  EXPECT_TRUE(step.sends().empty());
-}
 
 TEST(Timestep, NegativeArcRejected) {
   Timestep step;
@@ -56,6 +48,48 @@ TEST(Schedule, LengthAndBandwidth) {
   EXPECT_EQ(schedule.length(), 2);
   EXPECT_EQ(schedule.bandwidth(), 3);
   EXPECT_FALSE(schedule.empty());
+}
+
+TEST(Schedule, AppendDropsHollowSends) {
+  Timestep step;
+  step.add(0, 1, 10);
+  step.add(2, 3, 10);
+  step.sends()[0].tokens.reset(1);
+  EXPECT_FALSE(step.empty());
+  Schedule schedule;
+  schedule.append(step);
+  const Timestep stored = schedule.step(0);
+  ASSERT_EQ(stored.sends().size(), 1u);
+  EXPECT_EQ(stored.sends()[0].arc, 2);
+  EXPECT_EQ(stored.sends()[0].tokens.to_vector(), (std::vector<TokenId>{3}));
+
+  // A step whose every send is hollow is stored empty, and trim drops it.
+  step.sends()[1].tokens.reset(3);
+  schedule.append(step);
+  EXPECT_EQ(schedule.length(), 2);
+  EXPECT_TRUE(schedule.packed(1).empty());
+  EXPECT_TRUE(schedule.step(1).empty());
+  schedule.trim();
+  EXPECT_EQ(schedule.length(), 1);
+}
+
+// A decoded step is an owning copy: it outlives the range it came from
+// and changing it leaves the schedule as it was.
+TEST(Schedule, StepsDecodeIntoOwningCopies) {
+  Schedule schedule;
+  Timestep a;
+  a.add(1, TokenSet::of(130, {0, 129}));
+  schedule.append(a);
+  Timestep b;
+  b.add(4, TokenSet::of(130, {64}));
+  schedule.append(b);
+  Timestep first = schedule.steps().front();
+  first.sends()[0].tokens.reset(0);
+  const Timestep last = schedule.steps().back();
+  EXPECT_EQ(schedule.steps().size(), 2u);
+  EXPECT_EQ(last.sends()[0].arc, 4);
+  EXPECT_EQ(schedule.step(0).moves(), 2);
+  EXPECT_EQ(schedule.bandwidth(), 3);
 }
 
 TEST(Schedule, TrimDropsTrailingEmptySteps) {

@@ -48,8 +48,10 @@ void expect_identical_results(const sim::RunResult& a,
   EXPECT_EQ(a.stats.sent_by_vertex, b.stats.sent_by_vertex);
   ASSERT_EQ(a.schedule.length(), b.schedule.length());
   for (std::size_t i = 0; i < a.schedule.steps().size(); ++i) {
-    const auto& sa = a.schedule.steps()[i].sends();
-    const auto& sb = b.schedule.steps()[i].sends();
+    const core::Timestep sa_step = a.schedule.step(i);
+    const core::SendRange sa = sa_step.sends();
+    const core::Timestep sb_step = b.schedule.step(i);
+    const core::SendRange sb = sb_step.sends();
     ASSERT_EQ(sa.size(), sb.size()) << "step " << i;
     for (std::size_t j = 0; j < sa.size(); ++j) {
       EXPECT_EQ(sa[j].arc, sb[j].arc) << "step " << i;

@@ -252,8 +252,10 @@ void expect_identical(const sim::RunResult& actual,
   EXPECT_EQ(a.sent_by_vertex, e.sent_by_vertex) << label;
   ASSERT_EQ(actual.schedule.length(), expected.schedule.length()) << label;
   for (std::size_t i = 0; i < actual.schedule.steps().size(); ++i) {
-    const auto& as = actual.schedule.steps()[i].sends();
-    const auto& es = expected.schedule.steps()[i].sends();
+    const core::Timestep as_step = actual.schedule.step(i);
+    const core::SendRange as = as_step.sends();
+    const core::Timestep es_step = expected.schedule.step(i);
+    const core::SendRange es = es_step.sends();
     ASSERT_EQ(as.size(), es.size()) << label << " step " << i;
     for (std::size_t j = 0; j < as.size(); ++j) {
       EXPECT_EQ(as[j].arc, es[j].arc) << label << " step " << i;

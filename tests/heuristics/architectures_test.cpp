@@ -134,7 +134,8 @@ TEST(FastReplica, ScatterBlocksAreDisjointAcrossNeighbors) {
   ASSERT_TRUE(result.success);
   // In the first timestep the source sends pairwise-disjoint blocks.
   TokenSet seen(static_cast<std::size_t>(inst.num_tokens()));
-  for (const auto& send : result.schedule.steps()[0].sends()) {
+  const core::Timestep first = result.schedule.step(0);
+  for (const auto& send : first.sends()) {
     if (inst.graph().arc(send.arc).from != 0) continue;
     EXPECT_FALSE(seen.intersects(send.tokens));
     seen |= send.tokens;

@@ -90,8 +90,9 @@ TEST(BandwidthPolicy, ElectsSingleRelayAmongEquivalentPaths) {
   const auto result = sim::run(inst, policy);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.bandwidth, 2);  // one relay + one delivery
-  ASSERT_EQ(result.schedule.steps().front().sends().size(), 1U);
-  EXPECT_EQ(result.schedule.steps().front().sends()[0].arc, relay_arc);
+  const core::Timestep first = result.schedule.steps().front();
+  ASSERT_EQ(first.sends().size(), 1U);
+  EXPECT_EQ(first.sends()[0].arc, relay_arc);
 }
 
 TEST(BandwidthPolicy, PrunedBandwidthCloseToRaw) {

@@ -80,7 +80,8 @@ TEST(GlobalGreedy, WantsPrioritizedOverFloods) {
   const auto result = sim::run(inst, policy);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.steps, 1);
-  EXPECT_TRUE(result.schedule.steps()[0].sends()[0].tokens.test(1));
+  const core::Timestep first = result.schedule.step(0);
+  EXPECT_TRUE(first.sends()[0].tokens.test(1));
 }
 
 TEST(GlobalGreedy, AtLeastAsFastAsRandomOnBroadcast) {

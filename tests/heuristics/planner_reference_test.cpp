@@ -370,8 +370,10 @@ void expect_identical(const sim::RunResult& actual,
       << label;
   ASSERT_EQ(actual.schedule.length(), expected.schedule.length()) << label;
   for (std::size_t i = 0; i < actual.schedule.steps().size(); ++i) {
-    const auto& a = actual.schedule.steps()[i].sends();
-    const auto& e = expected.schedule.steps()[i].sends();
+    const core::Timestep a_step = actual.schedule.step(i);
+    const core::SendRange a = a_step.sends();
+    const core::Timestep e_step = expected.schedule.step(i);
+    const core::SendRange e = e_step.sends();
     ASSERT_EQ(a.size(), e.size()) << label << " step " << i;
     for (std::size_t j = 0; j < a.size(); ++j) {
       EXPECT_EQ(a[j].arc, e[j].arc) << label << " step " << i;

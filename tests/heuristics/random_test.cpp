@@ -25,7 +25,8 @@ TEST(RandomPolicy, NeverSendsTokensPeerAlreadyHeld) {
   ASSERT_TRUE(result.success);
   const auto trace = core::possession_trace(inst, result.schedule);
   for (std::size_t i = 0; i < result.schedule.steps().size(); ++i) {
-    for (const auto& send : result.schedule.steps()[i].sends()) {
+    const core::Timestep step = result.schedule.step(i);
+    for (const auto& send : step.sends()) {
       const VertexId to = inst.graph().arc(send.arc).to;
       EXPECT_FALSE(
           send.tokens.intersects(trace[i][static_cast<std::size_t>(to)]))

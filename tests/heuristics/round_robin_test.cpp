@@ -27,7 +27,8 @@ TEST(RoundRobin, CyclesThroughTokensOnNarrowLink) {
   EXPECT_EQ(result.bandwidth, 3);
   // Step i sends token i (circular order, no repetitions until wrap).
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto& sends = result.schedule.steps()[i].sends();
+    const core::Timestep step = result.schedule.step(i);
+    const core::SendRange sends = step.sends();
     ASSERT_EQ(sends.size(), 1u);
     EXPECT_TRUE(sends[0].tokens.test(static_cast<TokenId>(i)));
   }

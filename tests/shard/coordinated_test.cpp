@@ -84,8 +84,10 @@ void expect_same_run(const sim::RunResult& sharded,
       << label;
   ASSERT_EQ(sharded.schedule.length(), reference.schedule.length()) << label;
   for (std::size_t s = 0; s < reference.schedule.steps().size(); ++s) {
-    const auto& sa = sharded.schedule.steps()[s].sends();
-    const auto& sb = reference.schedule.steps()[s].sends();
+    const core::Timestep sa_step = sharded.schedule.step(s);
+    const core::SendRange sa = sa_step.sends();
+    const core::Timestep sb_step = reference.schedule.step(s);
+    const core::SendRange sb = sb_step.sends();
     ASSERT_EQ(sa.size(), sb.size()) << label << " step " << s;
     for (std::size_t i = 0; i < sa.size(); ++i) {
       EXPECT_EQ(sa[i].arc, sb[i].arc) << label << " step " << s;

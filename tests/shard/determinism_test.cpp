@@ -55,8 +55,10 @@ void expect_schedules_identical(const core::Schedule& a,
                                 const std::string& label) {
   ASSERT_EQ(a.length(), b.length()) << label;
   for (std::size_t s = 0; s < a.steps().size(); ++s) {
-    const auto& sa = a.steps()[s].sends();
-    const auto& sb = b.steps()[s].sends();
+    const core::Timestep sa_step = a.step(s);
+    const core::SendRange sa = sa_step.sends();
+    const core::Timestep sb_step = b.step(s);
+    const core::SendRange sb = sb_step.sends();
     ASSERT_EQ(sa.size(), sb.size()) << label << " step " << s;
     for (std::size_t i = 0; i < sa.size(); ++i) {
       EXPECT_EQ(sa[i].arc, sb[i].arc) << label << " step " << s;

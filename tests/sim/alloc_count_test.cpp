@@ -46,9 +46,13 @@ void count_allocation(std::size_t size) {
 
 namespace ocd::testing_alloc {
 // Read access for sibling suites in this binary (flow/flow_alloc_test
-// .cpp): the counting allocator lives here exactly once.
+// .cpp, sim/record_alloc_test.cpp): the counting allocator lives here
+// exactly once.
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+std::uint64_t allocated_bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 }  // namespace ocd::testing_alloc
 
@@ -296,6 +300,31 @@ TEST(AllocCount, BranchAndBoundNodeBudgetFiresBeforeQuadraticMemory) {
   const std::uint64_t bytes =
       g_bytes.load(std::memory_order_relaxed) - bytes_before;
   EXPECT_LT(bytes, std::uint64_t{8} << 20) << (bytes >> 10) << " KiB requested";
+}
+
+// A scenario builder copies each vertex's have and want set into the
+// rows the instance allocated at construction: two rows per vertex and
+// a few arrays, not also a fresh copy of the wanted set per receiver.
+// Counting outstanding pairs builds no set at all.
+TEST(AllocCount, InstanceRowsAreFilledInPlace) {
+  constexpr std::int32_t kVertices = 4096;
+  Rng rng(0x1a57);
+  Digraph graph = topology::sparse_random_overlay(kVertices, 8.0, rng);
+  graph.finalize();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const core::Instance inst =
+      core::single_source_all_receivers(std::move(graph), 8, 0);
+  const std::uint64_t build =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(build, 2u * kVertices + 16)
+      << build << " allocations to build a " << kVertices
+      << "-vertex broadcast";
+
+  const std::uint64_t count_before =
+      g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(inst.total_outstanding(), std::int64_t{kVertices - 1} * 8);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - count_before,
+            0u);
 }
 
 TEST(AllocCount, HarnessCountsAllocations) {
